@@ -18,8 +18,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import requests
-
 from .errors import BackendError, CacheError, InvalidSpecError
 from .textgen import Problem
 from .transcripts import make_transcript
@@ -135,6 +133,8 @@ class HttpBackend:
         self.requests = 0
 
     def generate(self, prompt: str, profile: SampleProfile) -> list[str]:
+        import requests     # deferred: only HTTP stages pay for the import
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

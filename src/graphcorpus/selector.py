@@ -5,6 +5,11 @@ ratio, Jaccard, tf-idf cosine, hashed-embedding cosine) nominate candidates
 that disagree with an anchor path; a seeded k-means over the hashed
 embeddings adds cluster medoids. Everything is deterministic for a fixed
 seed: all ties break on (similarity, text, index).
+
+The edit ratio's token Levenshtein distance comes from the bit-parallel
+algorithm of Myers (1999) in Hyyro's (2001) Levenshtein form. It returns
+exactly the distance of the textbook O(n*m) dynamic program, in
+O(ceil(m/w)*n) word operations.
 """
 
 from __future__ import annotations
@@ -26,21 +31,46 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
+def token_edit_distance(a: list[str], b: list[str]) -> int:
+    """Levenshtein distance between two token sequences (Myers/Hyyro).
+
+    Bit i of pv/mv is a +1/-1 vertical delta in DP row i of the longer
+    sequence; each token of the shorter one advances one column. Python ints
+    hold the bit vectors, so no length needs splitting into 64-bit blocks.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    peq: dict[str, int] = {}
+    bit = 1
+    for tok in a:
+        peq[tok] = peq.get(tok, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    high = bit >> 1
+    pv, mv, dist = mask, 0, len(a)
+    for tok in b:
+        eq = peq.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (mask & ~(xh | pv))
+        mh = pv & xh
+        if ph & high:
+            dist += 1
+        elif mh & high:
+            dist -= 1
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (mask & ~(xv | ph))
+        mv = ph & xv
+    return dist
+
+
 def edit_similarity(a: str, b: str) -> float:
     """1 - normalized Levenshtein distance over token sequences."""
     ta, tb = tokenize(a), tokenize(b)
     if not ta and not tb:
         return 1.0
-    if len(ta) < len(tb):
-        ta, tb = tb, ta
-    prev = list(range(len(tb) + 1))
-    for i, x in enumerate(ta, 1):
-        cur = [i]
-        for j, y in enumerate(tb, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                           prev[j - 1] + (x != y)))
-        prev = cur
-    return 1.0 - prev[-1] / len(ta)
+    return 1.0 - token_edit_distance(ta, tb) / max(len(ta), len(tb))
 
 
 def jaccard_similarity(a: str, b: str) -> float:
@@ -89,10 +119,15 @@ class HashingEmbedder:
         if dim < 1:
             raise InvalidSpecError("embedding dim must be positive")
         self.dim = dim
+        self._buckets: dict[str, int] = {}
 
     def _bucket(self, token: str) -> int:
-        digest = hashlib.md5(token.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.dim
+        bucket = self._buckets.get(token)
+        if bucket is None:
+            digest = hashlib.md5(token.encode("utf-8")).digest()
+            bucket = int.from_bytes(digest[:8], "big") % self.dim
+            self._buckets[token] = bucket
+        return bucket
 
     def embed(self, text: str) -> np.ndarray:
         v = np.zeros(self.dim)
@@ -221,10 +256,9 @@ def select_dispreferred(texts: list[str], anchor: str) -> int:
     return ranked[0]
 
 
-def build_dpo_pair(texts: list[str], correct: list[bool], *,
-                   seed: int = 0) -> tuple[int, int] | None:
+def build_dpo_pair(texts: list[str],
+                   correct: list[bool]) -> tuple[int, int] | None:
     """Chosen/rejected indices for one problem, or None when one side is empty."""
-    del seed        # reserved for future stochastic variants
     if len(texts) != len(correct):
         raise InvalidSpecError("texts and correctness flags differ in length")
     good = [i for i, ok in enumerate(correct) if ok]

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import graphcorpus
 from graphcorpus.errors import BackendError, CacheError, InvalidSpecError
 from graphcorpus.generate import generate_task
 from graphcorpus.grader import judge
@@ -220,10 +224,12 @@ def server():
     _Scripted.script = []
     _Scripted.seen = []
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Scripted)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(target=httpd.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_port}", _Scripted
     httpd.shutdown()
+    httpd.server_close()
 
 
 def _choices(*texts):
@@ -286,3 +292,14 @@ def test_http_pads_missing_choices(server):
     backend = HttpBackend(base, "m")
     out = backend.generate("x", SampleProfile("three", 3, 0.9))
     assert out == ["only one", "", ""]
+
+
+def test_cli_import_does_not_load_requests():
+    # only HttpBackend.generate needs requests; offline stages skip its import
+    src = os.path.dirname(os.path.dirname(graphcorpus.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, graphcorpus.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"

@@ -4,11 +4,16 @@ import random
 import pytest
 
 from graphcorpus.errors import InvalidSpecError
+from graphcorpus.generate import generate_task
+from graphcorpus.grader import judge
+from graphcorpus.sampler import StubBackend, get_profile
 from graphcorpus.selector import (METRICS, HashingEmbedder, TfidfModel,
                                   build_dpo_pair, dpo_loss, dpo_loss_grad,
                                   edit_similarity, jaccard_similarity,
                                   select_dispreferred, select_diverse,
-                                  similarity, tokenize)
+                                  similarity, token_edit_distance, tokenize)
+from graphcorpus.tasks import TASK_ORDER
+from graphcorpus.textgen import wrap_instruction
 
 
 def test_tokenize_lowercases_and_splits():
@@ -23,6 +28,79 @@ def test_edit_similarity_hand_values():
     assert edit_similarity("", "") == 1.0
     assert edit_similarity("", "a") == 0.0
     assert edit_similarity("x y", "y x") == edit_similarity("y x", "x y")
+
+
+def _dp_distance(ta, tb):
+    """Textbook O(n*m) token Levenshtein: the reference for the bit vectors."""
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    prev = list(range(len(tb) + 1))
+    for i, x in enumerate(ta, 1):
+        cur = [i]
+        for j, y in enumerate(tb, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
+                           prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
+def _assert_same_distance(ta, tb):
+    want = _dp_distance(ta, tb)
+    assert token_edit_distance(ta, tb) == want, (ta, tb)
+    assert token_edit_distance(tb, ta) == want, (tb, ta)
+    # the ratio the DP-based edit_similarity computed; exact float equality
+    ratio = 1.0 - want / max(len(ta), len(tb)) if ta or tb else 1.0
+    a, b = " ".join(ta), " ".join(tb)
+    assert edit_similarity(a, b) == ratio
+    assert edit_similarity(b, a) == ratio
+
+
+def _random_tokens(rng, length, alphabet):
+    return [f"t{rng.randrange(alphabet)}" for _ in range(length)]
+
+
+def test_edit_distance_matches_dp_on_random_sequences():
+    rng = random.Random(2024)
+    for _ in range(200):
+        alphabet = rng.randint(1, 12)
+        ta = _random_tokens(rng, rng.randint(0, 200), alphabet)
+        if rng.random() < 0.3:      # near copy: a few substitutions/indels
+            tb = list(ta)
+            for _ in range(rng.randint(0, 6)):
+                pos = rng.randint(0, len(tb))
+                op = rng.randrange(3)
+                if op == 0 or not tb[pos:]:
+                    tb.insert(pos, f"t{rng.randrange(alphabet)}")
+                elif op == 1:
+                    del tb[pos]
+                else:
+                    tb[pos] = f"t{rng.randrange(alphabet)}"
+        else:
+            tb = _random_tokens(rng, rng.randint(0, 200), alphabet)
+        _assert_same_distance(ta, tb)
+
+
+def test_edit_distance_matches_dp_across_word_boundaries():
+    rng = random.Random(64)
+    lengths = (0, 1, 2, 63, 64, 65, 127, 128, 129, 200)
+    for la in lengths:
+        for lb in lengths:
+            alphabet = rng.choice((1, 2, 3, 12))
+            _assert_same_distance(_random_tokens(rng, la, alphabet),
+                                  _random_tokens(rng, lb, alphabet))
+
+
+def test_edit_distance_edge_pairs():
+    rng = random.Random(5)
+    for n in (1, 63, 64, 65, 128, 129):
+        seq = _random_tokens(rng, n, 4)
+        _assert_same_distance(seq, seq)
+        _assert_same_distance(seq, [])
+        _assert_same_distance(seq, seq[::-1])
+        _assert_same_distance(seq, seq[1:])
+        _assert_same_distance(["t0"] * n, ["t0"] * (n + 1))
+    _assert_same_distance([], [])
+    assert token_edit_distance(["a"] * 70, []) == 70
 
 
 def test_jaccard_similarity_hand_values():
@@ -89,22 +167,47 @@ def _word_salad(rng, words=12):
     return " ".join(rng.choice(vocab) for _ in range(words))
 
 
-def test_select_diverse_matches_brute_force_prefix():
+@pytest.fixture(scope="module")
+def stub_path_sets():
+    """StubBackend paths under the augment profile, one list per problem.
+
+    These are real transcripts (median ~40 tokens, some past 64), so the
+    edit metric runs on multi-word bit vectors, unlike the word salads.
+    """
+    profile = get_profile("augment")
+    sets = []
+    for task in TASK_ORDER:
+        problems = generate_task(task, 2, seed=5, split="selector")
+        backend = StubBackend(problems, error_rate=0.4, seed=1)
+        for p in problems:
+            sets.append((p, backend.generate(wrap_instruction(p.text), profile)))
+    longest = max(len(tokenize(t)) for _, texts in sets for t in texts)
+    assert longest > 64
+    return sets
+
+
+def _assert_diverse_matches_brute_force(texts, seed):
+    anchor, noms = _brute_force_nominations(texts)
+    expected = [anchor]
+    seen = {texts[anchor]}
+    for i in noms:
+        if texts[i] not in seen:
+            seen.add(texts[i])
+            expected.append(i)
+    picked = select_diverse(texts, seed=seed)
+    assert picked[: len(expected)] == expected, f"seed {seed}"
+    assert len(picked) <= 5
+    assert len({texts[i] for i in picked}) == len(picked)
+
+
+def test_select_diverse_matches_brute_force_prefix(stub_path_sets):
     for seed in range(50):
         rng = random.Random(seed)
         texts = [_word_salad(rng, rng.randint(4, 16))
                  for _ in range(rng.randint(2, 9))]
-        anchor, noms = _brute_force_nominations(texts)
-        expected = [anchor]
-        seen = {texts[anchor]}
-        for i in noms:
-            if texts[i] not in seen:
-                seen.add(texts[i])
-                expected.append(i)
-        picked = select_diverse(texts, seed=seed)
-        assert picked[: len(expected)] == expected, f"seed {seed}"
-        assert len(picked) <= 5
-        assert len({texts[i] for i in picked}) == len(picked)
+        _assert_diverse_matches_brute_force(texts, seed)
+    for seed, (_, texts) in enumerate(stub_path_sets):
+        _assert_diverse_matches_brute_force(texts, seed)
 
 
 def test_select_diverse_is_deterministic():
@@ -150,23 +253,37 @@ def test_select_dispreferred_prefers_near_copy():
     assert select_dispreferred(texts, anchor) == 1
 
 
-def test_select_dispreferred_matches_brute_force():
+def _assert_dispreferred_matches_brute_force(texts, anchor):
+    tfidf = TfidfModel(texts + [anchor])
+    emb = HashingEmbedder()
+    votes = {}
+    for metric in METRICS:
+        best = min(range(len(texts)), key=lambda i: (
+            -similarity(texts[i], anchor, metric,
+                        tfidf=tfidf, embedder=emb), texts[i], i))
+        votes[best] = votes.get(best, 0) + 1
+    expected = sorted(votes, key=lambda i: (
+        -votes[i], -len(texts[i]), texts[i], i))[0]
+    assert select_dispreferred(texts, anchor) == expected
+
+
+def test_select_dispreferred_matches_brute_force(stub_path_sets):
     for seed in range(50):
         rng = random.Random(1000 + seed)
         anchor = _word_salad(rng)
         texts = [_word_salad(rng, rng.randint(4, 14))
                  for _ in range(rng.randint(1, 8))]
-        tfidf = TfidfModel(texts + [anchor])
-        emb = HashingEmbedder()
-        votes = {}
-        for metric in METRICS:
-            best = min(range(len(texts)), key=lambda i: (
-                -similarity(texts[i], anchor, metric,
-                            tfidf=tfidf, embedder=emb), texts[i], i))
-            votes[best] = votes.get(best, 0) + 1
-        expected = sorted(votes, key=lambda i: (
-            -votes[i], -len(texts[i]), texts[i], i))[0]
-        assert select_dispreferred(texts, anchor) == expected, f"seed {seed}"
+        _assert_dispreferred_matches_brute_force(texts, anchor)
+    pairs = 0
+    for problem, texts in stub_path_sets:
+        good = [t for t in texts if judge(problem, t).correct]
+        bad = [t for t in texts if not judge(problem, t).correct]
+        if good and bad:
+            anchor = min(good, key=lambda t: (-len(t), t))
+            _assert_dispreferred_matches_brute_force(bad, anchor)
+            pairs += 1
+        _assert_dispreferred_matches_brute_force(texts[1:], texts[0])
+    assert pairs >= len(stub_path_sets) // 2
 
 
 def test_select_dispreferred_rejects_empty():
