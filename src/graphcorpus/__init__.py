@@ -12,8 +12,8 @@ from .corpus import (assemble_dpo, assemble_sft, compute_stats, format_stats,
                      write_problems)
 from .errors import (BackendError, CacheError, GraphCorpusError,
                      GraphInvalidError, GraphKindError, InvalidQueryError,
-                     InvalidSpecError, OracleLimitError, ParseError,
-                     RecordError, SchemaError, StageError)
+                     InvalidSpecError, ParseError, RecordError,
+                     SchemaError, StageError)
 from .evaluate import evaluate, format_report, run_eval
 from .generate import generate_corpus, generate_task
 from .grader import (Verdict, Violation, audit_steps, extract_answer, grade,
@@ -38,7 +38,7 @@ __all__ = [
     "Answer", "BackendError", "Cache", "CacheError", "DEFAULT_COUNTS",
     "DIFFICULTY_GROUPS", "Graph", "GraphCorpusError", "GraphInvalidError",
     "GraphKindError", "HttpBackend", "InvalidQueryError", "InvalidSpecError",
-    "OracleLimitError", "PROFILES", "ParseError", "PipelineConfig", "Problem",
+    "PROFILES", "ParseError", "PipelineConfig", "Problem",
     "RecordError", "SampleProfile", "SchemaError", "StageError", "StubBackend",
     "TASKS", "TASK_ORDER", "Verdict", "Violation", "assemble_dpo",
     "assemble_sft", "assign_edge_weights", "assign_node_weights",

@@ -13,6 +13,11 @@ from .errors import InvalidSpecError
 from .tasks import TASK_ORDER
 
 DEFAULT_COUNTS = {"train": 3000, "test": 400}
+TOKEN_BUDGET = 4096          # rendered-length cap, in estimated tokens
+MAX_ATTEMPTS = 600           # draws per slot before generation gives up
+REJECTION_ATTEMPTS = 12      # plain draws before constructive transforms
+HAMILTON_BUDGET = 100_000    # backtracking expansions before "unknown"
+HAMILTON_DP_LIMIT = 12       # largest graph solved by the exact bitmask DP
 
 
 @dataclass
@@ -21,11 +26,11 @@ class PipelineConfig:
     tasks: list[str] = field(default_factory=lambda: list(TASK_ORDER))
     split: str = "train"
     count: int | None = None          # None: DEFAULT_COUNTS[split]
-    token_budget: int = 4096
-    max_attempts: int = 600
-    rejection_attempts: int = 12
-    hamilton_budget: int = 100_000
-    hamilton_dp_limit: int = 12
+    token_budget: int = TOKEN_BUDGET
+    max_attempts: int = MAX_ATTEMPTS
+    rejection_attempts: int = REJECTION_ATTEMPTS
+    hamilton_budget: int = HAMILTON_BUDGET
+    hamilton_dp_limit: int = HAMILTON_DP_LIMIT
     shots: int = 2
     cap: int = 5
     beta: float = 0.1

@@ -55,10 +55,8 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(d: dict) -> Graph:
-    g = Graph(d["num_nodes"], d["directed"],
-              [tuple(e) for e in d["edges"]],
-              node_weights=list(d["node_weights"]) if d.get("node_weights")
-              is not None else None)
+    g = Graph(d["num_nodes"], d["directed"], [tuple(e) for e in d["edges"]],
+              node_weights=d.get("node_weights"))
     validate_graph(g)
     return g
 

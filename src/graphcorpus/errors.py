@@ -21,10 +21,6 @@ class InvalidQueryError(GraphCorpusError, ValueError):
     """A query references missing nodes or is otherwise ill-formed."""
 
 
-class OracleLimitError(GraphCorpusError, ValueError):
-    """An instance exceeds the brute-force oracle's size limit."""
-
-
 class ParseError(GraphCorpusError, ValueError):
     """Problem text could not be parsed; carries the byte offset of the fault."""
 

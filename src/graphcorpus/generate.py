@@ -3,7 +3,7 @@
 Every attempt derives its RNG from sha256(seed:split:task:slot:attempt), so
 corpora are reproducible and each retry is an independent draw. Yes/no tasks
 alternate the wanted label across slots; an attempt is rejected when the
-sampled graph disagrees. After REJECTION_ATTEMPTS misses the generator
+sampled graph disagrees. After `rejection_attempts` misses the generator
 switches to constructive transforms (plant a cycle, carve the graph apart,
 embed the pattern, ...) that force the label, then re-solves to confirm.
 Rendered problems over the token budget and graphs already in the corpus are
@@ -15,12 +15,15 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import replace
+from functools import partial
 
+from .config import (HAMILTON_BUDGET, HAMILTON_DP_LIMIT, MAX_ATTEMPTS,
+                     REJECTION_ATTEMPTS, TOKEN_BUDGET)
 from .errors import InvalidSpecError, StageError
 from .grader import is_hamilton_path
 from .graphs import (Graph, assign_edge_weights, assign_node_weights,
                      canonical_key, connected_components, generate_dag,
-                     generate_er)
+                     generate_er, reachable)
 from .solvers import (Answer, find_subgraph, hamilton_path, has_cycle,
                       is_bipartite, is_connected, max_flow, max_triangle_sum,
                       shortest_path, topo_sort)
@@ -30,11 +33,6 @@ from .textgen import Problem, estimate_tokens, render_problem
 WEIGHT_LO, WEIGHT_HI = 1, 10
 PATTERN_MIN, PATTERN_MAX = 3, 6
 PATTERN_DENSITY = 0.4
-TOKEN_BUDGET = 4096
-REJECTION_ATTEMPTS = 12
-MAX_ATTEMPTS = 600
-HAMILTON_BUDGET = 100_000
-HAMILTON_DP_LIMIT = 12
 
 
 def _sub(rng: random.Random) -> int:
@@ -66,90 +64,57 @@ def _spanning_forest(g: Graph, rng: random.Random) -> Graph:
     return replace(g, edges=sorted(keep))
 
 
+def _join(g: Graph, pairs) -> Graph:
+    """Unweighted g plus each edge of pairs that it lacks; undirected pairs
+    are stored as u < v."""
+    if not g.directed:
+        pairs = ((min(u, v), max(u, v)) for u, v in pairs)
+    return replace(g, edges=sorted(g.edge_key_set.union(pairs)))
+
+
 def _add_triangle(g: Graph, rng: random.Random) -> Graph:
     a, b, c = rng.sample(range(g.num_nodes), 3)
-    keys = set(g.edge_key_set())
-    edges = list(g.edges)
-    for u, v in ((a, b), (a, c), (b, c)):
-        k = (min(u, v), max(u, v))
-        if k not in keys:
-            edges.append(k)
-            keys.add(k)
-    return replace(g, edges=sorted(edges))
+    return _join(g, ((a, b), (a, c), (b, c)))
+
+
+def _random_side(n: int, rng: random.Random) -> set[int]:
+    """A seeded set of between 1 and n - 1 of the nodes."""
+    order = list(range(n))
+    rng.shuffle(order)
+    return set(order[:rng.randint(1, n - 1)])
 
 
 def _carve_split(g: Graph, rng: random.Random) -> tuple[Graph, list[int], list[int]]:
     """Split the nodes in two and drop every crossing edge."""
-    order = list(range(g.num_nodes))
-    rng.shuffle(order)
-    k = rng.randint(1, g.num_nodes - 1)
-    side = set(order[:k])
+    side = _random_side(g.num_nodes, rng)
     edges = [e for e in g.edges if (e[0] in side) == (e[1] in side)]
     return (replace(g, edges=sorted(edges)),
-            sorted(side), sorted(set(order) - side))
+            sorted(side), sorted(set(range(g.num_nodes)) - side))
 
 
 def _plant_partition(g: Graph, rng: random.Random) -> Graph:
     """Keep only the edges that cross a seeded two-way node split."""
-    order = list(range(g.num_nodes))
-    rng.shuffle(order)
-    k = rng.randint(1, g.num_nodes - 1)
-    side = set(order[:k])
+    side = _random_side(g.num_nodes, rng)
     edges = [e for e in g.edges if (e[0] in side) != (e[1] in side)]
     return replace(g, edges=sorted(edges))
 
 
 def _inject_odd_triangle(g: Graph, rng: random.Random) -> Graph:
+    """Close a directed triangle, skipping pairs already joined either way."""
     a, b, c = rng.sample(range(g.num_nodes), 3)
-    pairs = {(u, v) for u, v in g.edge_pairs()}
-    edges = list(g.edges)
-    for u, v in ((a, b), (b, c), (c, a)):
-        if (u, v) not in pairs and (v, u) not in pairs:
-            edges.append((u, v))
-            pairs.add((u, v))
-    return replace(g, edges=sorted(edges))
+    return _join(g, [(u, v) for u, v in ((a, b), (b, c), (c, a))
+                     if not g.has_edge(v, u)])
 
 
 def _plant_path(g: Graph, rng: random.Random) -> tuple[Graph, list[int]]:
     perm = list(range(g.num_nodes))
     rng.shuffle(perm)
-    keys = set(g.edge_key_set())
-    edges = list(g.edges)
-    for a, b in zip(perm, perm[1:]):
-        k = (min(a, b), max(a, b))
-        if k not in keys:
-            edges.append(k)
-            keys.add(k)
-    return replace(g, edges=sorted(edges)), perm
+    return _join(g, zip(perm, perm[1:])), perm
 
 
 def _embed_pattern(host: Graph, pattern: Graph, rng: random.Random) -> Graph:
     image = rng.sample(range(host.num_nodes), pattern.num_nodes)
-    pairs = {(u, v) for u, v in host.edge_pairs()}
-    edges = list(host.edges)
-    for a, b in pattern.edge_pairs():
-        e = (image[a], image[b])
-        if e not in pairs:
-            edges.append(e)
-            pairs.add(e)
-    return replace(host, edges=sorted(edges))
-
-
-def _reachable(g: Graph, s: int) -> set[int]:
-    adj: dict[int, list[int]] = {i: [] for i in range(g.num_nodes)}
-    for u, v in g.edge_pairs():
-        adj[u].append(v)
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+    return _join(host, [(image[a], image[b]) for a, b in pattern.edge_pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +151,7 @@ def _gen_connect(tier, desired, rng, transform):
         if not transform:
             return None
         u, v = rng.sample(range(n), 2)
-        g = replace(g, edges=sorted(g.edges + [(min(u, v), max(u, v))]))
+        g = _join(g, [(u, v)])
         return g, {"u": u, "v": v}, is_connected(g, u, v)
     if len(comps) >= 2:
         ca, cb = rng.sample(range(len(comps)), 2)
@@ -253,14 +218,14 @@ def _gen_flow(tier, desired, rng, transform):
     rng.shuffle(order)
     s = t = None
     for cand in order:
-        reach = sorted(_reachable(g, cand) - {cand})
+        reach = sorted(reachable(g, cand) - {cand})
         if reach:
             s = cand
             t = reach[rng.randrange(len(reach))]
             break
     if s is None:
         s, t = rng.sample(range(n), 2)
-        g = replace(g, edges=sorted(g.edges + [(s, t)]))
+        g = _join(g, [(s, t)])
     g = assign_edge_weights(g, WEIGHT_LO, WEIGHT_HI, seed=_sub(rng))
     return g, {"s": s, "t": t}, max_flow(g, s, t)
 
@@ -304,17 +269,25 @@ def _gen_subgraph(tier, desired, rng, transform):
         return (host, {"pattern": pattern}, ans) if ans.value else None
     # make the pattern stricter until the host no longer contains it
     for _ in range(k * (k - 1)):
-        present = {(u, v) for u, v in pattern.edge_pairs()}
+        present = pattern.edge_key_set
         absent = [(a, b) for a in range(k) for b in range(k)
                   if a != b and (a, b) not in present]
         if not absent:
             return None
         extra = absent[rng.randrange(len(absent))]
-        pattern = replace(pattern, edges=sorted(pattern.edges + [extra]))
+        pattern = _join(pattern, [extra])
         ans = find_subgraph(host, pattern)
         if not ans.value:
             return host, {"pattern": pattern}, ans
     return None
+
+
+_BUILDERS = {
+    "cycle": _gen_cycle, "connect": _gen_connect, "bipartite": _gen_bipartite,
+    "topology": _gen_topology, "shortest": _gen_shortest,
+    "triangle": _gen_triangle, "flow": _gen_flow, "hamilton": _gen_hamilton,
+    "subgraph": _gen_subgraph,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +312,9 @@ def generate_task(task: str, count: int, *, seed: int = 0, split: str = "train",
     if count < 0:
         raise InvalidSpecError("count must not be negative")
     tiers = build_tiers(info)
+    build = _BUILDERS[task]
+    if task == "hamilton":
+        build = partial(build, budget=hamilton_budget, dp_limit=hamilton_dp_limit)
     if seen is None:
         seen = set()
     problems = []
@@ -350,26 +326,7 @@ def generate_task(task: str, count: int, *, seed: int = 0, split: str = "train",
             aseed = attempt_seed(seed, split, task, slot, attempt)
             rng = random.Random(aseed)
             transform = attempt >= rejection_attempts
-            if task == "cycle":
-                cand = _gen_cycle(tier, desired, rng, transform)
-            elif task == "connect":
-                cand = _gen_connect(tier, desired, rng, transform)
-            elif task == "bipartite":
-                cand = _gen_bipartite(tier, desired, rng, transform)
-            elif task == "topology":
-                cand = _gen_topology(tier, desired, rng, transform)
-            elif task == "shortest":
-                cand = _gen_shortest(tier, desired, rng, transform)
-            elif task == "triangle":
-                cand = _gen_triangle(tier, desired, rng, transform)
-            elif task == "flow":
-                cand = _gen_flow(tier, desired, rng, transform)
-            elif task == "hamilton":
-                cand = _gen_hamilton(tier, desired, rng, transform,
-                                     budget=hamilton_budget,
-                                     dp_limit=hamilton_dp_limit)
-            else:
-                cand = _gen_subgraph(tier, desired, rng, transform)
+            cand = build(tier, desired, rng, transform)
             if cand is None:
                 continue
             graph, query, answer = cand

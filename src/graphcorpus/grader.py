@@ -111,7 +111,7 @@ def is_valid_path(g: Graph, nodes: list[int]) -> bool:
         return False
     if any(not (0 <= x < g.num_nodes) for x in nodes):
         return False
-    keys = g.edge_key_set()
+    keys = g.edge_key_set
     for a, b in zip(nodes, nodes[1:]):
         key = (a, b) if g.directed else (min(a, b), max(a, b))
         if key not in keys:
@@ -128,11 +128,11 @@ def is_topo_order(g: Graph, nodes: list[int]) -> bool:
     if sorted(nodes) != list(range(g.num_nodes)):
         return False
     pos = {x: i for i, x in enumerate(nodes)}
-    return all(pos[u] < pos[v] for u, v in g.edge_pairs())
+    return all(pos[u] < pos[v] for u, v in g.edge_pairs)
 
 
 def path_weight(g: Graph, nodes: list[int]) -> int:
-    wm = g.weight_map()
+    wm = g.weight_map
     total = 0
     for a, b in zip(nodes, nodes[1:]):
         key = (a, b) if g.directed else (min(a, b), max(a, b))
@@ -167,10 +167,10 @@ def check_witness(problem: Problem, answer: Answer) -> bool:
             if split != set(range(g.num_nodes)) or set(side0) & set(side1):
                 return False
             return all(
-                (u in set(side0)) != (v in set(side0)) for u, v in g.edge_pairs())
+                (u in set(side0)) != (v in set(side0)) for u, v in g.edge_pairs)
         return len(w) % 2 == 1 and is_valid_cycle(
             Graph(g.num_nodes, False,
-                  sorted({(min(u, v), max(u, v)) for u, v in g.edge_pairs()})),
+                  sorted({(min(u, v), max(u, v)) for u, v in g.edge_pairs})),
             list(w))
     if task == "topology":
         return answer.kind == "none_exists" or is_topo_order(g, list(answer.value))
@@ -207,8 +207,8 @@ def check_witness(problem: Problem, answer: Answer) -> bool:
         return False
     if len(set(mapping.values())) != len(mapping):
         return False
-    host_keys = g.edge_key_set()
-    return all((mapping[a], mapping[b]) in host_keys for a, b in pattern.edge_pairs())
+    host_keys = g.edge_key_set
+    return all((mapping[a], mapping[b]) in host_keys for a, b in pattern.edge_pairs)
 
 
 def grade(problem: Problem, extracted: Answer | ExtractionFailure, *,
@@ -276,8 +276,8 @@ def audit_steps(problem: Problem, reasoning: str) -> list[Violation]:
     node b" are checked as adjacency, ignoring direction. Advisory only.
     """
     g = problem.graph
-    keys = g.edge_key_set()
-    weights = g.weight_map()
+    keys = g.edge_key_set
+    weights = g.weight_map
     n = g.num_nodes
     out: list[Violation] = []
     for s_idx, sm in enumerate(_SENTENCE.finditer(reasoning)):

@@ -1,47 +1,64 @@
 """Graph value type, validation, canonical hashing, and seeded generators.
 
 Edges are tuples (u, v) or (u, v, weight); undirected edges are stored with
-u < v. Generators draw from random.Random(seed) in a fixed documented order,
-so a (parameters, seed) pair always yields the same graph.
+u < v. A Graph is immutable, so its derived views (edge pairs, the edge key
+set, the weight map, adjacency) are computed once per instance and shared;
+`reachable` walks the cached adjacency. Generators draw from
+random.Random(seed) in a fixed documented order, so a (parameters, seed)
+pair always yields the same graph.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GraphInvalidError, InvalidSpecError
 
 
-@dataclass
+@dataclass(frozen=True)
 class Graph:
+    """Immutable graph value. Edges and node weights are stored as tuples;
+    the derived views below are computed on first use and kept, and
+    `dataclasses.replace` makes a new graph with fresh views."""
+
     num_nodes: int
     directed: bool
-    edges: list[tuple] = field(default_factory=list)
-    node_weights: list[int] | None = None
+    edges: tuple[tuple, ...] = ()
+    node_weights: tuple[int, ...] | None = None
 
-    @property
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", tuple(self.edges))
+        if self.node_weights is not None:
+            object.__setattr__(self, "node_weights", tuple(self.node_weights))
+
+    @cached_property
     def weighted(self) -> bool:
         return any(len(e) == 3 for e in self.edges)
 
-    def edge_pairs(self) -> list[tuple[int, int]]:
+    @cached_property
+    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """Edge endpoints without weights, in storage order."""
-        return [(e[0], e[1]) for e in self.edges]
+        return tuple((e[0], e[1]) for e in self.edges)
 
-    def edge_key_set(self) -> set[tuple[int, int]]:
-        """Set of endpoint pairs; undirected pairs normalized to u < v."""
+    @cached_property
+    def edge_key_set(self) -> frozenset[tuple[int, int]]:
+        """Endpoint pairs; undirected pairs normalized to u < v."""
         if self.directed:
-            return {(e[0], e[1]) for e in self.edges}
-        return {(min(e[0], e[1]), max(e[0], e[1])) for e in self.edges}
+            return frozenset(self.edge_pairs)
+        return frozenset((min(u, v), max(u, v)) for u, v in self.edge_pairs)
 
     def has_edge(self, u: int, v: int) -> bool:
         if self.directed:
-            return (u, v) in self.edge_key_set()
-        return (min(u, v), max(u, v)) in self.edge_key_set()
+            return (u, v) in self.edge_key_set
+        return (min(u, v), max(u, v)) in self.edge_key_set
 
+    @cached_property
     def weight_map(self) -> dict[tuple[int, int], int]:
-        """Endpoint pair -> weight (undirected keys normalized to u < v)."""
+        """Endpoint pair -> weight (undirected keys normalized to u < v).
+        Shared by every caller: read it, never modify it."""
         out: dict[tuple[int, int], int] = {}
         for e in self.edges:
             w = e[2] if len(e) == 3 else 1
@@ -49,14 +66,29 @@ class Graph:
             out[key] = w
         return out
 
-    def adjacency(self) -> list[list[int]]:
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Out-neighbor lists (both directions for undirected graphs)."""
         adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edge_pairs():
+        for u, v in self.edge_pairs:
             adj[u].append(v)
             if not self.directed:
                 adj[v].append(u)
-        return adj
+        return tuple(map(tuple, adj))
+
+
+def reachable(g: Graph, s: int) -> set[int]:
+    """Nodes reachable from s along out-edges (any edge when undirected),
+    s included."""
+    adj = g.adjacency
+    seen = {s}
+    stack = [s]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def validate_graph(g: Graph) -> None:
@@ -161,7 +193,7 @@ def assign_edge_weights(g: Graph, lo: int, hi: int, *, seed: int = 0) -> Graph:
         raise InvalidSpecError(f"weight range [{lo},{hi}] must satisfy 1 <= lo <= hi")
     rng = random.Random(seed)
     edges = [(e[0], e[1], rng.randint(lo, hi)) for e in g.edges]
-    return Graph(g.num_nodes, g.directed, edges, list(g.node_weights) if g.node_weights else None)
+    return Graph(g.num_nodes, g.directed, edges, g.node_weights or None)
 
 
 def assign_node_weights(g: Graph, lo: int, hi: int, *, seed: int = 0) -> Graph:
@@ -170,7 +202,7 @@ def assign_node_weights(g: Graph, lo: int, hi: int, *, seed: int = 0) -> Graph:
         raise InvalidSpecError(f"weight range [{lo},{hi}] must satisfy 1 <= lo <= hi")
     rng = random.Random(seed)
     weights = [rng.randint(lo, hi) for _ in range(g.num_nodes)]
-    return Graph(g.num_nodes, g.directed, [tuple(e) for e in g.edges], weights)
+    return Graph(g.num_nodes, g.directed, g.edges, weights)
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -183,7 +215,7 @@ def connected_components(g: Graph) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for u, v in g.edge_pairs():
+    for u, v in g.edge_pairs:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv

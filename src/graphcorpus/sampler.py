@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 import random
 import re
 import threading
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 from .errors import BackendError, CacheError, InvalidSpecError
 from .textgen import Problem
 from .transcripts import make_transcript
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,7 @@ class StubBackend:
         self.seed = seed
         self._by_text = {p.text: p for p in problems}
         self.requests = 0
+        self._count_lock = threading.Lock()
 
     def _lookup(self, prompt: str) -> Problem:
         text = _question_of(prompt)
@@ -103,7 +108,8 @@ class StubBackend:
 
     def generate(self, prompt: str, profile: SampleProfile) -> list[str]:
         problem = self._lookup(prompt)
-        self.requests += 1
+        with self._count_lock:
+            self.requests += 1
         sha = prompt_sha(prompt)
         out = []
         for i in range(profile.n):
@@ -131,6 +137,7 @@ class HttpBackend:
         self.backoff = backoff
         self._gate = threading.Semaphore(max_concurrency)
         self.requests = 0
+        self._count_lock = threading.Lock()
 
     def generate(self, prompt: str, profile: SampleProfile) -> list[str]:
         import requests     # deferred: only HTTP stages pay for the import
@@ -151,7 +158,8 @@ class HttpBackend:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
                 with self._gate:
-                    self.requests += 1
+                    with self._count_lock:
+                        self.requests += 1
                     resp = requests.post(self.url, json=payload,
                                          headers=headers, timeout=self.timeout)
             except requests.RequestException as exc:
@@ -176,18 +184,32 @@ class HttpBackend:
 
 
 class Cache:
-    """Append-only JSONL completion cache keyed by (prompt sha, profile)."""
+    """Append-only JSONL completion cache keyed by (prompt sha, profile).
+
+    Every put writes one whole line, so a final line without its newline
+    was cut short by a killed process: loading drops it with a warning and
+    truncates the file back to the last newline, so the next put starts a
+    fresh line. An unreadable line anywhere else raises CacheError.
+    """
 
     def __init__(self, path: str):
         self.path = path
         self._store: dict[tuple[str, str], list[str]] = {}
         self._lock = threading.Lock()
         try:
-            fh = open(path, "r", encoding="utf-8")
+            fh = open(path, "rb")
         except FileNotFoundError:
             return
+        complete = 0                  # bytes up to the last newline
+        torn = False
         with fh:
             for lineno, line in enumerate(fh, 1):
+                if not line.endswith(b"\n"):
+                    log.warning("%s:%d: dropping a torn final line (%d bytes)",
+                                path, lineno, len(line))
+                    torn = True
+                    break
+                complete += len(line)
                 if not line.strip():
                     continue
                 try:
@@ -199,6 +221,8 @@ class Cache:
                 if not isinstance(texts, list):
                     raise CacheError(f"{path}:{lineno}: texts is not a list")
                 self._store[key] = texts      # last write wins
+        if torn:
+            os.truncate(path, complete)
 
     def lookup(self, sha: str, profile: SampleProfile) -> list[str] | None:
         got = self._store.get((sha, profile.name))

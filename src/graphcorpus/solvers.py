@@ -10,12 +10,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from .config import HAMILTON_BUDGET, HAMILTON_DP_LIMIT
 from .errors import GraphKindError, InvalidQueryError
-from .graphs import Graph
+from .graphs import Graph, reachable
 from .tasks import get_task
-
-HAMILTON_DP_LIMIT = 15
-HAMILTON_BUDGET = 10_000_000
 
 
 @dataclass
@@ -43,7 +41,7 @@ def _require_directed(g: Graph, task: str) -> None:
 def has_cycle(g: Graph) -> Answer:
     """Cycle = closed walk over >= 3 distinct nodes. Witness: the node list."""
     _require_undirected(g, "cycle")
-    adj = g.adjacency()
+    adj = g.adjacency
     color = [0] * g.num_nodes          # 0 unseen, 1 on stack, 2 done
     parent = [-1] * g.num_nodes
     for root in range(g.num_nodes):
@@ -84,7 +82,7 @@ def is_connected(g: Graph, u: int, v: int) -> Answer:
     _check_node(g, v, "v")
     if u == v:
         return Answer("yes_no", True, witness=[u])
-    adj = g.adjacency()
+    adj = g.adjacency
     parent = {u: -1}
     frontier = [u]
     while frontier:
@@ -112,7 +110,7 @@ def is_bipartite(g: Graph) -> Answer:
     """
     # direction is irrelevant to 2-colorability
     adj: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    for u, v in g.edge_pairs():
+    for u, v in g.edge_pairs:
         adj[u].append(v)
         adj[v].append(u)
     color = [-1] * g.num_nodes
@@ -154,8 +152,8 @@ def topo_sort(g: Graph) -> Answer:
     """Lexicographically smallest topological order; none_exists on a cycle."""
     _require_directed(g, "topology")
     indeg = [0] * g.num_nodes
-    adj = g.adjacency()
-    for _, v in g.edge_pairs():
+    adj = g.adjacency
+    for _, v in g.edge_pairs:
         indeg[v] += 1
     ready = [i for i in range(g.num_nodes) if indeg[i] == 0]
     heapq.heapify(ready)
@@ -179,7 +177,7 @@ def shortest_path(g: Graph, u: int, v: int) -> Answer:
     _check_node(g, v, "v")
     if u == v:
         return Answer("numeric", 0, witness=[u])
-    weights = g.weight_map()
+    weights = g.weight_map
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_nodes)]
     for (a, b), w in sorted(weights.items()):
         adj[a].append((b, w))
@@ -214,13 +212,10 @@ def max_triangle_sum(g: Graph) -> Answer:
     if g.node_weights is None:
         raise GraphKindError("triangle expects node weights")
     nw = g.node_weights
-    neighbor_sets: list[set[int]] = [set() for _ in range(g.num_nodes)]
-    for a, b in g.edge_pairs():
-        neighbor_sets[a].add(b)
-        neighbor_sets[b].add(a)
+    neighbor_sets = [set(a) for a in g.adjacency]
     best_sum = -1
     best_triple: tuple[int, int, int] | None = None
-    for a, b in sorted(g.edge_key_set()):
+    for a, b in sorted(g.edge_key_set):
         for c in sorted(neighbor_sets[a] & neighbor_sets[b]):
             total = nw[a] + nw[b] + nw[c]
             triple = tuple(sorted((a, b, c)))
@@ -314,10 +309,7 @@ def _hamilton_dp(g: Graph) -> Answer:
     n = g.num_nodes
     if n == 1:
         return Answer("yes_no", True, witness=[0])
-    adj_bits = [0] * n
-    for a, b in g.edge_pairs():
-        adj_bits[a] |= 1 << b
-        adj_bits[b] |= 1 << a
+    adj_bits = [sum(1 << b for b in a) for a in g.adjacency]
     full = (1 << n) - 1
     ends = [0] * (1 << n)    # ends[mask] = bitmask of feasible path endpoints
     for v in range(n):
@@ -353,22 +345,21 @@ def _hamilton_dp(g: Graph) -> Answer:
 
 def _hamilton_backtrack(g: Graph, budget: int) -> Answer | None:
     n = g.num_nodes
-    adj_sets: list[set[int]] = [set() for _ in range(n)]
-    for a, b in g.edge_pairs():
-        adj_sets[a].add(b)
-        adj_sets[b].add(a)
-    degree = [len(s) for s in adj_sets]
+    adj = g.adjacency
+    degree = [len(a) for a in adj]
     if n >= 2 and sum(1 for d in degree if d <= 1) > 2:
         return Answer("yes_no", False)
-    # Low-degree nodes can only be path endpoints, so start there.
-    starts = sorted(range(n), key=lambda v: (degree[v], v))
+    # Low-degree nodes can only be path endpoints, so start there, and try
+    # low-degree neighbours first.
     order_key = lambda v: (degree[v], v)
+    starts = sorted(range(n), key=order_key)
+    nbrs = [sorted(a, key=order_key) for a in adj]
     expansions = 0
     for start in starts:
         visited = [False] * n
         visited[start] = True
         path = [start]
-        iters = [iter(sorted(adj_sets[start], key=order_key))]
+        iters = [iter(nbrs[start])]
         while iters:
             expansions += 1
             if expansions > budget:
@@ -380,7 +371,7 @@ def _hamilton_backtrack(g: Graph, budget: int) -> Answer | None:
                     path.append(nxt)
                     if len(path) == n:
                         return Answer("yes_no", True, witness=list(path))
-                    iters.append(iter(sorted(adj_sets[nxt], key=order_key)))
+                    iters.append(iter(nbrs[nxt]))
                     moved = True
                     break
             if not moved:
@@ -398,20 +389,8 @@ def hamilton_path(g: Graph, *, budget: int = HAMILTON_BUDGET,
     """
     _require_undirected(g, "hamilton")
     n = g.num_nodes
-    if n >= 2:
-        comp_seen = {0}
-        frontier = [0]
-        adj = g.adjacency()
-        while frontier:
-            nxt_frontier = []
-            for node in frontier:
-                for nxt in adj[node]:
-                    if nxt not in comp_seen:
-                        comp_seen.add(nxt)
-                        nxt_frontier.append(nxt)
-            frontier = nxt_frontier
-        if len(comp_seen) < n:
-            return Answer("yes_no", False)
+    if n >= 2 and len(reachable(g, 0)) < n:
+        return Answer("yes_no", False)
     if n <= dp_limit:
         return _hamilton_dp(g)
     return _hamilton_backtrack(g, budget)
@@ -432,10 +411,10 @@ def find_subgraph(g: Graph, pattern: Graph) -> Answer:
     k = pattern.num_nodes
     p_out: list[set[int]] = [set() for _ in range(k)]
     p_in: list[set[int]] = [set() for _ in range(k)]
-    for a, b in pattern.edge_pairs():
+    for a, b in pattern.edge_pairs:
         p_out[a].add(b)
         p_in[b].add(a)
-    host_edges = g.edge_key_set()
+    host_edges = g.edge_key_set
     h_out = [0] * g.num_nodes
     h_in = [0] * g.num_nodes
     for a, b in host_edges:
@@ -491,26 +470,23 @@ def find_subgraph(g: Graph, pattern: Graph) -> Answer:
     return Answer("yes_no", False)
 
 
+_SOLVE = {
+    "cycle": lambda g, q, limits: has_cycle(g),
+    "connect": lambda g, q, limits: is_connected(g, q["u"], q["v"]),
+    "bipartite": lambda g, q, limits: is_bipartite(g),
+    "topology": lambda g, q, limits: topo_sort(g),
+    "shortest": lambda g, q, limits: shortest_path(g, q["u"], q["v"]),
+    "triangle": lambda g, q, limits: max_triangle_sum(g),
+    "flow": lambda g, q, limits: max_flow(g, q["s"], q["t"]),
+    "hamilton": lambda g, q, limits: hamilton_path(g, **limits),
+    "subgraph": lambda g, q, limits: find_subgraph(g, q["pattern"]),
+}
+
+
 def solve(task: str, g: Graph, query: dict | None = None, *,
           hamilton_budget: int = HAMILTON_BUDGET,
           hamilton_dp_limit: int = HAMILTON_DP_LIMIT) -> Answer | None:
     """Dispatch to the task's solver; query fields depend on the task."""
     get_task(task)
-    query = query or {}
-    if task == "cycle":
-        return has_cycle(g)
-    if task == "connect":
-        return is_connected(g, query["u"], query["v"])
-    if task == "bipartite":
-        return is_bipartite(g)
-    if task == "topology":
-        return topo_sort(g)
-    if task == "shortest":
-        return shortest_path(g, query["u"], query["v"])
-    if task == "triangle":
-        return max_triangle_sum(g)
-    if task == "flow":
-        return max_flow(g, query["s"], query["t"])
-    if task == "hamilton":
-        return hamilton_path(g, budget=hamilton_budget, dp_limit=hamilton_dp_limit)
-    return find_subgraph(g, query["pattern"])
+    limits = {"budget": hamilton_budget, "dp_limit": hamilton_dp_limit}
+    return _SOLVE[task](g, query or {}, limits)

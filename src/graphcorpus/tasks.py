@@ -1,4 +1,5 @@
-"""Registry of the nine graph tasks and their generation envelopes."""
+"""Registry of the nine graph tasks: generation envelopes, answer kinds,
+and the edge tuple style and question sentence their problems render with."""
 
 from __future__ import annotations
 
@@ -16,18 +17,32 @@ class TaskInfo:
     node_weighted: bool
     node_range: tuple[int, int]
     answer_kind: str         # yes_no | numeric | sequence
+    edge_style: str          # str.format of an edge: {0}, {1} ends, {2} weight
+    question: str            # closing sentence; {u} {v} {s} {t} are query nodes
 
 
 _TASKS = [
-    TaskInfo("cycle", "easy", False, False, False, (2, 100), "yes_no"),
-    TaskInfo("connect", "easy", False, False, False, (2, 100), "yes_no"),
-    TaskInfo("bipartite", "easy", True, False, False, (2, 100), "yes_no"),
-    TaskInfo("topology", "easy", True, False, False, (2, 50), "sequence"),
-    TaskInfo("shortest", "medium", False, True, False, (2, 100), "numeric"),
-    TaskInfo("triangle", "medium", False, False, True, (2, 25), "numeric"),
-    TaskInfo("flow", "medium", True, True, False, (2, 50), "numeric"),
-    TaskInfo("hamilton", "hard", False, False, False, (2, 50), "yes_no"),
-    TaskInfo("subgraph", "hard", True, False, False, (2, 30), "yes_no"),
+    TaskInfo("cycle", "easy", False, False, False, (2, 100), "yes_no",
+             "({0},{1})", "Is there a cycle in this graph?"),
+    TaskInfo("connect", "easy", False, False, False, (2, 100), "yes_no",
+             "({0},{1})", "Is there a path between node {u} and node {v}?"),
+    TaskInfo("bipartite", "easy", True, False, False, (2, 100), "yes_no",
+             "({0}->{1})", "Is this graph bipartite?"),
+    TaskInfo("topology", "easy", True, False, False, (2, 50), "sequence",
+             "({0}->{1})", "Give one topology sorting path of this graph."),
+    TaskInfo("shortest", "medium", False, True, False, (2, 100), "numeric",
+             "({0},{1},{2})",
+             "Give the weight of the shortest path from node {u} to node {v}."),
+    TaskInfo("triangle", "medium", False, False, True, (2, 25), "numeric",
+             "({0}, {1})",
+             "What is the maximum sum of the weights of three interconnected nodes?"),
+    TaskInfo("flow", "medium", True, True, False, (2, 50), "numeric",
+             "({0}->{1},{2})", "What is the maximum flow from node {s} to node {t}?"),
+    TaskInfo("hamilton", "hard", False, False, False, (2, 50), "yes_no",
+             "({0},{1})", "Is there a Hamiltonian path in this graph?"),
+    TaskInfo("subgraph", "hard", True, False, False, (2, 30), "yes_no",
+             "({0}->{1})",
+             "Is subgraph G' present within graph G as a direct substructure?"),
 ]
 
 TASKS: dict[str, TaskInfo] = {t.name: t for t in _TASKS}

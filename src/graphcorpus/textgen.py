@@ -1,21 +1,23 @@
 """Problem type, text rendering, prompt assembly, and parsing.
 
-Each task renders its graph with a fixed tuple style (some tasks use
-"(u,v)", some "(u->v)", weighted variants add ",k", triangle spaces its
-tuples) and a fixed question sentence; the parser accepts optional
-whitespace everywhere and inverts the rendering exactly.
+Each task renders its graph with the edge tuple style and the question
+sentence of its `tasks.TaskInfo` entry (some tasks use "(u,v)", some
+"(u->v)", weighted variants add ",k", triangle spaces its tuples). The
+parser builds its question patterns from the same sentences, accepts
+optional whitespace everywhere, and inverts the rendering exactly.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import starmap
 
 from .errors import InvalidSpecError, ParseError
 from .graphs import Graph, validate_graph
 from .solvers import Answer
-from .tasks import get_task
+from .tasks import TASK_ORDER, TASKS, get_task
 
 
 @dataclass
@@ -43,30 +45,14 @@ def _letter(i: int) -> str:
     return chr(ord("a") + i)
 
 
-def _edge_str(task: str, e: tuple) -> str:
-    u, v = e[0], e[1]
-    if task == "shortest":
-        return f"({u},{v},{e[2]})"
-    if task == "flow":
-        return f"({u}->{v},{e[2]})"
-    if task == "triangle":
-        return f"({u}, {v})"
-    if task in ("bipartite", "topology"):
-        return f"({u}->{v})"
-    if task == "subgraph":
-        return f"({_letter(u)}->{_letter(v)})"
-    return f"({u},{v})"
-
-
-def _edge_section(task: str, g: Graph, host: bool = True) -> str:
-    kind = task if not (task == "subgraph" and host) else "subgraph_host"
-    if kind == "subgraph_host":
-        parts = [f"({e[0]}->{e[1]})" for e in g.edges]
-    else:
-        parts = [_edge_str(task, e) for e in g.edges]
-    if not parts:
+def _edge_section(style: str, edges: tuple, letters: bool = False) -> str:
+    """The edge clause, each edge written in the task's tuple style; pattern
+    graphs letter their nodes."""
+    if not edges:
         return "there are no edges in the graph"
-    return "the edges are: " + " ".join(parts)
+    if letters:
+        edges = [(_letter(e[0]), _letter(e[1])) for e in edges]
+    return "the edges are: " + " ".join(starmap(style.format, edges))
 
 
 def render_problem(task: str, g: Graph, query: dict | None = None) -> str:
@@ -74,49 +60,29 @@ def render_problem(task: str, g: Graph, query: dict | None = None) -> str:
     info = get_task(task)
     query = query or {}
     last = g.num_nodes - 1
+    edges = _edge_section(info.edge_style, g.edges)
     if task == "subgraph":
         pattern: Graph = query["pattern"]
         head = (
-            f"The nodes of graph G are numbered from 0 to {last}, and "
-            f"{_edge_section(task, g, host=True)}. "
+            f"The nodes of graph G are numbered from 0 to {last}, and {edges}. "
             f"The nodes of subgraph G' are numbered from a to "
             f"{_letter(pattern.num_nodes - 1)}, and "
-            f"{_edge_section(task, pattern, host=False)}."
+            f"{_edge_section(info.edge_style, pattern.edges, letters=True)}."
         )
-        question = "Is subgraph G' present within graph G as a direct substructure?"
-        return f"{head} {question}"
-    if task == "triangle":
+    elif task == "triangle":
         weights = " ".join(f"[{i}, {w}]" for i, w in enumerate(g.node_weights or []))
         head = (
             f"The nodes are numbered from 0 to {last}, weights of nodes are: "
-            f"{weights}, and {_edge_section(task, g)}."
+            f"{weights}, and {edges}."
         )
-        question = "What is the maximum sum of the weights of three interconnected nodes?"
-        return f"{head} {question}"
-    if task == "shortest":
+    elif task == "shortest":
         head = (
             f"In an undirected graph, the nodes are numbered from 0 to {last}, "
-            f"and {_edge_section(task, g)}."
+            f"and {edges}."
         )
-        question = (
-            f"Give the weight of the shortest path from node {query['u']} "
-            f"to node {query['v']}."
-        )
-        return f"{head} {question}"
-    head = f"The nodes are numbered from 0 to {last}, and {_edge_section(task, g)}."
-    if task == "cycle":
-        question = "Is there a cycle in this graph?"
-    elif task == "connect":
-        question = f"Is there a path between node {query['u']} and node {query['v']}?"
-    elif task == "bipartite":
-        question = "Is this graph bipartite?"
-    elif task == "topology":
-        question = "Give one topology sorting path of this graph."
-    elif task == "flow":
-        question = f"What is the maximum flow from node {query['s']} to node {query['t']}?"
     else:
-        question = "Is there a Hamiltonian path in this graph?"
-    return f"{head} {question}"
+        head = f"The nodes are numbered from 0 to {last}, and {edges}."
+    return f"{head} {info.question.format(**query)}"
 
 
 ALPACA_PREFIX = (
@@ -587,20 +553,15 @@ def build_cot_prompt(task: str, text: str, shots: int = 2,
 # Parsing
 # ---------------------------------------------------------------------------
 
-_QUESTION_PATTERNS: list[tuple[str, re.Pattern]] = [
-    ("cycle", re.compile(r"Is there a cycle in this graph\?")),
-    ("connect", re.compile(r"Is there a path between node (\d+) and node (\d+)\?")),
-    ("bipartite", re.compile(r"Is this graph bipartite\?")),
-    ("topology", re.compile(r"Give one topology sorting path of this graph\.")),
-    ("shortest", re.compile(
-        r"Give the weight of the shortest path from node (\d+) to node (\d+)\.")),
-    ("triangle", re.compile(
-        r"What is the maximum sum of the weights of three interconnected nodes\?")),
-    ("flow", re.compile(r"What is the maximum flow from node (\d+) to node (\d+)\?")),
-    ("hamilton", re.compile(r"Is there a Hamiltonian path in this graph\?")),
-    ("subgraph", re.compile(
-        r"Is subgraph G' present within graph G as a direct substructure\?")),
-]
+def _question_regex(question: str) -> re.Pattern:
+    """A question sentence with each {name} placeholder as a named group of
+    digits."""
+    parts = re.split(r"\{(\w+)\}", question)
+    return re.compile("".join(f"(?P<{part}>\\d+)" if i % 2 else re.escape(part)
+                              for i, part in enumerate(parts)))
+
+
+_QUESTIONS = [(name, _question_regex(TASKS[name].question)) for name in TASK_ORDER]
 
 _NUM_EDGE = re.compile(r"\(\s*(\d+)\s*(->|,)\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)")
 _LETTER_EDGE = re.compile(r"\(\s*([a-z])\s*->\s*([a-z])\s*\)")
@@ -688,14 +649,11 @@ def _edge_span(text: str, from_pos: int, until: int) -> tuple[int, int] | None:
 
 def parse_problem(text: str) -> Problem:
     """Invert render_problem; the result carries no answer or tier."""
-    task = None
-    qmatch = None
-    for name, pattern in _QUESTION_PATTERNS:
-        m = pattern.search(text)
-        if m:
-            task, qmatch = name, m
+    for task, pattern in _QUESTIONS:
+        qmatch = pattern.search(text)
+        if qmatch:
             break
-    if task is None:
+    else:
         raise ParseError("unknown task phrasing", offset=0)
     info = get_task(task)
 
@@ -768,17 +726,8 @@ def parse_problem(text: str) -> Problem:
     g = Graph(num_nodes, info.directed, edges, node_weights)
     validate_graph(g)
 
-    query: dict = {}
-    if task in ("connect", "shortest"):
-        u, v = int(qmatch.group(1)), int(qmatch.group(2))
-        if u >= num_nodes or v >= num_nodes:
-            raise ParseError("query references a node outside the graph",
-                             offset=qmatch.start())
-        query = {"u": u, "v": v}
-    elif task == "flow":
-        s, t = int(qmatch.group(1)), int(qmatch.group(2))
-        if s >= num_nodes or t >= num_nodes:
-            raise ParseError("query references a node outside the graph",
-                             offset=qmatch.start())
-        query = {"s": s, "t": t}
+    query = {name: int(x) for name, x in qmatch.groupdict().items()}
+    if any(x >= num_nodes for x in query.values()):
+        raise ParseError("query references a node outside the graph",
+                         offset=qmatch.start())
     return Problem(id="", task=task, graph=g, query=query, text=text)

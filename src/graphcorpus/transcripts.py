@@ -21,7 +21,7 @@ def _letter(i: int) -> str:
 
 def _fillers(problem: Problem, rng: random.Random) -> list[str]:
     """A few true edge statements to vary transcript length and wording."""
-    edges = problem.graph.edge_pairs()
+    edges = problem.graph.edge_pairs
     if not edges:
         return []
     k = rng.randint(0, min(3, len(edges)))
@@ -96,7 +96,7 @@ def _correct_body(problem: Problem, rng: random.Random) -> str:
         )
     if task == "shortest":
         path = list(ans.witness)
-        wm = g.weight_map()
+        wm = g.weight_map
         terms = []
         for a, b in zip(path, path[1:]):
             terms.append(str(wm[(min(a, b), max(a, b))]))

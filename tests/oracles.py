@@ -10,13 +10,17 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .errors import InvalidSpecError, OracleLimitError
-from .graphs import Graph
+from graphcorpus.errors import GraphCorpusError, InvalidSpecError
+from graphcorpus.graphs import Graph
 
 NODE_LIMIT = 10
 TOPOLOGY_LIMIT = 8
 HAMILTON_LIMIT = 9
 PATTERN_LIMIT = 6
+
+
+class OracleLimitError(GraphCorpusError, ValueError):
+    """An instance exceeds the brute-force oracle's size limit."""
 
 
 def _guard(g: Graph, limit: int) -> None:
@@ -27,7 +31,7 @@ def _guard(g: Graph, limit: int) -> None:
 
 def _adjacent(g: Graph) -> set[tuple[int, int]]:
     pairs = set()
-    for u, v in g.edge_pairs():
+    for u, v in g.edge_pairs:
         pairs.add((u, v))
         if not g.directed:
             pairs.add((v, u))
@@ -55,7 +59,7 @@ def oracle_connect(g: Graph, u: int, v: int) -> bool:
     _guard(g, NODE_LIMIT)
     n = g.num_nodes
     reach = [[i == j for j in range(n)] for i in range(n)]
-    for a, b in g.edge_pairs():
+    for a, b in g.edge_pairs:
         reach[a][b] = True
         if not g.directed:
             reach[b][a] = True
@@ -73,7 +77,7 @@ def oracle_connect(g: Graph, u: int, v: int) -> bool:
 def oracle_bipartite(g: Graph) -> bool:
     """Try all 2^n two-colorings, ignoring edge direction."""
     _guard(g, NODE_LIMIT)
-    pairs = list(g.edge_pairs())
+    pairs = list(g.edge_pairs)
     for mask in range(1 << g.num_nodes):
         if all((mask >> u & 1) != (mask >> v & 1) for u, v in pairs):
             return True
@@ -83,7 +87,7 @@ def oracle_bipartite(g: Graph) -> bool:
 def oracle_topo_orders(g: Graph) -> set[tuple[int, ...]]:
     """Every permutation that places each edge's tail before its head."""
     _guard(g, TOPOLOGY_LIMIT)
-    pairs = list(g.edge_pairs())
+    pairs = list(g.edge_pairs)
     out = set()
     for order in permutations(range(g.num_nodes)):
         pos = {x: i for i, x in enumerate(order)}
@@ -95,7 +99,7 @@ def oracle_topo_orders(g: Graph) -> set[tuple[int, ...]]:
 def oracle_shortest(g: Graph, u: int, v: int) -> int | None:
     """Minimum weight over all simple paths, None when v is unreachable."""
     _guard(g, NODE_LIMIT)
-    wm = g.weight_map()
+    wm = g.weight_map
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(g.num_nodes)}
     for key, w in wm.items():
         a, b = key
@@ -179,8 +183,8 @@ def oracle_subgraph(pattern: Graph, host: Graph) -> bool:
     if pattern.num_nodes > host.num_nodes:
         return False
     host_adj = _adjacent(host) if not host.directed else {
-        (u, v) for u, v in host.edge_pairs()}
-    p_pairs = list(pattern.edge_pairs())
+        (u, v) for u, v in host.edge_pairs}
+    p_pairs = list(pattern.edge_pairs)
     for image in permutations(range(host.num_nodes), pattern.num_nodes):
         if all((image[a], image[b]) in host_adj for a, b in p_pairs):
             return True

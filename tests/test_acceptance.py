@@ -23,10 +23,6 @@ from graphcorpus.generate import generate_corpus
 from graphcorpus.grader import is_hamilton_path, judge
 from graphcorpus.graphs import (assign_edge_weights, assign_node_weights,
                                 canonical_key, generate_dag, generate_er)
-from graphcorpus.oracles import (oracle_bipartite, oracle_connect,
-                                 oracle_cycle, oracle_flow, oracle_hamilton,
-                                 oracle_shortest, oracle_subgraph,
-                                 oracle_topo_orders, oracle_triangle)
 from graphcorpus.selector import (METRICS, HashingEmbedder, TfidfModel,
                                   dpo_loss, dpo_loss_grad, select_diverse,
                                   select_dispreferred, similarity)
@@ -37,6 +33,11 @@ from graphcorpus.solvers import (find_subgraph, hamilton_path, has_cycle,
 from graphcorpus.tasks import TASK_ORDER, TASKS
 from graphcorpus.textgen import TEMPLATES, Problem, parse_problem
 from graphcorpus.transcripts import make_transcript
+
+from oracles import (oracle_bipartite, oracle_connect,
+                     oracle_cycle, oracle_flow, oracle_hamilton,
+                     oracle_shortest, oracle_subgraph,
+                     oracle_topo_orders, oracle_triangle)
 
 RUNS = 200          # oracle comparisons per task
 DENSITIES = (0.15, 0.3, 0.5)

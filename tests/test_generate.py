@@ -2,20 +2,29 @@ import random
 
 import pytest
 
+from graphcorpus import generate, solvers, textgen
 from graphcorpus.corpus import problem_to_record
 from graphcorpus.errors import InvalidSpecError, StageError
 from graphcorpus.generate import (attempt_seed, generate_corpus,
                                   generate_task)
 from graphcorpus.grader import judge
 from graphcorpus.graphs import canonical_key, validate_graph
-from graphcorpus.oracles import NODE_LIMIT, OracleLimitError, oracle_solve
 from graphcorpus.solvers import solve
 from graphcorpus.tasks import (DENSITIES, DENSITIES_DIRECTED, TASK_ORDER,
                                TASKS, build_tiers)
 from graphcorpus.textgen import parse_problem, render_problem
 from graphcorpus.transcripts import make_transcript
 
+from oracles import NODE_LIMIT, OracleLimitError, oracle_solve
+
 BINARY = [t for t in TASK_ORDER if TASKS[t].answer_kind == "yes_no"]
+
+
+def test_every_task_table_covers_exactly_the_task_order():
+    assert list(TASKS) == TASK_ORDER
+    for table in (generate._BUILDERS, solvers._SOLVE, textgen.TEMPLATES,
+                  dict(textgen._QUESTIONS)):
+        assert list(table) == TASK_ORDER
 
 
 def test_tiers_partition_the_node_range():

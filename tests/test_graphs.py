@@ -1,11 +1,14 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from graphcorpus.errors import GraphInvalidError, InvalidSpecError
 from graphcorpus.graphs import (Graph, assign_edge_weights,
                                 assign_node_weights, canonical_key,
                                 connected_components, generate_dag,
-                                generate_er, validate_graph)
-from graphcorpus.oracles import oracle_topo_orders
+                                generate_er, reachable, validate_graph)
+
+from oracles import oracle_topo_orders
 
 
 def test_validate_accepts_simple_graphs():
@@ -60,7 +63,7 @@ def test_er_is_deterministic_and_ordered():
     assert a == b
     assert a != c
     # lexicographic pair scan: edges come out sorted with u < v
-    assert a.edges == sorted(a.edges)
+    assert list(a.edges) == sorted(a.edges)
     assert all(u < v for u, v in a.edges)
     validate_graph(a)
 
@@ -68,13 +71,13 @@ def test_er_is_deterministic_and_ordered():
 def test_er_directed_scans_ordered_pairs():
     g = generate_er(10, 0.3, directed=True, seed=5)
     assert g.directed
-    assert g.edges == sorted(g.edges)
+    assert list(g.edges) == sorted(g.edges)
     assert all(u != v for u, v in g.edges)
     validate_graph(g)
 
 
 def test_er_extreme_densities():
-    assert generate_er(6, 0.0, seed=1).edges == []
+    assert list(generate_er(6, 0.0, seed=1).edges) == []
     assert len(generate_er(6, 1.0, seed=1).edges) == 15
     assert len(generate_er(6, 1.0, directed=True, seed=1).edges) == 30
 
@@ -136,3 +139,28 @@ def test_connected_components():
 def test_connected_components_ignore_direction():
     g = Graph(4, True, [(1, 0), (2, 1)])
     assert connected_components(g) == [[0, 1, 2], [3]]
+
+
+def test_graph_is_immutable_with_cached_views():
+    g = Graph(4, False, [(0, 1, 2), (1, 2, 5)], node_weights=[1, 2, 3, 4])
+    assert g.edges == ((0, 1, 2), (1, 2, 5)) and g.node_weights == (1, 2, 3, 4)
+    with pytest.raises(FrozenInstanceError):
+        g.num_nodes = 5
+    with pytest.raises(FrozenInstanceError):
+        g.edges = ()
+    for view in ("weighted", "edge_pairs", "edge_key_set", "weight_map",
+                 "adjacency"):
+        assert getattr(g, view) is getattr(g, view)
+    assert g.adjacency == ((1,), (0, 2), (1,), ())
+    h = replace(g, edges=[(0, 3, 1)])
+    assert h.edges == ((0, 3, 1),) and h.node_weights == g.node_weights
+    assert h.edge_key_set == {(0, 3)} and g.edge_key_set == {(0, 1), (1, 2)}
+    assert h.weight_map == {(0, 3): 1} and g.weight_map == {(0, 1): 2, (1, 2): 5}
+    assert h.adjacency == ((3,), (), (), (0,))
+
+
+def test_reachable_follows_edge_direction():
+    g = Graph(5, True, [(0, 1), (1, 2), (3, 1)])
+    assert reachable(g, 0) == {0, 1, 2}
+    assert reachable(g, 2) == {2}
+    assert reachable(Graph(5, False, [(0, 1), (1, 2), (1, 3)]), 2) == {0, 1, 2, 3}

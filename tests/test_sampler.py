@@ -133,6 +133,35 @@ def test_cache_rejects_corrupt_lines(tmp_path):
         Cache(str(path))
 
 
+def test_cache_drops_torn_final_line(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    cache = Cache(str(path))
+    cache.put("a", P3, ["x", "y", "z"])
+    cache.put("b", P3, ["p", "q", "r"])
+    whole = path.read_bytes()
+    # a process killed mid-put leaves part of a line and no newline
+    path.write_bytes(whole + b'{"prompt_sha": "c", "profile": "p3", "te')
+    with caplog.at_level("WARNING", logger="graphcorpus.sampler"):
+        reloaded = Cache(str(path))
+    assert "torn final line" in caplog.text and f"{path}:3" in caplog.text
+    assert reloaded.lookup("a", P3) == ["x", "y", "z"]
+    assert reloaded.lookup("b", P3) == ["p", "q", "r"]
+    assert reloaded.lookup("c", P3) is None
+    assert path.read_bytes() == whole           # fragment truncated away
+    reloaded.put("c", P3, ["1", "2", "3"])
+    assert Cache(str(path)).lookup("c", P3) == ["1", "2", "3"]
+
+
+def test_cache_torn_tail_does_not_excuse_corrupt_lines(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    good = '{"prompt_sha": "a", "profile": "p3", "texts": ["x"]}\n'
+    path.write_text(good + "not json at all\n" + good + '{"prompt_sha"',
+                    encoding="utf-8")
+    with pytest.raises(CacheError) as err:
+        Cache(str(path))
+    assert f"{path}:2" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # the batch driver
 # ---------------------------------------------------------------------------
@@ -183,6 +212,26 @@ def test_sample_parallel_matches_serial(problems):
     serial = sample(prompts, profile, StubBackend(problems, seed=3))
     threaded = sample(prompts, profile, StubBackend(problems, seed=3), jobs=4)
     assert serial == threaded
+
+
+def _contended(fn):
+    """Run fn with the interpreter switching threads as often as it can, so
+    an unlocked read-modify-write would lose updates."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_stub_request_count_is_exact_under_threads(problems):
+    prompts = [wrap_instruction(p.text) for p in problems] * 50
+    backend = StubBackend(problems, seed=2)
+    out = _contended(lambda: sample(prompts, get_profile("eval"), backend,
+                                    jobs=8))
+    assert len(out) == len(prompts)
+    assert backend.requests == len(prompts)     # one per cache miss
 
 
 def test_sample_validates_inputs(problems):
@@ -292,6 +341,17 @@ def test_http_pads_missing_choices(server):
     backend = HttpBackend(base, "m")
     out = backend.generate("x", SampleProfile("three", 3, 0.9))
     assert out == ["only one", "", ""]
+
+
+def test_http_request_count_is_exact_under_threads(server):
+    base, handler = server
+    prompts = [f"prompt {i}" for i in range(64)]
+    handler.script += [(200, _choices("ok"))] * len(prompts)
+    backend = HttpBackend(base, "m", timeout=10)
+    out = _contended(lambda: sample(prompts, get_profile("eval"), backend,
+                                    jobs=8))
+    assert out == [["ok"]] * len(prompts)
+    assert backend.requests == len(prompts)     # one per cache miss
 
 
 def test_cli_import_does_not_load_requests():

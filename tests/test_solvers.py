@@ -8,15 +8,16 @@ from graphcorpus.grader import (check_witness, is_hamilton_path,
 from graphcorpus.graphs import (Graph, assign_edge_weights,
                                 assign_node_weights, generate_dag,
                                 generate_er)
-from graphcorpus.oracles import (oracle_bipartite, oracle_connect,
-                                 oracle_cycle, oracle_flow, oracle_hamilton,
-                                 oracle_shortest, oracle_subgraph,
-                                 oracle_topo_orders, oracle_triangle)
 from graphcorpus.solvers import (Answer, find_subgraph, has_cycle,
                                  hamilton_path, is_bipartite, is_connected,
                                  max_flow, max_triangle_sum, shortest_path,
                                  solve, topo_sort)
 from graphcorpus.textgen import Problem
+
+from oracles import (oracle_bipartite, oracle_connect,
+                     oracle_cycle, oracle_flow, oracle_hamilton,
+                     oracle_shortest, oracle_subgraph,
+                     oracle_topo_orders, oracle_triangle)
 
 
 def _problem(task, g, query=None, answer=None):
@@ -162,7 +163,7 @@ def test_bipartite_even_cycle_yes():
     assert ans.value is True
     side0, side1 = ans.witness
     assert sorted(side0 + side1) == [0, 1, 2, 3]
-    edges = g.edge_key_set()
+    edges = g.edge_key_set
     assert not any((a, b) in edges or (b, a) in edges
                    for side in (side0, side1)
                    for a in side for b in side if a < b)

@@ -116,7 +116,7 @@ def test_exemplars_parse_and_agree_with_solvers(task):
 def test_parse_duplicate_edges_dedupe():
     text = ("The nodes are numbered from 0 to 2, and the edges are: "
             "(0,1) (1,2) (0,1) (1,0). Is there a cycle in this graph?")
-    assert parse_problem(text).graph.edges == [(0, 1), (1, 2)]
+    assert list(parse_problem(text).graph.edges) == [(0, 1), (1, 2)]
 
 
 def test_parse_conflicting_weights_rejected():
