@@ -205,11 +205,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=None)
 
 
 def _add_backend(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--backend", choices=("stub", "http"), default=None)
+    sub.add_argument("--jobs", type=int, default=None,
+                     help="concurrent backend requests")
     sub.add_argument("--stub-error-rate", type=float, default=None)
     sub.add_argument("--profile", default=None)
     sub.add_argument("--cache", default=None)

@@ -8,6 +8,10 @@ All files are JSONL with a leading "schema" field per record:
   dpo-v1          instruction/chosen/rejected preference rows
   predictions-v1  model outputs keyed by problem id
 
+Subgraph is the one task whose problem record needs its own form (the
+pattern graph in the query, the witness mapping as pairs); only
+problem_to_record and record_to_problem know it.
+
 Assembly re-checks everything it writes: an SFT row whose output grades
 incorrect, or a DPO row whose sides grade the same way, is a RecordError,
 not a warning.
@@ -34,9 +38,7 @@ PREDICTIONS_SCHEMA = "predictions-v1"
 
 def _plain(value: Any) -> Any:
     """Tuples to lists, recursively, so records survive a JSON round trip."""
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
@@ -61,45 +63,24 @@ def graph_from_dict(d: dict) -> Graph:
     return g
 
 
-def _query_to_dict(task: str, query: dict) -> dict:
-    if task == "subgraph":
-        return {"pattern": graph_to_dict(query["pattern"])}
-    return dict(query)
-
-
-def _query_from_dict(task: str, d: dict) -> dict:
-    if task == "subgraph":
-        return {"pattern": graph_from_dict(d["pattern"])}
-    return {k: v for k, v in d.items()}
-
-
-def _witness_to_json(task: str, witness: Any) -> Any:
-    if witness is None:
-        return None
-    if task == "subgraph" and isinstance(witness, dict):
-        return [[int(k), int(v)] for k, v in sorted(witness.items())]
-    return _plain(witness)
-
-
-def _answer_to_dict(task: str, a: Answer) -> dict:
-    return {"kind": a.kind, "value": _plain(a.value),
-            "witness": _witness_to_json(task, a.witness)}
-
-
-def _answer_from_dict(d: dict) -> Answer:
-    return Answer(d["kind"], d["value"], witness=d.get("witness"))
-
-
 def problem_to_record(p: Problem) -> dict:
+    """The problems-v1 record: a subgraph query's pattern is written as a
+    graph dict and its witness mapping as sorted [pattern, host] pairs."""
     if p.answer is None:
         raise RecordError(f"{p.id}: problem has no ground truth answer")
+    query, witness = dict(p.query), _plain(p.answer.witness)
+    if p.task == "subgraph":
+        query = {"pattern": graph_to_dict(query["pattern"])}
+        if isinstance(p.answer.witness, dict):
+            witness = [[int(k), int(v)] for k, v in sorted(p.answer.witness.items())]
     return {
         "schema": PROBLEMS_SCHEMA,
         "id": p.id,
         "task": p.task,
         "graph": graph_to_dict(p.graph),
-        "query": _query_to_dict(p.task, p.query),
-        "answer": _answer_to_dict(p.task, p.answer),
+        "query": query,
+        "answer": {"kind": p.answer.kind, "value": _plain(p.answer.value),
+                   "witness": witness},
         "tier": dict(p.tier) if p.tier else None,
         "seed": p.seed,
         "text": p.text,
@@ -107,18 +88,20 @@ def problem_to_record(p: Problem) -> dict:
 
 
 def record_to_problem(rec: dict) -> Problem:
+    """Inverse of problem_to_record."""
     task = rec["task"]
-    witness = rec["answer"].get("witness")
-    if task == "subgraph" and isinstance(witness, list):
-        rec = dict(rec)
-        rec["answer"] = dict(rec["answer"])
-        rec["answer"]["witness"] = {int(k): int(v) for k, v in witness}
+    query, answer = dict(rec["query"]), rec["answer"]
+    witness = answer.get("witness")
+    if task == "subgraph":
+        query = {"pattern": graph_from_dict(query["pattern"])}
+        if isinstance(witness, list):
+            witness = {int(k): int(v) for k, v in witness}
     return Problem(
         id=rec["id"],
         task=task,
         graph=graph_from_dict(rec["graph"]),
-        query=_query_from_dict(task, rec["query"]),
-        answer=_answer_from_dict(rec["answer"]),
+        query=query,
+        answer=Answer(answer["kind"], answer["value"], witness=witness),
         tier=rec.get("tier"),
         seed=rec.get("seed"),
         text=rec["text"],

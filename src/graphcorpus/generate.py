@@ -23,7 +23,7 @@ from .errors import InvalidSpecError, StageError
 from .grader import is_hamilton_path
 from .graphs import (Graph, assign_edge_weights, assign_node_weights,
                      canonical_key, connected_components, generate_dag,
-                     generate_er, reachable)
+                     generate_er, reachable, union_find)
 from .solvers import (Answer, find_subgraph, hamilton_path, has_cycle,
                       is_bipartite, is_connected, max_flow, max_triangle_sum,
                       shortest_path, topo_sort)
@@ -45,31 +45,16 @@ def _sub(rng: random.Random) -> int:
 
 def _spanning_forest(g: Graph, rng: random.Random) -> Graph:
     """Drop every edge that closes a cycle, scanning in a seeded order."""
-    parent = list(range(g.num_nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = list(g.edges)
+    edges = list(g.edge_pairs)
     rng.shuffle(edges)
-    keep = []
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            keep.append((min(u, v), max(u, v)))
-    return replace(g, edges=sorted(keep))
+    keep = union_find(g.num_nodes, edges)[0]
+    return replace(g, edges=sorted(g.key(u, v) for u, v in keep))
 
 
 def _join(g: Graph, pairs) -> Graph:
-    """Unweighted g plus each edge of pairs that it lacks; undirected pairs
-    are stored as u < v."""
-    if not g.directed:
-        pairs = ((min(u, v), max(u, v)) for u, v in pairs)
-    return replace(g, edges=sorted(g.edge_key_set.union(pairs)))
+    """Unweighted g plus each edge of pairs that it lacks."""
+    return replace(g, edges=sorted(
+        g.edge_key_set.union(g.key(u, v) for u, v in pairs)))
 
 
 def _add_triangle(g: Graph, rng: random.Random) -> Graph:
@@ -195,7 +180,7 @@ def _gen_shortest(tier, desired, rng, transform):
         u, v = rng.sample(comp, 2)
     else:
         u, v = rng.sample(range(n), 2)
-        g = replace(g, edges=[(min(u, v), max(u, v))])
+        g = replace(g, edges=[g.key(u, v)])
     g = assign_edge_weights(g, WEIGHT_LO, WEIGHT_HI, seed=_sub(rng))
     return g, {"u": u, "v": v}, shortest_path(g, u, v)
 

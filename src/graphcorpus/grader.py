@@ -2,10 +2,11 @@
 
 Extraction reads the text after the LAST "###" marker, falling back to the
 last "The answer is" clause. Grading compares against the stored ground
-truth; order-free answers (topological sorts) are re-validated against the
-graph rather than compared to the solver's own output. The step audit flags
-claimed edges or nodes that do not exist in the graph; it never changes a
-verdict.
+truth. `check_witness` is the one home of every path, order and weight
+rule: grading sends it order-free answers (topological sorts), so any valid
+order counts and not just the solver's, and every witness an answer claims.
+The step audit flags claimed edges or nodes that do not exist in the graph;
+it never changes a verdict.
 """
 
 from __future__ import annotations
@@ -111,12 +112,7 @@ def is_valid_path(g: Graph, nodes: list[int]) -> bool:
         return False
     if any(not (0 <= x < g.num_nodes) for x in nodes):
         return False
-    keys = g.edge_key_set
-    for a, b in zip(nodes, nodes[1:]):
-        key = (a, b) if g.directed else (min(a, b), max(a, b))
-        if key not in keys:
-            return False
-    return True
+    return all(g.has_edge(a, b) for a, b in zip(nodes, nodes[1:]))
 
 
 def is_hamilton_path(g: Graph, nodes: list[int]) -> bool:
@@ -133,11 +129,7 @@ def is_topo_order(g: Graph, nodes: list[int]) -> bool:
 
 def path_weight(g: Graph, nodes: list[int]) -> int:
     wm = g.weight_map
-    total = 0
-    for a, b in zip(nodes, nodes[1:]):
-        key = (a, b) if g.directed else (min(a, b), max(a, b))
-        total += wm[key]
-    return total
+    return sum(wm[g.key(a, b)] for a, b in zip(nodes, nodes[1:]))
 
 
 def is_valid_cycle(g: Graph, nodes: list[int]) -> bool:
@@ -148,7 +140,8 @@ def is_valid_cycle(g: Graph, nodes: list[int]) -> bool:
 
 
 def check_witness(problem: Problem, answer: Answer) -> bool:
-    """Validate a solver witness against the graph (used by the test suite)."""
+    """Validate an answer's witness against the graph: a solver's, or one a
+    graded answer claims (for topology, the order itself)."""
     g = problem.graph
     task = problem.task
     w = answer.witness
@@ -162,6 +155,8 @@ def check_witness(problem: Problem, answer: Answer) -> bool:
             len(w) == 1 or is_valid_path(g, list(w)))
     if task == "bipartite":
         if answer.value:
+            if len(w) != 2:
+                return False
             side0, side1 = w
             split = set(side0) | set(side1)
             if split != set(range(g.num_nodes)) or set(side0) & set(side1):
@@ -184,17 +179,16 @@ def check_witness(problem: Problem, answer: Answer) -> bool:
     if task == "triangle":
         if answer.kind == "none_exists":
             return True
-        a, b, c = w
         nw = g.node_weights or []
-        return (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
-                and nw[a] + nw[b] + nw[c] == answer.value)
+        return (len(w) == 3 and is_valid_cycle(g, list(w))
+                and sum(nw[x] for x in w) == answer.value)
     if task == "flow":
         s, t = problem.query["s"], problem.query["t"]
         side = set(w)
         if s not in side or t in side:
             return False
-        cut = sum(e[2] if len(e) == 3 else 1
-                  for e in g.edges if e[0] in side and e[1] not in side)
+        cut = sum(c for (a, b), c in g.weight_map.items()
+                  if a in side and b not in side)
         return cut == answer.value
     if task == "hamilton":
         return (not answer.value) or is_hamilton_path(g, list(w))
@@ -202,53 +196,46 @@ def check_witness(problem: Problem, answer: Answer) -> bool:
     if not answer.value:
         return True
     pattern: Graph = problem.query["pattern"]
-    mapping = dict(w)
-    if sorted(mapping) != list(range(pattern.num_nodes)):
+    if not isinstance(w, dict) or sorted(w) != list(range(pattern.num_nodes)):
+        return False                    # w maps every pattern node to a host node
+    if len(set(w.values())) != len(w):
         return False
-    if len(set(mapping.values())) != len(mapping):
-        return False
-    host_keys = g.edge_key_set
-    return all((mapping[a], mapping[b]) in host_keys for a, b in pattern.edge_pairs)
+    return all(g.has_edge(w[a], w[b]) for a, b in pattern.edge_pairs)
+
+
+_WITNESS_REASONS = {"hamilton": "claimed path is not Hamiltonian",
+                    "shortest": "claimed path is not optimal"}
 
 
 def grade(problem: Problem, extracted: Answer | ExtractionFailure, *,
           validate_witness: bool = True) -> Verdict:
-    """Compare an extracted answer with the problem's ground truth."""
+    """Compare an extracted answer with the problem's ground truth.
+
+    A sequence answer is judged by `check_witness`; so is any witness the
+    answer claims, unless validate_witness is off."""
     if isinstance(extracted, ExtractionFailure):
         return Verdict(False, extracted, reason=f"extraction: {extracted.reason}")
     truth = problem.answer
     if truth is None:
         return Verdict(False, extracted, reason="problem has no ground truth")
-    task = problem.task
-    info = get_task(task)
-    if info.answer_kind == "yes_no":
+    kind = get_task(problem.task).answer_kind
+    if kind == "yes_no":
         if bool(extracted.value) != bool(truth.value):
             return Verdict(False, extracted, reason="wrong yes/no answer")
-        if (task == "hamilton" and truth.value and validate_witness
-                and extracted.witness is not None
-                and not is_hamilton_path(problem.graph, list(extracted.witness))):
-            return Verdict(False, extracted, reason="claimed path is not Hamiltonian")
-        return Verdict(True, extracted)
-    if info.answer_kind == "numeric":
-        if truth.kind == "none_exists":
-            return Verdict(False, extracted, reason="no answer exists")
+    elif truth.kind == "none_exists":
+        return Verdict(False, extracted, reason="no answer exists" if kind == "numeric"
+                       else "no valid order exists")
+    elif kind == "numeric":
         if extracted.value != truth.value:
             return Verdict(False, extracted, reason="wrong value")
-        if (task == "shortest" and validate_witness
-                and extracted.witness is not None):
-            w = list(extracted.witness)
-            u, v = problem.query["u"], problem.query["v"]
-            ok = (w[0] == u and w[-1] == v and is_valid_path(problem.graph, w)
-                  and path_weight(problem.graph, w) == truth.value)
-            if not ok:
-                return Verdict(False, extracted, reason="claimed path is not optimal")
-        return Verdict(True, extracted)
-    # sequence: any valid order counts, not just the solver's
-    if truth.kind == "none_exists":
-        return Verdict(False, extracted, reason="no valid order exists")
-    if is_topo_order(problem.graph, list(extracted.value)):
-        return Verdict(True, extracted)
-    return Verdict(False, extracted, reason="sequence violates the graph order")
+    elif extracted.kind == "none_exists" or not check_witness(problem, extracted):
+        # check_witness passes a none_exists answer; here an order exists
+        return Verdict(False, extracted, reason="sequence violates the graph order")
+    if (validate_witness and extracted.witness is not None
+            and not check_witness(problem, extracted)):
+        return Verdict(False, extracted, reason=_WITNESS_REASONS.get(
+            problem.task, "claimed witness does not hold"))
+    return Verdict(True, extracted)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +249,7 @@ _CLAIM_PROSE = re.compile(r"node (\d+) is connected to node (\d+)", re.IGNORECAS
 _CHAIN_NODE = re.compile(r"\d+")
 
 
-def _linked(g: Graph, u: int, v: int, keys: set[tuple[int, int]]) -> bool:
+def _linked(u: int, v: int, keys: frozenset[tuple[int, int]]) -> bool:
     """Adjacency in either orientation; loose claims ignore direction."""
     return (u, v) in keys or (v, u) in keys
 
@@ -289,12 +276,11 @@ def audit_steps(problem: Problem, reasoning: str) -> list[Violation]:
                 out.append(Violation(s_idx, "unknown-node",
                                      f"claimed edge ({u},{v}) uses a node outside the graph"))
                 continue
+            key = g.key(u, v)
             if sep == "->" and g.directed:
-                exists = (u, v) in keys
-                key = (u, v)
+                exists = key in keys
             else:
-                exists = _linked(g, u, v, keys)
-                key = (u, v) if g.directed else (min(u, v), max(u, v))
+                exists = _linked(u, v, keys)
             if not exists:
                 out.append(Violation(s_idx, "missing-edge",
                                      f"claimed edge ({u},{v}) is not in the graph"))
@@ -308,7 +294,7 @@ def audit_steps(problem: Problem, reasoning: str) -> list[Violation]:
                 if a >= n or b >= n:
                     out.append(Violation(s_idx, "unknown-node",
                                          f"chain step {a}->{b} uses a node outside the graph"))
-                elif not _linked(g, a, b, keys):
+                elif not _linked(a, b, keys):
                     out.append(Violation(s_idx, "missing-edge",
                                          f"chain step {a}->{b} is not an edge"))
         for m in _CLAIM_PROSE.finditer(sentence):
@@ -316,7 +302,7 @@ def audit_steps(problem: Problem, reasoning: str) -> list[Violation]:
             if u >= n or v >= n:
                 out.append(Violation(s_idx, "unknown-node",
                                      f"claim about node {max(u, v)} outside the graph"))
-            elif not _linked(g, u, v, keys):
+            elif not _linked(u, v, keys):
                 out.append(Violation(s_idx, "missing-edge",
                                      f"node {u} and node {v} are not adjacent"))
     return out

@@ -1,11 +1,12 @@
 """Graph value type, validation, canonical hashing, and seeded generators.
 
 Edges are tuples (u, v) or (u, v, weight); undirected edges are stored with
-u < v. A Graph is immutable, so its derived views (edge pairs, the edge key
-set, the weight map, adjacency) are computed once per instance and shared;
-`reachable` walks the cached adjacency. Generators draw from
-random.Random(seed) in a fixed documented order, so a (parameters, seed)
-pair always yields the same graph.
+u < v, and `Graph.key` gives any pair its stored form. A Graph is
+immutable, so its derived views (edge pairs, the edge key set, the weight
+map, adjacency) are computed once per instance and shared; `reachable`
+walks the cached adjacency and `union_find` is the one union-find.
+Generators draw from random.Random(seed) in a fixed documented order, so a
+(parameters, seed) pair always yields the same graph.
 """
 
 from __future__ import annotations
@@ -43,28 +44,27 @@ class Graph:
         """Edge endpoints without weights, in storage order."""
         return tuple((e[0], e[1]) for e in self.edges)
 
+    def key(self, u: int, v: int) -> tuple[int, int]:
+        """The stored form of the pair: (u, v) when directed, low end first
+        when undirected."""
+        if self.directed or u < v:
+            return (u, v)
+        return (v, u)
+
     @cached_property
     def edge_key_set(self) -> frozenset[tuple[int, int]]:
-        """Endpoint pairs; undirected pairs normalized to u < v."""
-        if self.directed:
-            return frozenset(self.edge_pairs)
-        return frozenset((min(u, v), max(u, v)) for u, v in self.edge_pairs)
+        """Endpoint pairs, each in its `key` form."""
+        return frozenset(self.key(u, v) for u, v in self.edge_pairs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self.directed:
-            return (u, v) in self.edge_key_set
-        return (min(u, v), max(u, v)) in self.edge_key_set
+        return self.key(u, v) in self.edge_key_set
 
     @cached_property
     def weight_map(self) -> dict[tuple[int, int], int]:
-        """Endpoint pair -> weight (undirected keys normalized to u < v).
-        Shared by every caller: read it, never modify it."""
-        out: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            w = e[2] if len(e) == 3 else 1
-            key = (e[0], e[1]) if self.directed else (min(e[0], e[1]), max(e[0], e[1]))
-            out[key] = w
-        return out
+        """`key` pair -> weight (1 when unweighted). Shared by every caller:
+        read it, never modify it."""
+        return {self.key(e[0], e[1]): e[2] if len(e) == 3 else 1
+                for e in self.edges}
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -205,9 +205,10 @@ def assign_node_weights(g: Graph, lo: int, hi: int, *, seed: int = 0) -> Graph:
     return Graph(g.num_nodes, g.directed, g.edges, weights)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components ignoring direction, each sorted, ordered by smallest member."""
-    parent = list(range(g.num_nodes))
+def union_find(num_nodes: int, pairs) -> tuple[list[tuple[int, int]], list[int]]:
+    """Merge nodes along pairs in scan order. Returns the pairs that joined
+    two components (a spanning forest), in scan order, and each node's root."""
+    parent = list(range(num_nodes))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -215,11 +216,18 @@ def connected_components(g: Graph) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for u, v in g.edge_pairs:
+    joined = []
+    for u, v in pairs:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
+            joined.append((u, v))
+    return joined, [find(x) for x in range(num_nodes)]
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Components ignoring direction, each sorted, ordered by smallest member."""
     groups: dict[int, list[int]] = {}
-    for node in range(g.num_nodes):
-        groups.setdefault(find(node), []).append(node)
-    return sorted((sorted(m) for m in groups.values()), key=lambda m: m[0])
+    for node, root in enumerate(union_find(g.num_nodes, g.edge_pairs)[1]):
+        groups.setdefault(root, []).append(node)
+    return list(groups.values())   # nodes arrive in order: already sorted

@@ -2,9 +2,11 @@
 
 Two backends share one interface: `StubBackend` fabricates reasoning paths
 offline from the ground truth (deterministic per prompt and sample index),
-`HttpBackend` talks to an OpenAI-compatible chat endpoint. `sample` fans a
-prompt list out over a thread pool and keeps an append-only JSONL cache so
-re-runs never pay for the same prompt twice.
+`HttpBackend` talks to an OpenAI-compatible chat endpoint. Each backend
+names itself in `identity`. `sample` fans a prompt list out over a thread
+pool, whose `jobs` workers are the only bound on concurrent requests, and
+keeps an append-only JSONL cache so re-runs never pay for the same prompt
+twice.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ class StubBackend:
             raise InvalidSpecError("error_rate must be within [0, 1]")
         self.error_rate = error_rate
         self.seed = seed
+        self.identity = f"stub error_rate={float(error_rate)!r} seed={seed!r}"
         self._by_text = {p.text: p for p in problems}
         self.requests = 0
         self._count_lock = threading.Lock()
@@ -128,14 +131,14 @@ class HttpBackend:
 
     def __init__(self, base_url: str, model: str, *, api_key: str | None = None,
                  timeout: float = 120.0, max_retries: int = 4,
-                 max_concurrency: int = 8, backoff: float = 0.5):
+                 backoff: float = 0.5):
         self.url = base_url.rstrip("/") + "/v1/chat/completions"
         self.model = model
+        self.identity = f"http url={self.url} model={model}"   # no API key
         self.api_key = api_key
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._gate = threading.Semaphore(max_concurrency)
         self.requests = 0
         self._count_lock = threading.Lock()
 
@@ -156,12 +159,11 @@ class HttpBackend:
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
+            with self._count_lock:
+                self.requests += 1
             try:
-                with self._gate:
-                    with self._count_lock:
-                        self.requests += 1
-                    resp = requests.post(self.url, json=payload,
-                                         headers=headers, timeout=self.timeout)
+                resp = requests.post(self.url, json=payload,
+                                     headers=headers, timeout=self.timeout)
             except requests.RequestException as exc:
                 last = f"connection error: {exc}"
                 continue
@@ -183,8 +185,17 @@ class HttpBackend:
         raise BackendError(f"retries exhausted ({last})")
 
 
+_KEY_FIELDS = ("prompt_sha", "profile", "temperature", "max_tokens", "backend")
+
+
 class Cache:
-    """Append-only JSONL completion cache keyed by (prompt sha, profile).
+    """Append-only JSONL completion cache.
+
+    A line is keyed by the prompt sha, the profile's name, temperature and
+    max_tokens, and the identity of the backend that wrote it, so one cache
+    file never replays one backend's or one setting's completions to
+    another. Lines without those fields (written before they were keyed)
+    load as keys nothing looks up: misses, not errors.
 
     Every put writes one whole line, so a final line without its newline
     was cut short by a killed process: loading drops it with a warning and
@@ -194,7 +205,7 @@ class Cache:
 
     def __init__(self, path: str):
         self.path = path
-        self._store: dict[tuple[str, str], list[str]] = {}
+        self._store: dict[tuple, list[str]] = {}
         self._lock = threading.Lock()
         try:
             fh = open(path, "rb")
@@ -214,7 +225,8 @@ class Cache:
                     continue
                 try:
                     rec = json.loads(line)
-                    key = (rec["prompt_sha"], rec["profile"])
+                    key = (rec["prompt_sha"], rec["profile"],
+                           *(rec.get(f) for f in _KEY_FIELDS[2:]))
                     texts = rec["texts"]
                 except (ValueError, KeyError, TypeError):
                     raise CacheError(f"{path}:{lineno}: unreadable cache line")
@@ -224,17 +236,24 @@ class Cache:
         if torn:
             os.truncate(path, complete)
 
-    def lookup(self, sha: str, profile: SampleProfile) -> list[str] | None:
-        got = self._store.get((sha, profile.name))
+    @staticmethod
+    def _key(sha: str, profile: SampleProfile, backend: str) -> tuple:
+        return sha, profile.name, profile.temperature, profile.max_tokens, backend
+
+    def lookup(self, sha: str, profile: SampleProfile, backend: str = ""
+               ) -> list[str] | None:
+        got = self._store.get(self._key(sha, profile, backend))
         if got is None or len(got) < profile.n:
             return None
         return got[: profile.n]
 
-    def put(self, sha: str, profile: SampleProfile, texts: list[str]) -> None:
-        rec = {"prompt_sha": sha, "profile": profile.name, "texts": texts}
-        line = json.dumps(rec, ensure_ascii=False)
+    def put(self, sha: str, profile: SampleProfile, texts: list[str],
+            backend: str = "") -> None:
+        key = self._key(sha, profile, backend)
+        line = json.dumps(dict(zip(_KEY_FIELDS, key), texts=texts),
+                          ensure_ascii=False)
         with self._lock:
-            self._store[(sha, profile.name)] = texts
+            self._store[key] = texts
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
 
@@ -242,7 +261,8 @@ class Cache:
 def sample(prompts: list[str], profile: SampleProfile, backend, *,
            cache: Cache | None = None, jobs: int = 1,
            max_requests: int | None = None) -> list[list[str]]:
-    """Collect profile.n completions per prompt, using the cache when it can.
+    """Collect profile.n completions per prompt, using the cache when it can
+    (cache lines are keyed on `backend.identity`).
 
     max_requests caps the number of backend calls (cache hits are free); the
     cap is checked up front so a too-large batch fails before spending money.
@@ -257,7 +277,8 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
     misses: list[int] = []
     shas = [prompt_sha(p) for p in prompts]
     for i, sha in enumerate(shas):
-        hit = cache.lookup(sha, profile) if cache is not None else None
+        hit = (cache.lookup(sha, profile, backend.identity)
+               if cache is not None else None)
         if hit is not None:
             results[i] = hit
         else:
@@ -269,7 +290,7 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
     def fetch(i: int) -> None:
         texts = backend.generate(prompts[i], profile)
         if cache is not None:
-            cache.put(shas[i], profile, texts)
+            cache.put(shas[i], profile, texts, backend.identity)
         results[i] = texts
 
     if misses:

@@ -251,8 +251,8 @@ def max_flow(g: Graph, s: int, t: int) -> Answer:
         to.append(a)
         cap.append(0)
 
-    for e in g.edges:
-        add_edge(e[0], e[1], e[2] if len(e) == 3 else 1)
+    for (a, b), c in g.weight_map.items():
+        add_edge(a, b, c)
 
     total = 0
     while True:

@@ -12,11 +12,8 @@ from __future__ import annotations
 import random
 
 from .errors import InvalidSpecError
-from .textgen import Problem
-
-
-def _letter(i: int) -> str:
-    return chr(ord("a") + i)
+from .tasks import get_task
+from .textgen import Problem, _letter
 
 
 def _fillers(problem: Problem, rng: random.Random) -> list[str]:
@@ -96,10 +93,7 @@ def _correct_body(problem: Problem, rng: random.Random) -> str:
         )
     if task == "shortest":
         path = list(ans.witness)
-        wm = g.weight_map
-        terms = []
-        for a, b in zip(path, path[1:]):
-            terms.append(str(wm[(min(a, b), max(a, b))]))
+        terms = [str(g.weight_map[g.key(a, b)]) for a, b in zip(path, path[1:])]
         total = " + ".join(terms) if terms else "0"
         return (
             f"The path {_chain(path)} has total weight <<{total} = "
@@ -147,17 +141,17 @@ def _correct_body(problem: Problem, rng: random.Random) -> str:
 
 
 def _incorrect_body(problem: Problem, rng: random.Random) -> str:
-    task = problem.task
     ans = problem.answer
     if ans is None:
         raise InvalidSpecError(f"problem {problem.id} has no ground-truth answer")
-    if task in ("cycle", "connect", "bipartite", "hamilton", "subgraph"):
+    kind = get_task(problem.task).answer_kind
+    if kind == "yes_no":
         flipped = "No" if ans.value else "Yes"
         return (
             f"Checking the structure of the graph, the answer appears to be "
             f"{flipped.lower()}. ### {flipped}."
         )
-    if task == "topology":
+    if kind == "sequence":
         order = list(ans.value)
         bad = order + [order[0]]
         return (

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from graphcorpus.cli import main
+from graphcorpus.cli import build_parser, main
 from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
                                 SFT_SCHEMA, read_jsonl, read_problems,
                                 write_jsonl)
@@ -217,6 +217,18 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
                "--out", str(tmp_path / "x.jsonl")])
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_jobs_flag_only_on_sampling_stages():
+    parser = build_parser()
+    for stage in ("annotate", "dpo", "evaluate"):
+        args = parser.parse_args([stage, "--problems", "p", "--out", "o",
+                                  "--jobs", "3"])
+        assert args.jobs == 3
+    for argv in (["generate", "--out", "o"],
+                 ["select", "--problems", "p", "--paths", "q", "--out", "o"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--jobs", "3"])
 
 
 def test_select_rejects_orphan_paths(problems_file, tmp_path, capsys):

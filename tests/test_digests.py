@@ -1,0 +1,62 @@
+"""Output bytes pinned: a small fixed pipeline run in-process must write
+exactly the bytes it wrote when these digests were recorded.
+
+A change that alters any stage's output for a fixed seed must say so in
+CHANGES.md and record the new digests here. The digests were recorded on
+CPython 3.11.7 with numpy 2.4.6; the selector's tf-idf, embedding and
+k-means arithmetic runs through numpy, so another numpy or BLAS build may
+legitimately differ in sft.jsonl.
+"""
+
+import hashlib
+
+from graphcorpus.cli import main
+
+SEED = "3"
+
+EXPECTED = {
+    "problems.jsonl":
+        "b0737a24a9b830f86a94eea6c5e16609d44d05fecfc6f5ab971eef822b199cea",
+    "paths.jsonl":
+        "110fac4632c1c7cd4fc4b483ef52e446c64f8771b7e07e43eeb8f9d2d1b8e1ee",
+    "sft.jsonl":
+        "6ff1072b52852861cb7bbc3b26a74ce7b03b87c35a3fb56e0fad93b83dd34872",
+    "dpo.jsonl":
+        "b5172eb5c1cc2ce18ef388da1dc723d27b2afac0063d5e2e52f53f4c0754cc37",
+    "audit.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "report/report.json":
+        "616da068d1b8cf5fc3d2398c1f08857dd6de12db3de9d4888dd03d9483581114",
+    "report/report.txt":
+        "470276169f3c83e566de3e736f583443cbf0c4905026557498b1440ec63155ba",
+}
+
+
+def run_pipeline(root) -> dict[str, str]:
+    """Run generate, stub annotate, select, dpo, audit and stub evaluate
+    under root; return the sha256 of every output file."""
+    problems = str(root / "problems.jsonl")
+    paths = str(root / "paths.jsonl")
+    stub = ["--backend", "stub", "--stub-error-rate", "0.4", "--seed", SEED]
+    stages = [
+        ["generate", "--split", "test", "--count", "2", "--seed", SEED,
+         "--out", problems],
+        ["annotate", "--problems", problems, "--profile", "augment", *stub,
+         "--out", paths],
+        ["select", "--problems", problems, "--paths", paths, "--seed", SEED,
+         "--out", str(root / "sft.jsonl")],
+        ["dpo", "--problems", problems, "--paths", paths, "--seed", SEED,
+         "--out", str(root / "dpo.jsonl")],
+        ["audit", "--problems", problems, "--paths", paths,
+         "--out", str(root / "audit.jsonl")],
+        ["evaluate", "--problems", problems, *stub,
+         "--out", str(root / "report")],
+    ]
+    for argv in stages:
+        assert main(argv) == 0, argv
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+            for name in EXPECTED}
+
+
+def test_pipeline_output_digests_unchanged(tmp_path):
+    assert run_pipeline(tmp_path) == EXPECTED

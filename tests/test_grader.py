@@ -1,10 +1,12 @@
 import pytest
 
-from graphcorpus.grader import (Answer, ExtractionFailure, Violation,
+from graphcorpus.generate import generate_task
+from graphcorpus.grader import (Answer, ExtractionFailure, Verdict, Violation,
                                 audit_steps, check_witness, extract_answer,
                                 grade, judge)
 from graphcorpus.graphs import Graph
 from graphcorpus.solvers import solve
+from graphcorpus.tasks import TASK_ORDER
 from graphcorpus.textgen import TEMPLATES, Problem, parse_problem
 
 
@@ -138,6 +140,33 @@ def test_grade_shortest_checks_claimed_path():
     assert grade(p, Answer("numeric", 5, witness=[0, 2]),
                  validate_witness=False).correct
     assert not grade(p, Answer("numeric", 9)).correct
+
+
+def test_grade_empty_or_malformed_witness_is_a_verdict():
+    g = Graph(3, False, [(0, 1, 2), (1, 2, 3)])
+    p = _problem("shortest", g, {"u": 0, "v": 2},
+                 answer=Answer("numeric", 5, witness=[0, 1, 2]))
+    empty = grade(p, Answer("numeric", 5, witness=[]))
+    assert not empty.correct and "not optimal" in empty.reason
+    foreign = grade(p, Answer("numeric", 5, witness=[0, 7, 2]))
+    assert not foreign.correct and "not optimal" in foreign.reason
+    for task in TASK_ORDER:
+        for q in generate_task(task, 2, seed=4, split="witness"):
+            for bad in ([], [0]):
+                claim = Answer(q.answer.kind, q.answer.value, witness=bad)
+                assert isinstance(grade(q, claim), Verdict), (q.id, bad)
+
+
+def test_grade_checks_witness_on_every_task():
+    bogus = grade(CYCLE_YES, Answer("yes_no", True, witness=[0, 1, 5]))
+    assert not bogus.correct and bogus.reason == "claimed witness does not hold"
+    assert grade(CYCLE_YES, Answer("yes_no", True, witness=[2, 1, 0])).correct
+    assert grade(CYCLE_YES, Answer("yes_no", True, witness=[0, 1, 5]),
+                 validate_witness=False).correct
+    # an order exists, so claiming none is wrong, not vacuously valid
+    g = Graph(2, True, [(0, 1)])
+    p = _problem("topology", g, answer=solve("topology", g))
+    assert not grade(p, Answer("none_exists")).correct
 
 
 def test_judge_runs_extraction_and_audit():

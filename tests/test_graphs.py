@@ -6,7 +6,8 @@ from graphcorpus.errors import GraphInvalidError, InvalidSpecError
 from graphcorpus.graphs import (Graph, assign_edge_weights,
                                 assign_node_weights, canonical_key,
                                 connected_components, generate_dag,
-                                generate_er, reachable, validate_graph)
+                                generate_er, reachable, union_find,
+                                validate_graph)
 
 from oracles import oracle_topo_orders
 
@@ -139,6 +140,29 @@ def test_connected_components():
 def test_connected_components_ignore_direction():
     g = Graph(4, True, [(1, 0), (2, 1)])
     assert connected_components(g) == [[0, 1, 2], [3]]
+
+
+def test_union_find_joins_in_scan_order():
+    # (0,1) and (1,2) join; (0,2) closes a cycle; (4,3) joins
+    joined, roots = union_find(6, [(0, 1), (1, 2), (0, 2), (4, 3)])
+    assert joined == [(0, 1), (1, 2), (4, 3)]
+    assert roots[0] == roots[1] == roots[2]
+    assert roots[3] == roots[4]
+    assert len({roots[0], roots[3], roots[5]}) == 3
+    # another scan order keeps another forest of the same components
+    joined, _ = union_find(3, [(0, 2), (1, 2), (0, 1)])
+    assert joined == [(0, 2), (1, 2)]
+    assert union_find(2, []) == ([], [0, 1])
+
+
+def test_key_orients_undirected_pairs_only():
+    undirected = Graph(3, False, [(0, 2, 4)])
+    assert undirected.key(2, 0) == undirected.key(0, 2) == (0, 2)
+    assert undirected.has_edge(2, 0) and undirected.weight_map == {(0, 2): 4}
+    directed = Graph(3, True, [(2, 0)])
+    assert directed.key(2, 0) == (2, 0) and directed.key(0, 2) == (0, 2)
+    assert directed.has_edge(2, 0) and not directed.has_edge(0, 2)
+    assert directed.edge_key_set == {(2, 0)}
 
 
 def test_graph_is_immutable_with_cached_views():

@@ -162,6 +162,51 @@ def test_cache_torn_tail_does_not_excuse_corrupt_lines(tmp_path):
     assert f"{path}:2" in str(err.value)
 
 
+def test_cache_never_replays_another_backends_completions(tmp_path, problems):
+    profile = get_profile("initial")
+    prompts = [wrap_instruction(p.text) for p in problems]
+    path = str(tmp_path / "c.jsonl")
+    clean = StubBackend(problems, error_rate=0.0, seed=1)
+    first = sample(prompts, profile, clean, cache=Cache(path))
+    dirty = StubBackend(problems, error_rate=1.0, seed=2)
+    second = sample(prompts, profile, dirty, cache=Cache(path))
+    assert dirty.requests == len(prompts)         # one request per prompt
+    assert second != first
+    assert not any(judge(p, t).correct for p, ts in zip(problems, second)
+                   for t in ts)
+    # each backend now hits its own lines
+    again = StubBackend(problems, error_rate=1.0, seed=2)
+    assert sample(prompts, profile, again, cache=Cache(path)) == second
+    assert again.requests == 0
+
+
+def test_cache_keys_on_sampling_settings(tmp_path):
+    path = tmp_path / "c.jsonl"
+    cache = Cache(str(path))
+    cache.put("k", P3, ["a", "b", "c"], "stub error_rate=0.0 seed=0")
+    assert cache.lookup("k", P3, "stub error_rate=0.0 seed=0") == ["a", "b", "c"]
+    assert cache.lookup("k", P3, "stub error_rate=0.0 seed=1") is None
+    assert cache.lookup("k", SampleProfile("p3", 3, 0.9),
+                        "stub error_rate=0.0 seed=0") is None
+    assert cache.lookup("k", SampleProfile("p3", 3, 0.5, 512),
+                        "stub error_rate=0.0 seed=0") is None
+    # a line written before these fields were keyed is a miss, not an error
+    path.write_text('{"prompt_sha": "k", "profile": "p3", "texts": ["x", "y", "z"]}\n',
+                    encoding="utf-8")
+    old = Cache(str(path))
+    assert old.lookup("k", P3) is None
+    assert old.lookup("k", P3, "stub error_rate=0.0 seed=0") is None
+
+
+def test_http_identity_names_url_and_model_not_key():
+    a = HttpBackend("http://host:1/", "m1", api_key="sekrit")
+    assert "http://host:1" in a.identity and "m1" in a.identity
+    assert "sekrit" not in a.identity
+    assert a.identity == HttpBackend("http://host:1", "m1").identity
+    assert a.identity != HttpBackend("http://host:1", "m2").identity
+    assert a.identity != HttpBackend("http://host:2", "m1").identity
+
+
 # ---------------------------------------------------------------------------
 # the batch driver
 # ---------------------------------------------------------------------------
