@@ -17,7 +17,8 @@ from dataclasses import fields
 from .config import PipelineConfig, apply_overrides, load_config
 from .corpus import (PATHS_SCHEMA, PREDICTIONS_SCHEMA, SFT_SCHEMA,
                      assemble_dpo, assemble_sft, compute_stats, format_stats,
-                     read_jsonl, read_problems, write_jsonl, write_problems)
+                     open_atomic, read_jsonl, read_problems, write_jsonl,
+                     write_problems)
 from .errors import GraphCorpusError, InvalidSpecError, RecordError
 from .evaluate import evaluate, format_report, run_eval
 from .generate import generate_corpus
@@ -65,13 +66,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.dedupe_against:
         for p in read_problems(args.dedupe_against):
             dedupe.add(canonical_key(p.graph))
-    problems = generate_corpus(
-        cfg.tasks, cfg.resolved_count(), seed=cfg.seed, split=cfg.split,
-        dedupe_keys=dedupe, token_budget=cfg.token_budget,
-        max_attempts=cfg.max_attempts,
-        rejection_attempts=cfg.rejection_attempts,
-        hamilton_budget=cfg.hamilton_budget,
-        hamilton_dp_limit=cfg.hamilton_dp_limit)
+    problems = generate_corpus(cfg.tasks, cfg.resolved_count(), seed=cfg.seed,
+                               split=cfg.split, dedupe_keys=dedupe)
     n = write_problems(args.out, problems)
     print(f"wrote {n} problems to {args.out}")
     return 0
@@ -152,13 +148,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                           repeats=cfg.repeats, jobs=cfg.jobs,
                           cache=_open_cache(cfg))
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.json"), "w",
-              encoding="utf-8") as fh:
+    with open_atomic(os.path.join(args.out, "report.json")) as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     text = format_report(report)
-    with open(os.path.join(args.out, "report.txt"), "w",
-              encoding="utf-8") as fh:
+    with open_atomic(os.path.join(args.out, "report.txt")) as fh:
         fh.write(text + "\n")
     print(text)
     return 0
@@ -170,7 +164,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     stats = compute_stats(problems, sft)
     print(format_stats(stats))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_atomic(args.out) as fh:
             json.dump(stats, fh, indent=2)
             fh.write("\n")
     return 0

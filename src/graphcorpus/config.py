@@ -2,12 +2,14 @@
 
 A config is a flat JSON object; every key matches a PipelineConfig field.
 Command line flags override file values, which override the defaults here.
+The generation limits below are constants, not config keys.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from .errors import InvalidSpecError
 from .tasks import TASK_ORDER
@@ -26,11 +28,6 @@ class PipelineConfig:
     tasks: list[str] = field(default_factory=lambda: list(TASK_ORDER))
     split: str = "train"
     count: int | None = None          # None: DEFAULT_COUNTS[split]
-    token_budget: int = TOKEN_BUDGET
-    max_attempts: int = MAX_ATTEMPTS
-    rejection_attempts: int = REJECTION_ATTEMPTS
-    hamilton_budget: int = HAMILTON_BUDGET
-    hamilton_dp_limit: int = HAMILTON_DP_LIMIT
     shots: int = 2
     cap: int = 5
     beta: float = 0.1
@@ -44,6 +41,7 @@ class PipelineConfig:
     api_key: str | None = None
     max_requests: int | None = None
     cache: str | None = None
+    rejection_attempts: ClassVar[int] = REJECTION_ATTEMPTS   # not a key
 
     def resolved_count(self) -> int:
         if self.count is not None:

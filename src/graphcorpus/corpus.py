@@ -20,6 +20,8 @@ not a warning.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from typing import Any, Iterable
 
 from .errors import RecordError, SchemaError
@@ -34,6 +36,14 @@ PATHS_SCHEMA = "paths-v1"
 SFT_SCHEMA = "sft-v1"
 DPO_SCHEMA = "dpo-v1"
 PREDICTIONS_SCHEMA = "predictions-v1"
+
+# The fields each schema's readers use, and their types: read_jsonl rejects
+# a record that lacks one or holds the wrong type, never misreads it.
+_FIELDS = {PROBLEMS_SCHEMA: {"id": str, "task": str, "graph": dict,
+                             "query": dict, "answer": dict, "text": str},
+           PATHS_SCHEMA: {"id": str, "texts": list},
+           PREDICTIONS_SCHEMA: {"id": str, "text": str}}
+_KINDS = {str: "a string", dict: "an object", list: "a list of strings"}
 
 
 def _plain(value: Any) -> Any:
@@ -121,9 +131,23 @@ def problem_signature(p: Problem) -> tuple:
 # JSONL files
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def open_atomic(path: str):
+    """Write to a temp file beside path that replaces it only if the block
+    ends without an exception: a failed write leaves the old file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_jsonl(path: str, records: Iterable[dict]) -> int:
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
             count += 1
@@ -146,6 +170,13 @@ def read_jsonl(path: str, schema: str | None = None) -> list[dict]:
                 raise SchemaError(
                     f"{path}: expected schema {schema!r}, got "
                     f"{rec.get('schema')!r}", line=lineno)
+            for name, kind in _FIELDS.get(schema, {}).items():
+                value = rec.get(name)
+                if not isinstance(value, kind) or (kind is list and not all(
+                        isinstance(x, str) for x in value)):
+                    raise SchemaError(
+                        f"{path}: record {rec.get('id')!r}: {name!r} is "
+                        f"missing or not {_KINDS[kind]}", line=lineno)
             out.append(rec)
     return out
 

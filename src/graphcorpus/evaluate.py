@@ -15,8 +15,7 @@ from .tasks import DIFFICULTY_GROUPS, TASK_ORDER
 from .textgen import Problem, wrap_instruction
 
 
-def evaluate(problems: list[Problem], predictions: dict[str, str], *,
-             validate_witness: bool = True) -> dict:
+def evaluate(problems: list[Problem], predictions: dict[str, str]) -> dict:
     """Grade one prediction set. predictions maps problem id to output text."""
     known = {p.id for p in problems}
     orphans = sorted(set(predictions) - known)
@@ -33,7 +32,7 @@ def evaluate(problems: list[Problem], predictions: dict[str, str], *,
         if text is None:
             row["missing"] += 1
             continue
-        verdict = judge(p, text, validate_witness=validate_witness)
+        verdict = judge(p, text)
         if isinstance(verdict.extracted, ExtractionFailure):
             row["extraction_failures"] += 1
         if verdict.correct:
@@ -57,7 +56,7 @@ def evaluate(problems: list[Problem], predictions: dict[str, str], *,
 
 def run_eval(problems: list[Problem], backend, *,
              profile: SampleProfile | None = None, repeats: int = 1,
-             jobs: int = 1, cache=None, validate_witness: bool = True) -> dict:
+             jobs: int = 1, cache=None) -> dict:
     """Sample the backend over all problems and grade, averaging repeats.
 
     Repeats only differ when the backend is nondeterministic and uncached;
@@ -71,8 +70,7 @@ def run_eval(problems: list[Problem], backend, *,
     for _ in range(repeats):
         texts = sample(prompts, profile, backend, cache=cache, jobs=jobs)
         predictions = {p.id: texts[i][0] for i, p in enumerate(problems)}
-        reports.append(evaluate(problems, predictions,
-                                validate_witness=validate_witness))
+        reports.append(evaluate(problems, predictions))
     merged = _merge_reports(reports)
     merged["repeats"] = repeats
     return merged

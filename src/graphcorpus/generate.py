@@ -3,11 +3,11 @@
 Every attempt derives its RNG from sha256(seed:split:task:slot:attempt), so
 corpora are reproducible and each retry is an independent draw. Yes/no tasks
 alternate the wanted label across slots; an attempt is rejected when the
-sampled graph disagrees. After `rejection_attempts` misses the generator
+sampled graph disagrees. After REJECTION_ATTEMPTS misses the generator
 switches to constructive transforms (plant a cycle, carve the graph apart,
 embed the pattern, ...) that force the label, then re-solves to confirm.
-Rendered problems over the token budget and graphs already in the corpus are
-rejected the same way.
+Rendered problems over TOKEN_BUDGET and graphs already in the corpus are
+rejected the same way, for at most MAX_ATTEMPTS draws per slot (`config`).
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import replace
-from functools import partial
 
-from .config import (HAMILTON_BUDGET, HAMILTON_DP_LIMIT, MAX_ATTEMPTS,
-                     REJECTION_ATTEMPTS, TOKEN_BUDGET)
+from .config import MAX_ATTEMPTS, REJECTION_ATTEMPTS, TOKEN_BUDGET
 from .errors import InvalidSpecError, StageError
 from .grader import is_hamilton_path
 from .graphs import (Graph, assign_edge_weights, assign_node_weights,
@@ -215,11 +213,11 @@ def _gen_flow(tier, desired, rng, transform):
     return g, {"s": s, "t": t}, max_flow(g, s, t)
 
 
-def _gen_hamilton(tier, desired, rng, transform, *, budget, dp_limit):
+def _gen_hamilton(tier, desired, rng, transform):
     n = _draw_n(tier, rng, 2)
     g = generate_er(n, tier.p, seed=_sub(rng))
     if not transform:
-        ans = hamilton_path(g, budget=budget, dp_limit=dp_limit)
+        ans = hamilton_path(g)
         if ans is not None and ans.value == desired:
             return g, {}, ans
         return None
@@ -229,7 +227,7 @@ def _gen_hamilton(tier, desired, rng, transform, *, budget, dp_limit):
             return None
         return g, {}, Answer("yes_no", True, witness=perm)
     g = _carve_split(g, rng)[0]
-    ans = hamilton_path(g, budget=budget, dp_limit=dp_limit)
+    ans = hamilton_path(g)
     if ans is not None and ans.value is False:
         return g, {}, ans
     return None
@@ -286,20 +284,13 @@ def attempt_seed(seed: int, split: str, task: str, slot: int, attempt: int) -> i
 
 
 def generate_task(task: str, count: int, *, seed: int = 0, split: str = "train",
-                  seen: set[str] | None = None,
-                  token_budget: int = TOKEN_BUDGET,
-                  max_attempts: int = MAX_ATTEMPTS,
-                  rejection_attempts: int = REJECTION_ATTEMPTS,
-                  hamilton_budget: int = HAMILTON_BUDGET,
-                  hamilton_dp_limit: int = HAMILTON_DP_LIMIT) -> list[Problem]:
+                  seen: set[str] | None = None) -> list[Problem]:
     """Generate count problems for one task, labels balanced, graphs unique."""
     info = get_task(task)
     if count < 0:
         raise InvalidSpecError("count must not be negative")
     tiers = build_tiers(info)
     build = _BUILDERS[task]
-    if task == "hamilton":
-        build = partial(build, budget=hamilton_budget, dp_limit=hamilton_dp_limit)
     if seen is None:
         seen = set()
     problems = []
@@ -307,16 +298,16 @@ def generate_task(task: str, count: int, *, seed: int = 0, split: str = "train",
         tier = tiers[slot % NUM_TIERS]
         desired = (slot % 2 == 0) if info.answer_kind == "yes_no" else None
         built = None
-        for attempt in range(max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             aseed = attempt_seed(seed, split, task, slot, attempt)
             rng = random.Random(aseed)
-            transform = attempt >= rejection_attempts
+            transform = attempt >= REJECTION_ATTEMPTS
             cand = build(tier, desired, rng, transform)
             if cand is None:
                 continue
             graph, query, answer = cand
             text = render_problem(task, graph, query)
-            if estimate_tokens(text) > token_budget:
+            if estimate_tokens(text) > TOKEN_BUDGET:
                 continue
             key = canonical_key(graph)
             if key in seen:
@@ -331,14 +322,14 @@ def generate_task(task: str, count: int, *, seed: int = 0, split: str = "train",
             break
         if built is None:
             raise StageError(
-                f"{task} slot {slot}: no valid problem in {max_attempts} attempts")
+                f"{task} slot {slot}: no valid problem in {MAX_ATTEMPTS} attempts")
         problems.append(built)
     return problems
 
 
 def generate_corpus(tasks: list[str] | None, count: int, *, seed: int = 0,
-                    split: str = "train", dedupe_keys: set[str] | None = None,
-                    **knobs) -> list[Problem]:
+                    split: str = "train",
+                    dedupe_keys: set[str] | None = None) -> list[Problem]:
     """Generate count problems for each task; one shared dedupe key set."""
     names = list(tasks) if tasks else list(TASK_ORDER)
     for name in names:
@@ -347,5 +338,5 @@ def generate_corpus(tasks: list[str] | None, count: int, *, seed: int = 0,
     out: list[Problem] = []
     for name in names:
         out.extend(generate_task(name, count, seed=seed, split=split,
-                                 seen=seen, **knobs))
+                                 seen=seen))
     return out

@@ -5,14 +5,14 @@ last "The answer is" clause. Grading compares against the stored ground
 truth. `check_witness` is the one home of every path, order and weight
 rule: grading sends it order-free answers (topological sorts), so any valid
 order counts and not just the solver's, and every witness an answer claims.
-The step audit flags claimed edges or nodes that do not exist in the graph;
-it never changes a verdict.
+The step audit, `audit_steps`, runs apart from grading: it flags claimed
+edges or nodes that do not exist in the graph and never changes a verdict.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Graph
 from .solvers import Answer
@@ -37,7 +37,6 @@ class Verdict:
     correct: bool
     extracted: Answer | ExtractionFailure
     reason: str | None = None
-    violations: list[Violation] = field(default_factory=list)
 
 
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
@@ -207,12 +206,11 @@ _WITNESS_REASONS = {"hamilton": "claimed path is not Hamiltonian",
                     "shortest": "claimed path is not optimal"}
 
 
-def grade(problem: Problem, extracted: Answer | ExtractionFailure, *,
-          validate_witness: bool = True) -> Verdict:
+def grade(problem: Problem, extracted: Answer | ExtractionFailure) -> Verdict:
     """Compare an extracted answer with the problem's ground truth.
 
     A sequence answer is judged by `check_witness`; so is any witness the
-    answer claims, unless validate_witness is off."""
+    answer claims."""
     if isinstance(extracted, ExtractionFailure):
         return Verdict(False, extracted, reason=f"extraction: {extracted.reason}")
     truth = problem.answer
@@ -231,8 +229,7 @@ def grade(problem: Problem, extracted: Answer | ExtractionFailure, *,
     elif extracted.kind == "none_exists" or not check_witness(problem, extracted):
         # check_witness passes a none_exists answer; here an order exists
         return Verdict(False, extracted, reason="sequence violates the graph order")
-    if (validate_witness and extracted.witness is not None
-            and not check_witness(problem, extracted)):
+    if extracted.witness is not None and not check_witness(problem, extracted):
         return Verdict(False, extracted, reason=_WITNESS_REASONS.get(
             problem.task, "claimed witness does not hold"))
     return Verdict(True, extracted)
@@ -308,11 +305,6 @@ def audit_steps(problem: Problem, reasoning: str) -> list[Violation]:
     return out
 
 
-def judge(problem: Problem, text: str, *, audit: bool = False,
-          validate_witness: bool = True) -> Verdict:
-    """Extract, grade, and optionally audit one reasoning text."""
-    extracted = extract_answer(text, problem.task)
-    verdict = grade(problem, extracted, validate_witness=validate_witness)
-    if audit:
-        verdict.violations = audit_steps(problem, text)
-    return verdict
+def judge(problem: Problem, text: str) -> Verdict:
+    """Extract and grade one reasoning text."""
+    return grade(problem, extract_answer(text, problem.task))

@@ -227,6 +227,7 @@ class Cache:
                     rec = json.loads(line)
                     key = (rec["prompt_sha"], rec["profile"],
                            *(rec.get(f) for f in _KEY_FIELDS[2:]))
+                    hash(key)         # a list or object key field is unhashable
                     texts = rec["texts"]
                 except (ValueError, KeyError, TypeError):
                     raise CacheError(f"{path}:{lineno}: unreadable cache line")

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import InvalidSpecError
 
 METRICS = ("edit", "jaccard", "tfidf", "embedding")
+EMBED_DIM = 256          # buckets of the hashed embedding
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -113,24 +114,21 @@ class TfidfModel:
 
 
 class HashingEmbedder:
-    """Deterministic bag-of-words embedding via md5 token hashing."""
+    """Bag-of-words embedding: md5 token hashing into EMBED_DIM buckets."""
 
-    def __init__(self, dim: int = 256):
-        if dim < 1:
-            raise InvalidSpecError("embedding dim must be positive")
-        self.dim = dim
+    def __init__(self):
         self._buckets: dict[str, int] = {}
 
     def _bucket(self, token: str) -> int:
         bucket = self._buckets.get(token)
         if bucket is None:
             digest = hashlib.md5(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:8], "big") % self.dim
+            bucket = int.from_bytes(digest[:8], "big") % EMBED_DIM
             self._buckets[token] = bucket
         return bucket
 
     def embed(self, text: str) -> np.ndarray:
-        v = np.zeros(self.dim)
+        v = np.zeros(EMBED_DIM)
         for tok in tokenize(text):
             v[self._bucket(tok)] += 1.0
         norm = np.linalg.norm(v)

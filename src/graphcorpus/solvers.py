@@ -471,22 +471,19 @@ def find_subgraph(g: Graph, pattern: Graph) -> Answer:
 
 
 _SOLVE = {
-    "cycle": lambda g, q, limits: has_cycle(g),
-    "connect": lambda g, q, limits: is_connected(g, q["u"], q["v"]),
-    "bipartite": lambda g, q, limits: is_bipartite(g),
-    "topology": lambda g, q, limits: topo_sort(g),
-    "shortest": lambda g, q, limits: shortest_path(g, q["u"], q["v"]),
-    "triangle": lambda g, q, limits: max_triangle_sum(g),
-    "flow": lambda g, q, limits: max_flow(g, q["s"], q["t"]),
-    "hamilton": lambda g, q, limits: hamilton_path(g, **limits),
-    "subgraph": lambda g, q, limits: find_subgraph(g, q["pattern"]),
+    "cycle": lambda g, q: has_cycle(g),
+    "connect": lambda g, q: is_connected(g, q["u"], q["v"]),
+    "bipartite": lambda g, q: is_bipartite(g),
+    "topology": lambda g, q: topo_sort(g),
+    "shortest": lambda g, q: shortest_path(g, q["u"], q["v"]),
+    "triangle": lambda g, q: max_triangle_sum(g),
+    "flow": lambda g, q: max_flow(g, q["s"], q["t"]),
+    "hamilton": lambda g, q: hamilton_path(g),
+    "subgraph": lambda g, q: find_subgraph(g, q["pattern"]),
 }
 
 
-def solve(task: str, g: Graph, query: dict | None = None, *,
-          hamilton_budget: int = HAMILTON_BUDGET,
-          hamilton_dp_limit: int = HAMILTON_DP_LIMIT) -> Answer | None:
+def solve(task: str, g: Graph, query: dict | None = None) -> Answer | None:
     """Dispatch to the task's solver; query fields depend on the task."""
     get_task(task)
-    limits = {"budget": hamilton_budget, "dp_limit": hamilton_dp_limit}
-    return _SOLVE[task](g, query or {}, limits)
+    return _SOLVE[task](g, query or {})

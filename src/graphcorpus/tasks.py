@@ -77,16 +77,13 @@ class Tier:
     p: float
 
 
-def build_tiers(task: TaskInfo, densities: tuple[float, ...] | None = None) -> list[Tier]:
+def build_tiers(task: TaskInfo) -> list[Tier]:
     """Five (node-band, density) combinations for a task.
 
-    The node range splits into five contiguous bands; densities cycle across
-    bands in order. Pass `densities` to override the default cycle.
+    The node range splits into five contiguous bands; the task's density
+    cycle (DENSITIES or DENSITIES_DIRECTED) runs across the bands in order.
     """
-    if densities is None:
-        densities = DENSITIES_DIRECTED if task.directed else DENSITIES
-    if not densities or any(not (0.0 < p <= 1.0) for p in densities):
-        raise InvalidSpecError(f"densities must be probabilities in (0,1], got {densities}")
+    densities = DENSITIES_DIRECTED if task.directed else DENSITIES
     lo, hi = task.node_range
     span = hi - lo + 1
     bounds = [lo + (i * span) // NUM_TIERS for i in range(NUM_TIERS + 1)]

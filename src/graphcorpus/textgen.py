@@ -523,16 +523,15 @@ TEMPLATES: dict[str, TaskTemplate] = {
 ZERO_SHOT_SUFFIX = "Let's think step by step"
 
 
-def build_cot_prompt(task: str, text: str, shots: int = 2,
-                     templates: dict[str, TaskTemplate] | None = None) -> str:
-    """Chain-of-thought prompt: task header, optional exemplars, the problem.
+def build_cot_prompt(task: str, text: str, shots: int = 2) -> str:
+    """Chain-of-thought prompt from the task's entry in TEMPLATES: header,
+    optional exemplars, the problem.
 
     shots=0 yields the zero-shot form ending with the step-by-step nudge;
-    shots=k prepends the first k exemplars. Override `templates` to swap in
-    custom headers or exemplar banks (e.g. 4/5-shot variants).
+    shots=k prepends the first k exemplars.
     """
     get_task(task)
-    template = (templates or TEMPLATES)[task]
+    template = TEMPLATES[task]
     if shots < 0:
         raise InvalidSpecError(f"shots must be >= 0, got {shots}")
     if shots == 0:

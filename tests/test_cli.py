@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -203,6 +204,58 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert from_cfg.read_text() != flag_wins.read_text()
 
 
+def test_malformed_records_exit_two(problems_file, tmp_path, capsys):
+    pid = read_problems(str(problems_file))[0].id
+    paths = tmp_path / "paths.jsonl"
+    paths.write_text(json.dumps({"schema": PATHS_SCHEMA, "id": pid,
+                                 "texts": "abc"}) + "\n", encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"schema": PREDICTIONS_SCHEMA, "id": pid})
+                     + "\n", encoding="utf-8")
+    lines = problems_file.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[0])
+    del rec["query"]
+    problems = tmp_path / "no_query.jsonl"
+    problems.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    for argv, field in (
+            (["select", "--problems", str(problems_file), "--paths",
+              str(paths), "--out", str(tmp_path / "sft.jsonl")], "'texts'"),
+            (["evaluate", "--problems", str(problems_file), "--predictions",
+              str(preds), "--out", str(tmp_path / "report")], "'text'"),
+            (["stats", "--problems", str(problems)], "'query'")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ") and field in err, err
+    assert not (tmp_path / "sft.jsonl").exists()
+
+
+def test_failed_report_and_stats_writes_keep_old_files(problems_file,
+                                                       tmp_path, monkeypatch):
+    from graphcorpus import cli
+    report = tmp_path / "report"
+    report.mkdir()
+    (report / "report.json").write_text("old report\n")
+    stats = tmp_path / "stats.json"
+    stats.write_text("old stats\n")
+    # a value json cannot encode fails the dump after part of it is written
+    broken = {"tasks": {}, "groups": {}, "overall": 0.0, "bad": object()}
+    monkeypatch.setattr(cli, "evaluate", lambda problems, preds: broken)
+    monkeypatch.setattr(cli, "compute_stats", lambda problems, sft: broken)
+    monkeypatch.setattr(cli, "format_stats", lambda s: "")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("")
+    with pytest.raises(TypeError):
+        main(["evaluate", "--problems", str(problems_file),
+              "--predictions", str(preds), "--out", str(report)])
+    with pytest.raises(TypeError):
+        main(["stats", "--problems", str(problems_file), "--out", str(stats)])
+    assert (report / "report.json").read_text() == "old report\n"
+    assert stats.read_text() == "old stats\n"
+    assert sorted(os.listdir(tmp_path)) == ["preds.jsonl", "problems.jsonl",
+                                             "report", "stats.json"]
+    assert os.listdir(report) == ["report.json"]
+
+
 def test_unknown_task_exits_two(tmp_path, capsys):
     rc = main(["generate", "--tasks", "maze", "--count", "1",
                "--out", str(tmp_path / "x.jsonl")])
@@ -211,12 +264,16 @@ def test_unknown_task_exits_two(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    rc = main(["generate", "--config", str(cfg),
-               "--out", str(tmp_path / "x.jsonl")])
-    assert rc == 2
-    assert "unknown config key" in capsys.readouterr().err
+    # the generation limits are constants of config.py, not config keys
+    for key in ("bogus", "token_budget", "max_attempts", "rejection_attempts",
+                "hamilton_budget", "hamilton_dp_limit"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        rc = main(["generate", "--config", str(cfg),
+                   "--out", str(tmp_path / "x.jsonl")])
+        assert rc == 2, key
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_jobs_flag_only_on_sampling_stages():

@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
-from graphcorpus.corpus import (DPO_SCHEMA, PROBLEMS_SCHEMA, SFT_SCHEMA,
+from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
+                                PROBLEMS_SCHEMA, SFT_SCHEMA,
                                 assemble_dpo, assemble_sft, compute_stats,
                                 format_stats, problem_signature,
                                 problem_to_record, read_jsonl, read_problems,
@@ -113,6 +115,47 @@ def test_jsonl_errors_carry_line_numbers(tmp_path):
     with pytest.raises(SchemaError) as err:
         read_jsonl(str(wrong), "t-v1")
     assert "line 2" in str(err.value) and "u-v9" in str(err.value)
+
+
+def test_jsonl_rejects_missing_or_mistyped_fields(tmp_path):
+    problem = problem_to_record(generate_task("cycle", 1, seed=5, split="io")[0])
+    no_query = {k: v for k, v in problem.items() if k != "query"}
+    paths = {"schema": PATHS_SCHEMA, "id": "p0", "texts": ["a"]}
+    prediction = {"schema": PREDICTIONS_SCHEMA, "id": "p0", "text": "a"}
+    cases = [
+        (paths, dict(paths, texts="abc"),
+         "'texts' is missing or not a list of strings"),
+        (paths, dict(paths, texts=["a", 1]),
+         "'texts' is missing or not a list of strings"),
+        (problem, no_query, "'query' is missing or not an object"),
+        (prediction, {"schema": PREDICTIONS_SCHEMA, "id": "p0"},
+         "'text' is missing or not a string"),
+    ]
+    path = tmp_path / "bad.jsonl"
+    for good, rec, message in cases:
+        schema = good["schema"]
+        path.write_text(json.dumps(good) + "\n" + json.dumps(rec) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            read_problems(str(path)) if schema == PROBLEMS_SCHEMA \
+                else read_jsonl(str(path), schema)
+        assert str(err.value).startswith(f"line 2: {path}: record ")
+        assert message in str(err.value)
+
+
+def test_write_jsonl_failing_part_way_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(str(path), [{"schema": "t-v1", "id": "old"}])
+    before = path.read_bytes()
+
+    def records():
+        yield {"schema": "t-v1", "id": "new0"}
+        raise RuntimeError("killed part way")
+
+    with pytest.raises(RuntimeError):
+        write_jsonl(str(path), records())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.jsonl"]
 
 
 def test_problems_file_round_trip(tmp_path):

@@ -40,13 +40,6 @@ def test_tiers_partition_the_node_range():
         assert [t.p for t in tiers] == [cycle[i % 3] for i in range(5)]
 
 
-def test_tiers_reject_bad_densities():
-    with pytest.raises(InvalidSpecError):
-        build_tiers(TASKS["cycle"], densities=(0.5, 1.5))
-    with pytest.raises(InvalidSpecError):
-        build_tiers(TASKS["cycle"], densities=())
-
-
 def test_attempt_seed_is_a_pure_function():
     a = attempt_seed(1, "train", "cycle", 4, 2)
     assert a == attempt_seed(1, "train", "cycle", 4, 2)
@@ -147,15 +140,19 @@ def test_generate_corpus_defaults_to_all_tasks():
     assert [p.task for p in problems] == TASK_ORDER
 
 
-def test_token_budget_is_enforced():
+def test_token_budget_is_enforced(monkeypatch):
     # only the first tier's graphs can fit in 60 tokens, so stay at count=1
+    from graphcorpus import generate
     from graphcorpus.textgen import estimate_tokens
-    problems = generate_task("cycle", 1, seed=5, split="tok", token_budget=60)
+    monkeypatch.setattr(generate, "TOKEN_BUDGET", 60)
+    problems = generate_task("cycle", 1, seed=5, split="tok")
     assert all(estimate_tokens(p.text) <= 60 for p in problems)
+    monkeypatch.setattr(generate, "TOKEN_BUDGET", 5)
+    monkeypatch.setattr(generate, "MAX_ATTEMPTS", 30)
     with pytest.raises(StageError) as err:
-        generate_task("cycle", 1, seed=5, split="tok", token_budget=5,
-                      max_attempts=30)
+        generate_task("cycle", 1, seed=5, split="tok")
     assert "cycle slot 0" in str(err.value)
+    assert "in 30 attempts" in str(err.value)
 
 
 def test_count_validation():

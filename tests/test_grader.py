@@ -125,9 +125,6 @@ def test_grade_hamilton_checks_claimed_path():
     assert grade(p, Answer("yes_no", True)).correct   # bare yes is fine
     bad = grade(p, Answer("yes_no", True, witness=[0, 2, 1]))
     assert not bad.correct and "not Hamiltonian" in bad.reason
-    loose = grade(p, Answer("yes_no", True, witness=[0, 2, 1]),
-                  validate_witness=False)
-    assert loose.correct
 
 
 def test_grade_shortest_checks_claimed_path():
@@ -137,8 +134,6 @@ def test_grade_shortest_checks_claimed_path():
     assert grade(p, Answer("numeric", 5, witness=[0, 1, 2])).correct
     bad = grade(p, Answer("numeric", 5, witness=[0, 2]))
     assert not bad.correct and "not optimal" in bad.reason
-    assert grade(p, Answer("numeric", 5, witness=[0, 2]),
-                 validate_witness=False).correct
     assert not grade(p, Answer("numeric", 9)).correct
 
 
@@ -161,8 +156,6 @@ def test_grade_checks_witness_on_every_task():
     bogus = grade(CYCLE_YES, Answer("yes_no", True, witness=[0, 1, 5]))
     assert not bogus.correct and bogus.reason == "claimed witness does not hold"
     assert grade(CYCLE_YES, Answer("yes_no", True, witness=[2, 1, 0])).correct
-    assert grade(CYCLE_YES, Answer("yes_no", True, witness=[0, 1, 5]),
-                 validate_witness=False).correct
     # an order exists, so claiming none is wrong, not vacuously valid
     g = Graph(2, True, [(0, 1)])
     p = _problem("topology", g, answer=solve("topology", g))
@@ -170,13 +163,12 @@ def test_grade_checks_witness_on_every_task():
 
 
 def test_judge_runs_extraction_and_audit():
-    verdict = judge(CYCLE_YES, "loop via (0,1) then (1,2) then (0,2). ### Yes.",
-                    audit=True)
-    assert verdict.correct and verdict.violations == []
-    hallucinated = judge(CYCLE_YES, "take (0,1) then (1,9). ### Yes.",
-                         audit=True)
-    assert hallucinated.correct          # advisory: label still right
-    assert len(hallucinated.violations) == 1
+    clean = "loop via (0,1) then (1,2) then (0,2). ### Yes."
+    assert judge(CYCLE_YES, clean).correct
+    assert audit_steps(CYCLE_YES, clean) == []
+    hallucinated = "take (0,1) then (1,9). ### Yes."
+    assert judge(CYCLE_YES, hallucinated).correct   # advisory: label still right
+    assert len(audit_steps(CYCLE_YES, hallucinated)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +187,14 @@ def test_strict_grading_rejects_bad_exemplar_walk():
     assert extracted.witness is not None
     strict = judge(p, answer_text)
     assert not strict.correct and "not Hamiltonian" in strict.reason
-    loose = judge(p, answer_text, validate_witness=False)
-    assert loose.correct
 
 
 def test_second_hamilton_exemplar_is_clean():
     question, answer_text = TEMPLATES["hamilton"].exemplars[1]
     p = parse_problem(question)
     p.answer = solve("hamilton", p.graph)
-    verdict = judge(p, answer_text, audit=True)
-    assert verdict.correct and verdict.violations == []
+    assert judge(p, answer_text).correct
+    assert audit_steps(p, answer_text) == []
 
 
 # ---------------------------------------------------------------------------

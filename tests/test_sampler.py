@@ -133,6 +133,17 @@ def test_cache_rejects_corrupt_lines(tmp_path):
         Cache(str(path))
 
 
+def test_cache_rejects_unhashable_key_fields(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    for line in ('{"prompt_sha": ["a"], "profile": "p3", "texts": []}',
+                 '{"prompt_sha": "a", "profile": "p3", "backend": {"x": 1}, '
+                 '"texts": []}'):
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(CacheError) as err:
+            Cache(str(path))
+        assert f"{path}:1: unreadable cache line" in str(err.value)
+
+
 def test_cache_drops_torn_final_line(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
     cache = Cache(str(path))
