@@ -186,7 +186,18 @@ def write_problems(path: str, problems: Iterable[Problem]) -> int:
 
 
 def read_problems(path: str) -> list[Problem]:
-    return [record_to_problem(rec) for rec in read_jsonl(path, PROBLEMS_SCHEMA)]
+    """Problems of a problems-v1 file; a record whose nested fields do not
+    convert (graph without edges, answer without kind, ...) is a SchemaError
+    naming the file and the record."""
+    records = read_jsonl(path, PROBLEMS_SCHEMA)
+    problems: list[Problem] = []
+    try:
+        for rec in records:
+            problems.append(record_to_problem(rec))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: record {rec['id']!r}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,13 @@ The edit ratio's token Levenshtein distance comes from the bit-parallel
 algorithm of Myers (1999) in Hyyro's (2001) Levenshtein form. It returns
 exactly the distance of the textbook O(n*m) dynamic program, in
 O(ceil(m/w)*n) word operations.
+
+numpy is imported only by the numeric code (TfidfModel, HashingEmbedder,
+the k-means and select_diverse's embedding matrix), so a process that
+never selects paths never loads it. TfidfModel and HashingEmbedder memoise
+each text's vector on the instance, read-only; an instance lives for one
+select_diverse or select_dispreferred call, so the anchor's vector is
+computed once, not once per candidate.
 """
 
 from __future__ import annotations
@@ -17,10 +24,12 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidSpecError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 METRICS = ("edit", "jaccard", "tfidf", "embedding")
 EMBED_DIM = 256          # buckets of the hashed embedding
@@ -85,6 +94,7 @@ class TfidfModel:
     """Tiny tf-idf fit on one candidate set; cosine over l2-normed vectors."""
 
     def __init__(self, corpus: list[str]):
+        import numpy as np
         docs = [tokenize(t) for t in corpus]
         vocab: dict[str, int] = {}
         df: dict[str, int] = {}
@@ -98,19 +108,27 @@ class TfidfModel:
         self.idf = np.zeros(len(vocab))
         for tok, j in vocab.items():
             self.idf[j] = math.log((1 + n) / (1 + df[tok])) + 1.0
+        self._vectors: dict[str, np.ndarray] = {}
 
     def vector(self, text: str) -> np.ndarray:
-        v = np.zeros(len(self.vocab))
-        for tok in tokenize(text):
-            j = self.vocab.get(tok)
-            if j is not None:
-                v[j] += 1.0
-        v *= self.idf
-        norm = np.linalg.norm(v)
-        return v / norm if norm > 0 else v
+        v = self._vectors.get(text)
+        if v is None:
+            import numpy as np
+            v = np.zeros(len(self.vocab))
+            for tok in tokenize(text):
+                j = self.vocab.get(tok)
+                if j is not None:
+                    v[j] += 1.0
+            v *= self.idf
+            norm = np.linalg.norm(v)
+            if norm > 0:
+                v = v / norm
+            v.flags.writeable = False
+            self._vectors[text] = v
+        return v
 
     def similarity(self, a: str, b: str) -> float:
-        return float(np.dot(self.vector(a), self.vector(b)))
+        return float(self.vector(a).dot(self.vector(b)))
 
 
 class HashingEmbedder:
@@ -118,6 +136,7 @@ class HashingEmbedder:
 
     def __init__(self):
         self._buckets: dict[str, int] = {}
+        self._vectors: dict[str, np.ndarray] = {}
 
     def _bucket(self, token: str) -> int:
         bucket = self._buckets.get(token)
@@ -128,14 +147,21 @@ class HashingEmbedder:
         return bucket
 
     def embed(self, text: str) -> np.ndarray:
-        v = np.zeros(EMBED_DIM)
-        for tok in tokenize(text):
-            v[self._bucket(tok)] += 1.0
-        norm = np.linalg.norm(v)
-        return v / norm if norm > 0 else v
+        v = self._vectors.get(text)
+        if v is None:
+            import numpy as np
+            v = np.zeros(EMBED_DIM)
+            for tok in tokenize(text):
+                v[self._bucket(tok)] += 1.0
+            norm = np.linalg.norm(v)
+            if norm > 0:
+                v = v / norm
+            v.flags.writeable = False
+            self._vectors[text] = v
+        return v
 
     def similarity(self, a: str, b: str) -> float:
-        cos = float(np.dot(self.embed(a), self.embed(b)))
+        cos = float(self.embed(a).dot(self.embed(b)))
         return (1.0 + cos) / 2.0
 
 
@@ -157,6 +183,7 @@ def similarity(a: str, b: str, metric: str, *,
 
 def _kmeans_medoids(vectors: np.ndarray, k: int, seed: int) -> list[int]:
     """Seeded k-means++ then Lloyd; returns one medoid index per cluster."""
+    import numpy as np
     n = len(vectors)
     rng = np.random.default_rng(seed)
     centers = [vectors[int(rng.integers(n))]]
@@ -212,6 +239,7 @@ def select_diverse(texts: list[str], *, cap: int = 5, seed: int = 0) -> list[int
     candidates = [i for i in range(len(texts)) if i != anchor]
     nominations: list[int] = []
     if candidates:
+        import numpy as np
         tfidf = TfidfModel(texts)
         embedder = HashingEmbedder()
         for metric in METRICS:

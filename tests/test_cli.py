@@ -229,6 +229,18 @@ def test_malformed_records_exit_two(problems_file, tmp_path, capsys):
     assert not (tmp_path / "sft.jsonl").exists()
 
 
+def test_malformed_nested_problem_fields_exit_two(problems_file, tmp_path,
+                                                  capsys):
+    rec = json.loads(problems_file.read_text(encoding="utf-8").splitlines()[0])
+    del rec["graph"]["edges"]
+    problems = tmp_path / "no_edges.jsonl"
+    problems.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    assert main(["stats", "--problems", str(problems)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {problems}: record {rec['id']!r}: ")
+    assert "'edges'" in err and "Traceback" not in err
+
+
 def test_failed_report_and_stats_writes_keep_old_files(problems_file,
                                                        tmp_path, monkeypatch):
     from graphcorpus import cli

@@ -143,6 +143,25 @@ def test_jsonl_rejects_missing_or_mistyped_fields(tmp_path):
         assert message in str(err.value)
 
 
+def test_read_problems_rejects_malformed_nested_fields(tmp_path):
+    rec = problem_to_record(generate_task("cycle", 1, seed=5, split="io")[0])
+    no_edges = dict(rec, graph={k: v for k, v in rec["graph"].items()
+                                if k != "edges"})
+    no_kind = dict(rec, answer={k: v for k, v in rec["answer"].items()
+                                if k != "kind"})
+    int_edges = dict(rec, graph=dict(rec["graph"], edges=3))
+    path = tmp_path / "bad.jsonl"
+    for bad, message in ((no_edges, "KeyError: 'edges'"),
+                         (no_kind, "KeyError: 'kind'"),
+                         (int_edges, "TypeError: ")):
+        path.write_text(json.dumps(rec) + "\n" + json.dumps(bad) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            read_problems(str(path))
+        assert str(err.value).startswith(f"{path}: record {rec['id']!r}: ")
+        assert message in str(err.value)
+
+
 def test_write_jsonl_failing_part_way_keeps_the_old_file(tmp_path):
     path = tmp_path / "out.jsonl"
     write_jsonl(str(path), [{"schema": "t-v1", "id": "old"}])

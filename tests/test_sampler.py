@@ -410,12 +410,46 @@ def test_http_request_count_is_exact_under_threads(server):
     assert backend.requests == len(prompts)     # one per cache miss
 
 
-def test_cli_import_does_not_load_requests():
-    # only HttpBackend.generate needs requests; offline stages skip its import
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that finds the package under test."""
     src = os.path.dirname(os.path.dirname(graphcorpus.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, graphcorpus.cli; print('requests' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_package_import_loads_neither_numpy_nor_requests():
+    # only HttpBackend.generate needs requests and only the selector's
+    # numeric code needs numpy; importing the package loads neither
+    out = _fresh_python("import sys, graphcorpus, graphcorpus.cli; "
+                        "print([m for m in ('numpy', 'requests') "
+                        "if m in sys.modules])")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_stages_that_compute_no_vectors_run_without_numpy(tmp_path):
+    # numpy = None in sys.modules makes any import of it raise ImportError
+    code = """if True:
+        import os, sys
+        sys.modules["numpy"] = None
+        from graphcorpus.cli import main
+        root = sys.argv[1]
+        problems = os.path.join(root, "problems.jsonl")
+        paths = os.path.join(root, "paths.jsonl")
+        stub = ["--backend", "stub", "--seed", "3"]
+        for argv in (
+                ["generate", "--tasks", "cycle,shortest", "--count", "2",
+                 "--seed", "3", "--split", "test", "--out", problems],
+                ["annotate", "--problems", problems, "--profile", "augment",
+                 *stub, "--out", paths],
+                ["audit", "--problems", problems, "--paths", paths,
+                 "--out", os.path.join(root, "audit.jsonl")],
+                ["evaluate", "--problems", problems, *stub,
+                 "--out", os.path.join(root, "report")],
+                ["stats", "--problems", problems]):
+            assert main(argv) == 0, argv
+    """
+    out = _fresh_python(code, str(tmp_path))
+    assert out.returncode == 0, out.stderr

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from graphcorpus.errors import InvalidSpecError
@@ -126,6 +127,20 @@ def test_embedding_similarity_bounds():
     assert emb.similarity("same text", "same text") == pytest.approx(1.0)
     other = emb.similarity("alpha beta", "gamma delta")
     assert 0.0 <= other < 1.0
+
+
+def test_vectors_are_memoised_read_only():
+    texts = ["cat dog", "cat fish", "bird", "cat cat dog dog dog"]
+    tfidf, emb = TfidfModel(texts), HashingEmbedder()
+    for memo, fresh in ((tfidf.vector, lambda t: TfidfModel(texts).vector(t)),
+                        (emb.embed, lambda t: HashingEmbedder().embed(t))):
+        for text in texts + ["zebra", ""]:
+            v = memo(text)
+            assert memo(text) is v
+            assert np.array_equal(v, fresh(text))
+            with pytest.raises(ValueError):
+                v *= 2.0
+            assert np.array_equal(memo(text), fresh(text))
 
 
 def test_similarity_dispatcher():
