@@ -46,7 +46,7 @@ class PipelineConfig:
     def resolved_count(self) -> int:
         if self.count is not None:
             return self.count
-        return DEFAULT_COUNTS.get(self.split, DEFAULT_COUNTS["train"])
+        return DEFAULT_COUNTS[self.split]
 
 
 def load_config(path: str | None) -> PipelineConfig:
@@ -64,13 +64,17 @@ def load_config(path: str | None) -> PipelineConfig:
 
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
-    """Set known fields, rejecting unknown keys; None values are skipped."""
+    """Set known fields, rejecting unknown keys and splits; None values are
+    skipped."""
     known = {f.name for f in fields(PipelineConfig)}
     for key, value in overrides.items():
         if key not in known:
             raise InvalidSpecError(f"unknown config key: {key}")
         if value is None:
             continue
+        if key == "split" and value not in list(DEFAULT_COUNTS):
+            raise InvalidSpecError(f"unknown split {value!r}; expected one "
+                                   f"of {list(DEFAULT_COUNTS)}")
         if key == "tasks" and isinstance(value, str):
             value = [t.strip() for t in value.split(",") if t.strip()]
         setattr(cfg, key, value)

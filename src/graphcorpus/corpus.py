@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from typing import Any, Iterable
 
 from .errors import RecordError, SchemaError
-from .graphs import Graph, canonical_key, validate_graph
+from .graphs import Graph, validate_graph
 from .selector import build_dpo_pair
 from .solvers import Answer
 from .textgen import Problem
@@ -116,15 +116,6 @@ def record_to_problem(rec: dict) -> Problem:
         seed=rec.get("seed"),
         text=rec["text"],
     )
-
-
-def problem_signature(p: Problem) -> tuple:
-    """Structural identity: task, graph, and query (patterns canonicalized)."""
-    query = p.query
-    if p.task == "subgraph":
-        query = {"pattern": canonical_key(query["pattern"])}
-    return (p.task, canonical_key(p.graph),
-            tuple(sorted(query.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,6 @@ class InvalidQueryError(GraphCorpusError, ValueError):
     """A query references missing nodes or is otherwise ill-formed."""
 
 
-class ParseError(GraphCorpusError, ValueError):
-    """Problem text could not be parsed; carries the byte offset of the fault."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (at offset {offset})"
-        super().__init__(message)
-        self.offset = offset
-
-
 class BackendError(GraphCorpusError, RuntimeError):
     """A sampling backend failed (auth, transport, request budget)."""
 

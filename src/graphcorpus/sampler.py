@@ -173,9 +173,7 @@ class HttpBackend:
                     texts = [c["message"]["content"] or "" for c in choices]
                 except (ValueError, KeyError, TypeError) as exc:
                     raise BackendError(f"malformed response body: {exc}") from exc
-                texts = texts[: profile.n]
-                texts += [""] * (profile.n - len(texts))
-                return texts
+                return texts[: profile.n]
             if resp.status_code in self.RETRY_STATUSES:
                 last = f"status {resp.status_code}"
                 continue
@@ -267,6 +265,8 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
 
     max_requests caps the number of backend calls (cache hits are free); the
     cap is checked up front so a too-large batch fails before spending money.
+    A reply with fewer than profile.n texts is padded with "" and not
+    cached, so the next run asks for that prompt again.
     """
     if profile.n < 1:
         raise InvalidSpecError("profile.n must be at least 1")
@@ -290,12 +290,12 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
 
     def fetch(i: int) -> None:
         texts = backend.generate(prompts[i], profile)
-        if cache is not None:
+        if cache is not None and len(texts) >= profile.n:
             cache.put(shas[i], profile, texts, backend.identity)
-        results[i] = texts
+        results[i] = texts + [""] * (profile.n - len(texts))
 
     if misses:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             for _ in pool.map(fetch, misses):
                 pass
-    return [r for r in results if r is not None]
+    return results

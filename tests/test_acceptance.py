@@ -31,13 +31,14 @@ from graphcorpus.solvers import (find_subgraph, hamilton_path, has_cycle,
                                  max_triangle_sum, shortest_path, solve,
                                  topo_sort)
 from graphcorpus.tasks import TASK_ORDER, TASKS
-from graphcorpus.textgen import TEMPLATES, Problem, parse_problem
+from graphcorpus.textgen import TEMPLATES, Problem
 from graphcorpus.transcripts import make_transcript
 
 from oracles import (oracle_bipartite, oracle_connect,
                      oracle_cycle, oracle_flow, oracle_hamilton,
                      oracle_shortest, oracle_subgraph,
                      oracle_topo_orders, oracle_triangle)
+from textparse import parse_problem
 
 RUNS = 200          # oracle comparisons per task
 DENSITIES = (0.15, 0.3, 0.5)

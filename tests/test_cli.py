@@ -288,6 +288,19 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
         assert not (tmp_path / "x.jsonl").exists()
 
 
+def test_unknown_split_in_config_exits_two(tmp_path, capsys):
+    # the --split flag accepts only train and test; a config file may not
+    # smuggle in another split that silently takes the train count
+    for split in ("valid", ["test"]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"split": split, "tasks": "cycle"}))
+        rc = main(["generate", "--config", str(cfg),
+                   "--out", str(tmp_path / "x.jsonl")])
+        assert rc == 2, split
+        assert f"unknown split {split!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_jobs_flag_only_on_sampling_stages():
     parser = build_parser()
     for stage in ("annotate", "dpo", "evaluate"):

@@ -6,15 +6,16 @@ import pytest
 from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
                                 PROBLEMS_SCHEMA, SFT_SCHEMA,
                                 assemble_dpo, assemble_sft, compute_stats,
-                                format_stats, problem_signature,
-                                problem_to_record, read_jsonl, read_problems,
-                                record_to_problem, write_jsonl,
+                                format_stats, problem_to_record, read_jsonl,
+                                read_problems, record_to_problem, write_jsonl,
                                 write_problems)
 from graphcorpus.errors import RecordError, SchemaError
 from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.graphs import Graph
 from graphcorpus.solvers import Answer, solve
 from graphcorpus.textgen import Problem, render_problem
+
+from textparse import problem_signature
 
 
 def _make(task, g, query=None, pid="p0", tier=None, seed=7):

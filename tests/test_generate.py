@@ -12,10 +12,12 @@ from graphcorpus.graphs import canonical_key, validate_graph
 from graphcorpus.solvers import solve
 from graphcorpus.tasks import (DENSITIES, DENSITIES_DIRECTED, TASK_ORDER,
                                TASKS, build_tiers)
-from graphcorpus.textgen import parse_problem, render_problem
+from graphcorpus.textgen import render_problem
 from graphcorpus.transcripts import make_transcript
 
+import textparse
 from oracles import NODE_LIMIT, OracleLimitError, oracle_solve
+from textparse import parse_problem
 
 BINARY = [t for t in TASK_ORDER if TASKS[t].answer_kind == "yes_no"]
 
@@ -23,7 +25,7 @@ BINARY = [t for t in TASK_ORDER if TASKS[t].answer_kind == "yes_no"]
 def test_every_task_table_covers_exactly_the_task_order():
     assert list(TASKS) == TASK_ORDER
     for table in (generate._BUILDERS, solvers._SOLVE, textgen.TEMPLATES,
-                  dict(textgen._QUESTIONS)):
+                  dict(textparse._QUESTIONS)):
         assert list(table) == TASK_ORDER
 
 

@@ -7,7 +7,9 @@ from graphcorpus.grader import (Answer, ExtractionFailure, Verdict, Violation,
 from graphcorpus.graphs import Graph
 from graphcorpus.solvers import solve
 from graphcorpus.tasks import TASK_ORDER
-from graphcorpus.textgen import TEMPLATES, Problem, parse_problem
+from graphcorpus.textgen import TEMPLATES, Problem
+
+from textparse import parse_problem
 
 
 def _problem(task, g, query=None, answer=None):

@@ -1,0 +1,106 @@
+"""Stored answers agree with networkx at full test-split node ranges.
+
+The brute-force oracles stop at about 10 nodes; networkx does not, so this
+compares every stored answer of a seeded test split (graphs of up to 99
+nodes) with an independent implementation. Hamilton has no polynomial
+reference: "yes" answers are checked through their witness, "no" answers
+by the oracle up to its node limit and not at all above it.
+"""
+
+from itertools import takewhile
+
+import networkx as nx
+import pytest
+from networkx.algorithms.isomorphism import DiGraphMatcher
+
+from graphcorpus.generate import generate_corpus
+from graphcorpus.grader import check_witness
+from graphcorpus.tasks import TASK_ORDER
+
+from oracles import HAMILTON_LIMIT, oracle_hamilton
+
+PER_TASK = 10
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return generate_corpus(None, PER_TASK, split="test", seed=11)
+
+
+def _nx(g):
+    h = nx.DiGraph() if g.directed else nx.Graph()
+    h.add_nodes_from(range(g.num_nodes))
+    for u, v, *w in g.edges:
+        h.add_edge(u, v, weight=w[0] if w else 1)
+    return h
+
+
+def _cycle(p, h):
+    return p.answer.value == (not nx.is_forest(h))
+
+
+def _connect(p, h):
+    return p.answer.value == nx.has_path(h, p.query["u"], p.query["v"])
+
+
+def _bipartite(p, h):
+    return p.answer.value == nx.is_bipartite(h.to_undirected())
+
+
+def _topology(p, h):
+    if not nx.is_directed_acyclic_graph(h):
+        return p.answer.kind == "none_exists"
+    order = p.answer.value
+    pos = {node: i for i, node in enumerate(order)}
+    return (p.answer.kind == "sequence" and sorted(order) == list(h)
+            and all(pos[u] < pos[v] for u, v in h.edges))
+
+
+def _shortest(p, h):
+    u, v = p.query["u"], p.query["v"]
+    if not nx.has_path(h, u, v):
+        return p.answer.kind == "none_exists"
+    return p.answer.value == nx.dijkstra_path_length(h, u, v)
+
+
+def _triangle(p, h):
+    weights = p.graph.node_weights
+    sums = [sum(weights[n] for n in c)
+            for c in takewhile(lambda c: len(c) <= 3, nx.enumerate_all_cliques(h))
+            if len(c) == 3]
+    if not sums:
+        return p.answer.kind == "none_exists"
+    return p.answer.value == max(sums)
+
+
+def _flow(p, h):
+    return p.answer.value == nx.maximum_flow_value(
+        h, p.query["s"], p.query["t"], capacity="weight")
+
+
+def _hamilton(p, h):
+    if p.answer.value:
+        return check_witness(p, p.answer)
+    return p.graph.num_nodes > HAMILTON_LIMIT or not oracle_hamilton(p.graph)
+
+
+def _subgraph(p, h):
+    matcher = DiGraphMatcher(h, _nx(p.query["pattern"]))
+    return p.answer.value == matcher.subgraph_is_monomorphic()
+
+
+CHECKS = {"cycle": _cycle, "connect": _connect, "bipartite": _bipartite,
+          "topology": _topology, "shortest": _shortest, "triangle": _triangle,
+          "flow": _flow, "hamilton": _hamilton, "subgraph": _subgraph}
+
+
+def test_checks_cover_every_task():
+    assert list(CHECKS) == TASK_ORDER
+
+
+@pytest.mark.parametrize("task", TASK_ORDER)
+def test_stored_answers_match_networkx(corpus, task):
+    problems = [p for p in corpus if p.task == task]
+    assert len(problems) == PER_TASK
+    wrong = [p.id for p in problems if not CHECKS[task](p, _nx(p.graph))]
+    assert wrong == []

@@ -395,8 +395,23 @@ def test_http_pads_missing_choices(server):
     base, handler = server
     handler.script.append((200, _choices("only one")))
     backend = HttpBackend(base, "m")
-    out = backend.generate("x", SampleProfile("three", 3, 0.9))
-    assert out == ["only one", "", ""]
+    out = sample(["x"], SampleProfile("three", 3, 0.9), backend)
+    assert out == [["only one", "", ""]]
+
+
+def test_short_reply_is_requested_again(tmp_path, server):
+    # a padded reply is not cached, so the next run asks the server again
+    base, handler = server
+    handler.script += [(200, _choices("only one")),
+                       (200, _choices("a", "b", "c"))]
+    profile = SampleProfile("three", 3, 0.9)
+    path = str(tmp_path / "cache.jsonl")
+    first = sample(["x"], profile, HttpBackend(base, "m"), cache=Cache(path))
+    second = sample(["x"], profile, HttpBackend(base, "m"), cache=Cache(path))
+    third = sample(["x"], profile, HttpBackend(base, "m"), cache=Cache(path))
+    assert first == [["only one", "", ""]]
+    assert second == third == [["a", "b", "c"]]
+    assert len(handler.seen) == 2
 
 
 def test_http_request_count_is_exact_under_threads(server):
@@ -421,9 +436,10 @@ def _fresh_python(code, *args):
 
 def test_package_import_loads_neither_numpy_nor_requests():
     # only HttpBackend.generate needs requests and only the selector's
-    # numeric code needs numpy; importing the package loads neither
+    # numeric code needs numpy; importing the package loads neither, and
+    # networkx, a test-only dependency, never
     out = _fresh_python("import sys, graphcorpus, graphcorpus.cli; "
-                        "print([m for m in ('numpy', 'requests') "
+                        "print([m for m in ('numpy', 'requests', 'networkx') "
                         "if m in sys.modules])")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

@@ -2,14 +2,15 @@ from pathlib import Path
 
 import pytest
 
-from graphcorpus.errors import InvalidSpecError, ParseError
+from graphcorpus.errors import InvalidSpecError
 from graphcorpus.grader import extract_answer, is_topo_order
 from graphcorpus.graphs import Graph
 from graphcorpus.solvers import Answer, solve
 from graphcorpus.textgen import (ALPACA_PREFIX, TEMPLATES, ZERO_SHOT_SUFFIX,
                                  build_cot_prompt, estimate_tokens,
-                                 parse_problem, render_problem,
-                                 wrap_instruction)
+                                 render_problem, wrap_instruction)
+
+from textparse import ParseError, parse_problem
 
 GOLDEN = Path(__file__).parent / "golden"
 
