@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import ClassVar
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 from .errors import InvalidSpecError
 from .tasks import TASK_ORDER
@@ -63,10 +63,24 @@ def load_config(path: str | None) -> PipelineConfig:
     return apply_overrides(cfg, data)
 
 
+def _has_type(value: object, hint: object) -> bool:
+    """Whether value fits the annotation: a bool is not an int, an int is a
+    float, and a union takes any of its members."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint in (int, str):
+        return isinstance(value, hint) and not isinstance(value, bool)
+    if get_origin(hint) is list:
+        item, = get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    return any(_has_type(value, h) for h in get_args(hint))
+
+
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
-    """Set known fields, rejecting unknown keys and splits; None values are
-    skipped."""
-    known = {f.name for f in fields(PipelineConfig)}
+    """Set known fields, rejecting unknown keys and splits and values of the
+    wrong type; None values are skipped."""
+    known = {f.name: f.type for f in fields(PipelineConfig)}
+    hints = get_type_hints(PipelineConfig)
     for key, value in overrides.items():
         if key not in known:
             raise InvalidSpecError(f"unknown config key: {key}")
@@ -77,5 +91,8 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
                                    f"of {list(DEFAULT_COUNTS)}")
         if key == "tasks" and isinstance(value, str):
             value = [t.strip() for t in value.split(",") if t.strip()]
+        if not _has_type(value, hints[key]):
+            raise InvalidSpecError(f"config key {key} expects {known[key]}, "
+                                   f"got {value!r}")
         setattr(cfg, key, value)
     return cfg

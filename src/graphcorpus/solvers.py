@@ -3,6 +3,8 @@
 Every solver returns an Answer whose witness, when present, passes the
 grader's independent validity check. hamilton_path may return None (unknown)
 when its search budget runs out; callers regenerate such instances.
+max_flow is Edmonds-Karp, and its min-cut witness is the node set that its
+last, failing search reaches from the source.
 """
 
 from __future__ import annotations
@@ -28,19 +30,20 @@ def _check_node(g: Graph, node: int, label: str) -> None:
         raise InvalidQueryError(f"{label}={node} outside [0,{g.num_nodes - 1}]")
 
 
-def _require_undirected(g: Graph, task: str) -> None:
-    if g.directed:
-        raise GraphKindError(f"{task} expects an undirected graph")
-
-
-def _require_directed(g: Graph, task: str) -> None:
-    if not g.directed:
-        raise GraphKindError(f"{task} expects a directed graph")
+def _require_kind(g: Graph, task: str) -> None:
+    """Reject a graph whose directedness or node weights do not match the
+    task's TaskInfo."""
+    info = get_task(task)
+    if g.directed != info.directed:
+        kind = "a directed" if info.directed else "an undirected"
+        raise GraphKindError(f"{task} expects {kind} graph")
+    if info.node_weighted and g.node_weights is None:
+        raise GraphKindError(f"{task} expects node weights")
 
 
 def has_cycle(g: Graph) -> Answer:
     """Cycle = closed walk over >= 3 distinct nodes. Witness: the node list."""
-    _require_undirected(g, "cycle")
+    _require_kind(g, "cycle")
     adj = g.adjacency
     color = [0] * g.num_nodes          # 0 unseen, 1 on stack, 2 done
     parent = [-1] * g.num_nodes
@@ -77,7 +80,7 @@ def has_cycle(g: Graph) -> Answer:
 
 def is_connected(g: Graph, u: int, v: int) -> Answer:
     """Path existence between u and v. Witness: one path as a node list."""
-    _require_undirected(g, "connect")
+    _require_kind(g, "connect")
     _check_node(g, u, "u")
     _check_node(g, v, "v")
     if u == v:
@@ -150,7 +153,7 @@ def is_bipartite(g: Graph) -> Answer:
 
 def topo_sort(g: Graph) -> Answer:
     """Lexicographically smallest topological order; none_exists on a cycle."""
-    _require_directed(g, "topology")
+    _require_kind(g, "topology")
     indeg = [0] * g.num_nodes
     adj = g.adjacency
     for _, v in g.edge_pairs:
@@ -172,7 +175,7 @@ def topo_sort(g: Graph) -> Answer:
 
 def shortest_path(g: Graph, u: int, v: int) -> Answer:
     """Dijkstra over positive integer weights. Witness: one optimal path."""
-    _require_undirected(g, "shortest")
+    _require_kind(g, "shortest")
     _check_node(g, u, "u")
     _check_node(g, v, "v")
     if u == v:
@@ -208,9 +211,7 @@ def shortest_path(g: Graph, u: int, v: int) -> Answer:
 
 def max_triangle_sum(g: Graph) -> Answer:
     """Maximum node-weight sum over triangles. Witness: the best triple."""
-    _require_undirected(g, "triangle")
-    if g.node_weights is None:
-        raise GraphKindError("triangle expects node weights")
+    _require_kind(g, "triangle")
     nw = g.node_weights
     neighbor_sets = [set(a) for a in g.adjacency]
     best_sum = -1
@@ -228,81 +229,48 @@ def max_triangle_sum(g: Graph) -> Answer:
 
 
 def max_flow(g: Graph, s: int, t: int) -> Answer:
-    """Dinic's algorithm on integer capacities.
+    """Edmonds-Karp on integer capacities: push each breadth-first
+    shortest path's bottleneck until the sink is out of reach.
 
-    Witness: sorted source side of a minimum cut (its capacity equals the
-    flow value by max-flow/min-cut).
+    Witness: the sorted nodes that the last, failing search reached. They
+    are the source side of a minimum cut (its capacity equals the flow
+    value), and the smallest one, so every maximum flow gives the same set.
     """
-    _require_directed(g, "flow")
+    _require_kind(g, "flow")
     _check_node(g, s, "s")
     _check_node(g, t, "t")
     if s == t:
         raise InvalidQueryError("flow query needs distinct source and sink")
-    n = g.num_nodes
-    to: list[int] = []
-    cap: list[int] = []
-    head: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(a: int, b: int, c: int) -> None:
-        head[a].append(len(to))
-        to.append(b)
-        cap.append(c)
-        head[b].append(len(to))
-        to.append(a)
-        cap.append(0)
-
-    for (a, b), c in g.weight_map.items():
-        add_edge(a, b, c)
-
+    residual = dict(g.weight_map)
+    nbrs: list[set[int]] = [set() for _ in range(g.num_nodes)]
+    for a, b in g.weight_map:
+        residual.setdefault((b, a), 0)
+        nbrs[a].add(b)
+        nbrs[b].add(a)
     total = 0
     while True:
-        level = [-1] * n
-        level[s] = 0
+        parent = {s: s}
         frontier = [s]
-        while frontier:
+        while frontier and t not in parent:
             nxt_frontier = []
             for node in frontier:
-                for idx in head[node]:
-                    if cap[idx] > 0 and level[to[idx]] == -1:
-                        level[to[idx]] = level[node] + 1
-                        nxt_frontier.append(to[idx])
+                for nxt in nbrs[node]:
+                    if nxt not in parent and residual[node, nxt] > 0:
+                        parent[nxt] = node
+                        nxt_frontier.append(nxt)
             frontier = nxt_frontier
-        if level[t] == -1:
-            break
-        it = [0] * n
-
-        def augment(node: int, limit: int) -> int:
-            if node == t:
-                return limit
-            while it[node] < len(head[node]):
-                idx = head[node][it[node]]
-                nxt = to[idx]
-                if cap[idx] > 0 and level[nxt] == level[node] + 1:
-                    pushed = augment(nxt, min(limit, cap[idx]))
-                    if pushed:
-                        cap[idx] -= pushed
-                        cap[idx ^ 1] += pushed
-                        return pushed
-                it[node] += 1
-            return 0
-
-        while True:
-            pushed = augment(s, 1 << 60)
-            if not pushed:
-                break
-            total += pushed
-
-    reachable = {s}
-    frontier = [s]
-    while frontier:
-        nxt_frontier = []
-        for node in frontier:
-            for idx in head[node]:
-                if cap[idx] > 0 and to[idx] not in reachable:
-                    reachable.add(to[idx])
-                    nxt_frontier.append(to[idx])
-        frontier = nxt_frontier
-    return Answer("numeric", total, witness=sorted(reachable))
+        if t not in parent:
+            return Answer("numeric", total, witness=sorted(parent))
+        path = []
+        node = t
+        while node != s:
+            path.append((parent[node], node))
+            node = parent[node]
+        pushed = min(residual[pair] for pair in path)
+        for a, b in path:
+            residual[a, b] -= pushed
+            residual[b, a] += pushed
+        total += pushed
 
 
 def _hamilton_dp(g: Graph) -> Answer:
@@ -387,7 +355,7 @@ def hamilton_path(g: Graph, *, budget: int = HAMILTON_BUDGET,
     Exact DP up to dp_limit nodes, degree-pruned backtracking beyond. A yes
     answer always carries the path as its witness.
     """
-    _require_undirected(g, "hamilton")
+    _require_kind(g, "hamilton")
     n = g.num_nodes
     if n >= 2 and len(reachable(g, 0)) < n:
         return Answer("yes_no", False)
@@ -401,7 +369,7 @@ def find_subgraph(g: Graph, pattern: Graph) -> Answer:
 
     Extra host edges are allowed. Witness: {pattern node: host node}.
     """
-    _require_directed(g, "subgraph")
+    _require_kind(g, "subgraph")
     if not pattern.directed:
         raise GraphKindError("subgraph pattern must be directed")
     if pattern.num_nodes > g.num_nodes:

@@ -16,6 +16,7 @@ from graphcorpus.graphs import Graph
 NODE_LIMIT = 10
 TOPOLOGY_LIMIT = 8
 HAMILTON_LIMIT = 9
+HAMILTON_DP_LIMIT = 16
 PATTERN_LIMIT = 6
 
 
@@ -172,6 +173,26 @@ def oracle_hamilton(g: Graph) -> bool:
         if all((order[i], order[i + 1]) in adj for i in range(len(order) - 1)):
             return True
     return False
+
+
+def oracle_hamilton_dp(g: Graph) -> bool:
+    """Held-Karp style subset DP: ends[mask] holds, as a bit set, each node
+    v in mask such that some path visits exactly mask and stops at v. It is
+    filled by looking back from v at the path over mask without v."""
+    _guard(g, HAMILTON_DP_LIMIT)
+    n = g.num_nodes
+    nbr_bits = [0] * n
+    for u, v in _adjacent(g):
+        nbr_bits[v] |= 1 << u
+    ends = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        found = 0
+        for v in range(n):
+            bit = 1 << v
+            if mask & bit and (mask == bit or nbr_bits[v] & ends[mask ^ bit]):
+                found |= bit
+        ends[mask] = found
+    return ends[-1] != 0
 
 
 def oracle_subgraph(pattern: Graph, host: Graph) -> bool:

@@ -5,9 +5,11 @@ import re
 import pytest
 
 from graphcorpus.cli import build_parser, main
+from graphcorpus.config import PipelineConfig, apply_overrides
 from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
                                 SFT_SCHEMA, read_jsonl, read_problems,
                                 write_jsonl)
+from graphcorpus.errors import InvalidSpecError
 from graphcorpus.grader import judge
 from graphcorpus.graphs import canonical_key
 from graphcorpus.transcripts import make_transcript
@@ -299,6 +301,29 @@ def test_unknown_split_in_config_exits_two(tmp_path, capsys):
         assert rc == 2, split
         assert f"unknown split {split!r}" in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
+
+
+@pytest.mark.parametrize("key,value", [("count", "2"), ("seed", "abc"),
+                                       ("count", True)])
+def test_mistyped_config_value_exits_two(tmp_path, capsys, key, value):
+    # a string is not a count or a seed, and a JSON bool is not an int
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tasks": "cycle", "count": 1, key: value}))
+    rc = main(["generate", "--config", str(cfg),
+               "--out", str(tmp_path / "x.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config key {key} expects int")
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+def test_config_values_of_field_type_are_accepted():
+    cfg = apply_overrides(PipelineConfig(), {
+        "tasks": ["cycle", "flow"], "beta": 1, "stub_error_rate": 0.5,
+        "count": 3, "profile": "initial"})
+    assert (cfg.tasks, cfg.beta, cfg.count) == (["cycle", "flow"], 1, 3)
+    with pytest.raises(InvalidSpecError, match="tasks expects list"):
+        apply_overrides(PipelineConfig(), {"tasks": ["cycle", 2]})
 
 
 def test_jobs_flag_only_on_sampling_stages():

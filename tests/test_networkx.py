@@ -3,21 +3,23 @@
 The brute-force oracles stop at about 10 nodes; networkx does not, so this
 compares every stored answer of a seeded test split (graphs of up to 99
 nodes) with an independent implementation. Hamilton has no polynomial
-reference: "yes" answers are checked through their witness, "no" answers
-by the oracle up to its node limit and not at all above it.
+reference: answers on up to 16 nodes are checked by the oracle's subset
+DP, larger "yes" answers through their witness, and larger "no" answers
+not at all.
 """
 
 from itertools import takewhile
 
 import networkx as nx
 import pytest
+from networkx.algorithms.flow import preflow_push
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from graphcorpus.generate import generate_corpus
 from graphcorpus.grader import check_witness
 from graphcorpus.tasks import TASK_ORDER
 
-from oracles import HAMILTON_LIMIT, oracle_hamilton
+from oracles import HAMILTON_DP_LIMIT, oracle_hamilton_dp
 
 PER_TASK = 10
 
@@ -74,14 +76,23 @@ def _triangle(p, h):
 
 
 def _flow(p, h):
-    return p.answer.value == nx.maximum_flow_value(
-        h, p.query["s"], p.query["t"], capacity="weight")
+    # The witness is the source side reachable in the residual network, the
+    # same set for every maximum flow. nx.minimum_cut is no reference: its
+    # partition is the largest source side.
+    s = p.query["s"]
+    residual = preflow_push(h, s, p.query["t"], capacity="weight")
+    open_edges = nx.DiGraph((u, v) for u, v, a in residual.edges(data=True)
+                            if a["capacity"] - a["flow"] > 0)
+    open_edges.add_node(s)
+    return (p.answer.value == residual.graph["flow_value"]
+            and p.answer.witness == sorted(nx.descendants(open_edges, s) | {s}))
 
 
 def _hamilton(p, h):
-    if p.answer.value:
-        return check_witness(p, p.answer)
-    return p.graph.num_nodes > HAMILTON_LIMIT or not oracle_hamilton(p.graph)
+    if p.answer.value and not check_witness(p, p.answer):
+        return False
+    return (p.graph.num_nodes > HAMILTON_DP_LIMIT
+            or p.answer.value == oracle_hamilton_dp(p.graph))
 
 
 def _subgraph(p, h):
@@ -104,3 +115,14 @@ def test_stored_answers_match_networkx(corpus, task):
     assert len(problems) == PER_TASK
     wrong = [p.id for p in problems if not CHECKS[task](p, _nx(p.graph))]
     assert wrong == []
+
+
+def test_hamilton_answers_match_subset_dp_up_to_its_limit():
+    # a wider sample than the fixture, so that "no" answers the
+    # backtracking search produced (over 12 nodes) are checked by the DP
+    problems = [p for p in generate_corpus(["hamilton"], 40, split="test",
+                                           seed=11)
+                if p.graph.num_nodes <= HAMILTON_DP_LIMIT]
+    assert any(not p.answer.value and p.graph.num_nodes > 12
+               for p in problems)
+    assert [p.id for p in problems if not _hamilton(p, None)] == []

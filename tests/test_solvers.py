@@ -16,7 +16,7 @@ from graphcorpus.textgen import Problem
 
 from oracles import (oracle_bipartite, oracle_connect,
                      oracle_cycle, oracle_flow, oracle_hamilton,
-                     oracle_shortest, oracle_subgraph,
+                     oracle_hamilton_dp, oracle_shortest, oracle_subgraph,
                      oracle_topo_orders, oracle_triangle)
 
 
@@ -233,6 +233,22 @@ def test_flow_bottleneck():
     assert max_flow(g, 0, 3).value == 3
 
 
+def test_flow_witness_with_antiparallel_edges():
+    # an edge's capacity must not leak into its partner's residual
+    for edges, witness in ((((0, 1, 1), (1, 0, 5), (1, 2, 5)), [0]),
+                           (((0, 1, 3), (1, 0, 2), (1, 2, 1)), [0, 1])):
+        ans = max_flow(Graph(3, True, edges), 0, 2)
+        assert (ans.value, ans.witness) == (1, witness), edges
+
+
+def test_flow_long_chain():
+    # every edge is a minimum cut; the witness is the smallest source side
+    n = 1500
+    g = Graph(n, True, [(i, i + 1, 1) for i in range(n - 1)])
+    ans = max_flow(g, 0, n - 1)
+    assert (ans.value, ans.witness) == (1, [0])
+
+
 def test_hamilton_trivial_sizes():
     one = hamilton_path(Graph(1, False, []))
     assert one.value is True and one.witness == [0]
@@ -424,6 +440,7 @@ def test_hamilton_matches_oracle():
         ans = hamilton_path(g)
         assert ans is not None
         assert ans.value == oracle_hamilton(g), f"seed {seed}"
+        assert ans.value == oracle_hamilton_dp(g), f"seed {seed}"
         if ans.value:
             assert is_hamilton_path(g, ans.witness), f"seed {seed}"
 
