@@ -24,7 +24,7 @@ import os
 from contextlib import contextmanager
 from typing import Any, Iterable
 
-from .errors import RecordError, SchemaError
+from .errors import InvalidSpecError, RecordError, SchemaError
 from .graphs import Graph, validate_graph
 from .selector import build_dpo_pair
 from .solvers import Answer
@@ -178,8 +178,8 @@ def write_problems(path: str, problems: Iterable[Problem]) -> int:
 
 def read_problems(path: str) -> list[Problem]:
     """Problems of a problems-v1 file; a record whose nested fields do not
-    convert (graph without edges, answer without kind, ...) is a SchemaError
-    naming the file and the record."""
+    convert (graph without edges, answer without kind, ...) or whose id an
+    earlier record has is a SchemaError naming the file and the record."""
     records = read_jsonl(path, PROBLEMS_SCHEMA)
     problems: list[Problem] = []
     try:
@@ -188,6 +188,11 @@ def read_problems(path: str) -> list[Problem]:
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: record {rec['id']!r}: "
                           f"{type(exc).__name__}: {exc}") from exc
+    seen: set[str] = set()
+    for p in problems:
+        if p.id in seen:
+            raise SchemaError(f"{path}: record {p.id!r}: repeated id")
+        seen.add(p.id)
     return problems
 
 
@@ -227,7 +232,10 @@ def assemble_dpo(problems: list[Problem],
                  beta: float | None = None) -> list[dict]:
     """Build DPO rows: grade each path, pair best correct with the hardest
     wrong one, and skip problems where either side is empty. beta is carried
-    in meta for the training consumer."""
+    in meta for the training consumer and must be positive, as in
+    `dpo_loss`."""
+    if beta is not None and not beta > 0:
+        raise InvalidSpecError("beta must be positive")
     by_id = {p.id: p for p in problems}
     rows = []
     for pid in paths:

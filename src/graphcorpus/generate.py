@@ -19,9 +19,9 @@ from dataclasses import replace
 from .config import MAX_ATTEMPTS, REJECTION_ATTEMPTS, TOKEN_BUDGET
 from .errors import InvalidSpecError, StageError
 from .grader import is_hamilton_path
-from .graphs import (Graph, assign_edge_weights, assign_node_weights,
+from .graphs import (Graph, assign_edge_weights, assign_node_weights, bfs,
                      canonical_key, connected_components, generate_dag,
-                     generate_er, reachable, union_find)
+                     generate_er, union_find)
 from .solvers import (Answer, find_subgraph, hamilton_path, has_cycle,
                       is_bipartite, is_connected, max_flow, max_triangle_sum,
                       shortest_path, topo_sort)
@@ -201,7 +201,7 @@ def _gen_flow(tier, desired, rng, transform):
     rng.shuffle(order)
     s = t = None
     for cand in order:
-        reach = sorted(reachable(g, cand) - {cand})
+        reach = sorted(bfs(g.adjacency, cand).keys() - {cand})
         if reach:
             s = cand
             t = reach[rng.randrange(len(reach))]
@@ -330,10 +330,13 @@ def generate_task(task: str, count: int, *, seed: int = 0, split: str = "train",
 def generate_corpus(tasks: list[str] | None, count: int, *, seed: int = 0,
                     split: str = "train",
                     dedupe_keys: set[str] | None = None) -> list[Problem]:
-    """Generate count problems for each task; one shared dedupe key set."""
+    """Generate count problems for each task; one shared dedupe key set.
+    A task named twice is rejected: it would write each id twice."""
     names = list(tasks) if tasks else list(TASK_ORDER)
-    for name in names:
+    for i, name in enumerate(names):
         get_task(name)
+        if name in names[:i]:
+            raise InvalidSpecError(f"task {name} is named twice")
     seen = dedupe_keys if dedupe_keys is not None else set()
     out: list[Problem] = []
     for name in names:

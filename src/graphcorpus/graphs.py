@@ -3,8 +3,10 @@
 Edges are tuples (u, v) or (u, v, weight); undirected edges are stored with
 u < v, and `Graph.key` gives any pair its stored form. A Graph is
 immutable, so its derived views (edge pairs, the edge key set, the weight
-map, adjacency) are computed once per instance and shared; `reachable`
-walks the cached adjacency and `union_find` is the one union-find.
+map, adjacency) are computed once per instance and shared. `bfs` is the
+one breadth-first search (connectivity, bipartite colouring, augmenting
+paths, reachability), `path_to` reads a path off its tree, and
+`union_find` is the one union-find.
 Generators draw from random.Random(seed) in a fixed documented order, so a
 (parameters, seed) pair always yields the same graph.
 """
@@ -77,18 +79,33 @@ class Graph:
         return tuple(map(tuple, adj))
 
 
-def reachable(g: Graph, s: int) -> set[int]:
-    """Nodes reachable from s along out-edges (any edge when undirected),
-    s included."""
-    adj = g.adjacency
-    seen = {s}
-    stack = [s]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+def bfs(adj, s: int, residual: dict | None = None,
+        stop: int | None = None) -> dict[int, int]:
+    """Breadth-first tree from s over the neighbour lists adj: each reached
+    node, in visit order, maps to the node it was reached from (s maps to
+    itself). With residual, a step u -> v needs residual[u, v] > 0. The
+    search returns as soon as it reaches stop."""
+    tree = {s: s}
+    queue = [s]
+    for node in queue:              # the list is the FIFO queue; it grows
+        for nxt in adj[node]:
+            if nxt not in tree and (residual is None
+                                    or residual[node, nxt] > 0):
+                tree[nxt] = node
+                if nxt == stop:
+                    return tree
+                queue.append(nxt)
+    return tree
+
+
+def path_to(tree: dict[int, int], v: int) -> list[int]:
+    """The path from the root of a `bfs`-style tree to v, both included."""
+    path = [v]
+    while tree[v] != v:
+        v = tree[v]
+        path.append(v)
+    path.reverse()
+    return path
 
 
 def validate_graph(g: Graph) -> None:

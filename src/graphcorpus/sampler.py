@@ -128,17 +128,15 @@ class HttpBackend:
     """OpenAI-compatible chat completions client with retry and backoff."""
 
     RETRY_STATUSES = frozenset({429, 500, 502, 503, 504})
+    TIMEOUT = 120.0          # seconds per request
+    MAX_RETRIES = 4
+    BACKOFF = 0.5            # seconds before the first retry, doubling
 
-    def __init__(self, base_url: str, model: str, *, api_key: str | None = None,
-                 timeout: float = 120.0, max_retries: int = 4,
-                 backoff: float = 0.5):
+    def __init__(self, base_url: str, model: str, *, api_key: str | None = None):
         self.url = base_url.rstrip("/") + "/v1/chat/completions"
         self.model = model
         self.identity = f"http url={self.url} model={model}"   # no API key
         self.api_key = api_key
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
         self.requests = 0
         self._count_lock = threading.Lock()
 
@@ -156,24 +154,27 @@ class HttpBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last = "no attempt made"
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(self.MAX_RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(self.BACKOFF * 2 ** (attempt - 1))
             with self._count_lock:
                 self.requests += 1
             try:
                 resp = requests.post(self.url, json=payload,
-                                     headers=headers, timeout=self.timeout)
+                                     headers=headers, timeout=self.TIMEOUT)
             except requests.RequestException as exc:
                 last = f"connection error: {exc}"
                 continue
             if resp.status_code == 200:
                 try:
                     choices = resp.json()["choices"]
-                    texts = [c["message"]["content"] or "" for c in choices]
+                    texts = [c["message"]["content"] for c in choices]
                 except (ValueError, KeyError, TypeError) as exc:
                     raise BackendError(f"malformed response body: {exc}") from exc
-                return texts[: profile.n]
+                if not all(t is None or isinstance(t, str) for t in texts):
+                    raise BackendError("malformed response body: a content "
+                                       "is neither a string nor null")
+                return [t or "" for t in texts[: profile.n]]
             if resp.status_code in self.RETRY_STATUSES:
                 last = f"status {resp.status_code}"
                 continue
@@ -229,8 +230,10 @@ class Cache:
                     texts = rec["texts"]
                 except (ValueError, KeyError, TypeError):
                     raise CacheError(f"{path}:{lineno}: unreadable cache line")
-                if not isinstance(texts, list):
-                    raise CacheError(f"{path}:{lineno}: texts is not a list")
+                if not (isinstance(texts, list)
+                        and all(isinstance(t, str) for t in texts)):
+                    raise CacheError(
+                        f"{path}:{lineno}: texts is not a list of strings")
                 self._store[key] = texts      # last write wins
         if torn:
             os.truncate(path, complete)

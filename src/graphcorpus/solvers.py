@@ -3,8 +3,10 @@
 Every solver returns an Answer whose witness, when present, passes the
 grader's independent validity check. hamilton_path may return None (unknown)
 when its search budget runs out; callers regenerate such instances.
-max_flow is Edmonds-Karp, and its min-cut witness is the node set that its
-last, failing search reaches from the source.
+Connectivity, the bipartite colouring and max flow's augmenting paths all
+use `graphs.bfs`, and every path witness is read off a tree by
+`graphs.path_to`. max_flow is Edmonds-Karp, and its min-cut witness is the
+node set that its last, failing search reaches from the source.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from .config import HAMILTON_BUDGET, HAMILTON_DP_LIMIT
 from .errors import GraphKindError, InvalidQueryError
-from .graphs import Graph, reachable
+from .graphs import Graph, bfs, path_to
 from .tasks import get_task
 
 
@@ -83,27 +85,10 @@ def is_connected(g: Graph, u: int, v: int) -> Answer:
     _require_kind(g, "connect")
     _check_node(g, u, "u")
     _check_node(g, v, "v")
-    if u == v:
-        return Answer("yes_no", True, witness=[u])
-    adj = g.adjacency
-    parent = {u: -1}
-    frontier = [u]
-    while frontier:
-        nxt_frontier = []
-        for node in frontier:
-            for nxt in adj[node]:
-                if nxt in parent:
-                    continue
-                parent[nxt] = node
-                if nxt == v:
-                    path = [v]
-                    while path[-1] != u:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return Answer("yes_no", True, witness=path)
-                nxt_frontier.append(nxt)
-        frontier = nxt_frontier
-    return Answer("yes_no", False)
+    tree = bfs(g.adjacency, u, stop=v)
+    if v not in tree:
+        return Answer("yes_no", False)
+    return Answer("yes_no", True, witness=path_to(tree, v))
 
 
 def is_bipartite(g: Graph) -> Answer:
@@ -117,35 +102,23 @@ def is_bipartite(g: Graph) -> Answer:
         adj[u].append(v)
         adj[v].append(u)
     color = [-1] * g.num_nodes
-    parent = [-1] * g.num_nodes
     for root in range(g.num_nodes):
         if color[root] != -1:
             continue
-        color[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt_frontier = []
-            for node in frontier:
-                for nxt in adj[node]:
-                    if color[nxt] == -1:
-                        color[nxt] = color[node] ^ 1
-                        parent[nxt] = node
-                        nxt_frontier.append(nxt)
-                    elif color[nxt] == color[node] and nxt != node:
-                        up_a = [node]
-                        while up_a[-1] != -1:
-                            up_a.append(parent[up_a[-1]])
-                        up_a.pop()
-                        ancestors = {x: i for i, x in enumerate(up_a)}
-                        walk = nxt
-                        up_b = []
-                        while walk not in ancestors:
-                            up_b.append(walk)
-                            walk = parent[walk]
-                        cycle = up_a[: ancestors[walk] + 1]
-                        cycle.extend(reversed(up_b))
-                        return Answer("yes_no", False, witness=cycle)
-            frontier = nxt_frontier
+        tree = bfs(adj, root)
+        for node, par in tree.items():      # visit order: parents first
+            color[node] = color[par] ^ 1 if node != root else 0
+        # The first edge in visit order inside one colour is the one a
+        # one-pass colouring meets first. It joins two nodes of one BFS
+        # level, whose tree paths part after their last common node a[k-1].
+        for node in tree:
+            side = color[node]
+            for nxt in adj[node]:
+                if color[nxt] == side and nxt != node:
+                    a, b = path_to(tree, node), path_to(tree, nxt)
+                    k = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+                    cycle = a[:k - 1:-1] + b[k - 1:]    # node .. a[k-1] .. nxt
+                    return Answer("yes_no", False, witness=cycle)
     side0 = sorted(i for i in range(g.num_nodes) if color[i] == 0)
     side1 = sorted(i for i in range(g.num_nodes) if color[i] == 1)
     return Answer("yes_no", True, witness=(side0, side1))
@@ -186,7 +159,7 @@ def shortest_path(g: Graph, u: int, v: int) -> Answer:
         adj[a].append((b, w))
         adj[b].append((a, w))
     dist = {u: 0}
-    parent = {u: -1}
+    parent = {u: u}
     done: set[int] = set()
     heap = [(0, u)]
     while heap:
@@ -195,11 +168,7 @@ def shortest_path(g: Graph, u: int, v: int) -> Answer:
             continue
         done.add(node)
         if node == v:
-            path = [v]
-            while path[-1] != u:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return Answer("numeric", d, witness=path)
+            return Answer("numeric", d, witness=path_to(parent, v))
         for nxt, w in adj[node]:
             nd = d + w
             if nxt not in dist or nd < dist[nxt]:
@@ -249,25 +218,13 @@ def max_flow(g: Graph, s: int, t: int) -> Answer:
         nbrs[b].add(a)
     total = 0
     while True:
-        parent = {s: s}
-        frontier = [s]
-        while frontier and t not in parent:
-            nxt_frontier = []
-            for node in frontier:
-                for nxt in nbrs[node]:
-                    if nxt not in parent and residual[node, nxt] > 0:
-                        parent[nxt] = node
-                        nxt_frontier.append(nxt)
-            frontier = nxt_frontier
-        if t not in parent:
-            return Answer("numeric", total, witness=sorted(parent))
-        path = []
-        node = t
-        while node != s:
-            path.append((parent[node], node))
-            node = parent[node]
-        pushed = min(residual[pair] for pair in path)
-        for a, b in path:
+        tree = bfs(nbrs, s, residual, stop=t)
+        if t not in tree:
+            return Answer("numeric", total, witness=sorted(tree))
+        path = path_to(tree, t)
+        steps = list(zip(path, path[1:]))
+        pushed = min(residual[step] for step in steps)
+        for a, b in steps:
             residual[a, b] -= pushed
             residual[b, a] += pushed
         total += pushed
@@ -357,7 +314,7 @@ def hamilton_path(g: Graph, *, budget: int = HAMILTON_BUDGET,
     """
     _require_kind(g, "hamilton")
     n = g.num_nodes
-    if n >= 2 and len(reachable(g, 0)) < n:
+    if n >= 2 and len(bfs(g.adjacency, 0)) < n:
         return Answer("yes_no", False)
     if n <= dp_limit:
         return _hamilton_dp(g)

@@ -6,6 +6,7 @@ what broke without stopping at the first bad instance. Tolerances are
 pinned here and nowhere else.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -198,6 +199,23 @@ def test_criterion_3_default_test_split(default_test_corpus):
     if elapsed >= 600:
         failures.append(f"took {elapsed:.0f}s, budget 600s")
     _verdict(3, "default test split", failures)
+
+
+# sha256 of `graphcorpus generate --split test --seed 0`, recorded on
+# CPython 3.11.7 like tests/test_digests.py. It pins every stored answer and
+# witness of the default test split, on graphs of up to 100 nodes.
+DEFAULT_TEST_SPLIT_SHA256 = (
+    "b8251e9b6c03752e55d4532c277c9eed2a646f9b52ecbf25ce7b71e9350d754b")
+
+
+def test_default_test_split_bytes_are_pinned(default_test_corpus, tmp_path):
+    corpus, _ = default_test_corpus
+    path = tmp_path / "test.jsonl"
+    write_problems(str(path), corpus)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == DEFAULT_TEST_SPLIT_SHA256, (
+        "the default test split changed; a change that means to alter it "
+        "must say so in CHANGES.md and record the new digest here")
 
 
 def test_criterion_4_dpo_loss():

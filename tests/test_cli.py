@@ -46,6 +46,28 @@ def test_generate_dedupe_against(problems_file, tmp_path):
     assert not old & new
 
 
+def test_repeated_task_name_exits_two(tmp_path, capsys):
+    # each copy of the task would write the same ids
+    out = tmp_path / "x.jsonl"
+    rc = main(["generate", "--tasks", "cycle,cycle", "--count", "2",
+               "--out", str(out)])
+    assert rc == 2
+    assert "error: task cycle is named twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_problem_id_exits_two(problems_file, tmp_path, capsys):
+    # select would grade one copy's paths against the other copy's graph
+    lines = problems_file.read_text(encoding="utf-8").splitlines(True)
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    first = json.loads(lines[0])["id"]
+    rc = main(["stats", "--problems", str(doubled)])
+    assert rc == 2
+    assert (f"error: {doubled}: record {first!r}: repeated id"
+            in capsys.readouterr().err)
+
+
 def test_annotate_stub(problems_file, tmp_path, capsys):
     out = tmp_path / "paths.jsonl"
     rc = main(["annotate", "--problems", str(problems_file),
@@ -91,6 +113,17 @@ def test_dpo_reuses_paths(problems_file, tmp_path, capsys):
         assert r["chosen"] != r["rejected"]
         assert r["meta"]["beta"] == 0.2
     assert "preference pairs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("beta", ["-1", "0", "nan"])
+def test_dpo_rejects_beta_that_is_not_positive(problems_file, tmp_path,
+                                               capsys, beta):
+    out = tmp_path / "dpo.jsonl"
+    rc = main(["dpo", "--problems", str(problems_file), "--backend", "stub",
+               "--seed", "3", "--beta", beta, "--out", str(out)])
+    assert rc == 2
+    assert "error: beta must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dpo_samples_when_no_paths(problems_file, tmp_path):

@@ -4,9 +4,9 @@ import pytest
 
 from graphcorpus.errors import GraphInvalidError, InvalidSpecError
 from graphcorpus.graphs import (Graph, assign_edge_weights,
-                                assign_node_weights, canonical_key,
+                                assign_node_weights, bfs, canonical_key,
                                 connected_components, generate_dag,
-                                generate_er, reachable, union_find,
+                                generate_er, path_to, union_find,
                                 validate_graph)
 
 from oracles import oracle_topo_orders
@@ -183,8 +183,66 @@ def test_graph_is_immutable_with_cached_views():
     assert h.adjacency == ((3,), (), (), (0,))
 
 
-def test_reachable_follows_edge_direction():
+def test_bfs_follows_edge_direction():
     g = Graph(5, True, [(0, 1), (1, 2), (3, 1)])
-    assert reachable(g, 0) == {0, 1, 2}
-    assert reachable(g, 2) == {2}
-    assert reachable(Graph(5, False, [(0, 1), (1, 2), (1, 3)]), 2) == {0, 1, 2, 3}
+    assert bfs(g.adjacency, 0) == {0: 0, 1: 0, 2: 1}
+    assert bfs(g.adjacency, 2) == {2: 2}
+    assert set(bfs(Graph(5, False, [(0, 1), (1, 2), (1, 3)]).adjacency, 2)) \
+        == {0, 1, 2, 3}
+
+
+def _levels(adj, s):
+    """Nodes by distance from s, each level in the order a level-by-level
+    search first reaches them."""
+    levels, seen = [[s]], {s}
+    while levels[-1]:
+        nxt = []
+        for node in levels[-1]:
+            for y in adj[node]:
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        levels.append(nxt)
+    return levels
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bfs_visits_in_level_order(seed):
+    g = generate_er(30, 0.08, directed=seed % 2 == 1, seed=seed)
+    levels = _levels(g.adjacency, 0)
+    tree = bfs(g.adjacency, 0)
+    assert list(tree) == [x for level in levels for x in level]
+    for depth, level in enumerate(levels):
+        for node in level:
+            path = path_to(tree, node)       # a shortest path along edges
+            assert len(path) == depth + 1 and path[0] == 0
+            assert all(b in g.adjacency[a] for a, b in zip(path, path[1:]))
+
+
+def test_bfs_stop_keeps_the_parent_of_the_stop_node():
+    g = generate_er(40, 0.1, seed=4)
+    full = bfs(g.adjacency, 0)
+    order = list(full)
+    for i, stop in enumerate(order[1:], 2):
+        tree = bfs(g.adjacency, 0, stop=stop)
+        assert list(tree) == order[:i]        # it returns on reaching stop
+        assert tree[stop] == full[stop]
+        assert path_to(tree, stop) == path_to(full, stop)
+    # the root is never reached, so stopping there searches everything
+    assert bfs(g.adjacency, 0, stop=0) == full
+
+
+def test_bfs_steps_only_along_positive_residual():
+    adj = [[1, 2], [3], [3], []]
+    residual = {(0, 1): 0, (0, 2): 4, (1, 3): 5, (2, 3): 1}
+    assert bfs(adj, 0, residual) == {0: 0, 2: 0, 3: 2}
+    assert bfs(adj, 0, residual, stop=3) == {0: 0, 2: 0, 3: 2}
+    residual[2, 3] = 0
+    assert bfs(adj, 0, residual) == {0: 0, 2: 0}
+
+
+def test_path_to_walks_back_to_the_root():
+    tree = {4: 4, 1: 4, 0: 1, 3: 4}
+    assert path_to(tree, 4) == [4]
+    assert path_to(tree, 0) == [4, 1, 0]
+    assert path_to(tree, 3) == [4, 3]

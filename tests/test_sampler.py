@@ -144,6 +144,17 @@ def test_cache_rejects_unhashable_key_fields(tmp_path):
         assert f"{path}:1: unreadable cache line" in str(err.value)
 
 
+def test_cache_rejects_texts_that_are_not_strings(tmp_path):
+    # such a line would reach the grader as a completion that is no text
+    path = tmp_path / "bad.jsonl"
+    for texts in ("[7]", '["x", null]', '[["x"]]'):
+        path.write_text('{"prompt_sha": "a", "profile": "p3", "texts": '
+                        + texts + "}\n", encoding="utf-8")
+        with pytest.raises(CacheError) as err:
+            Cache(str(path))
+        assert f"{path}:1: texts is not a list of strings" in str(err.value)
+
+
 def test_cache_drops_torn_final_line(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
     cache = Cache(str(path))
@@ -353,29 +364,33 @@ def test_http_success_and_headers(server):
     assert payload["n"] == 2 and payload["temperature"] == 0.7
 
 
-def test_http_retries_transient_errors(server):
+def test_http_retries_transient_errors(server, monkeypatch):
     base, handler = server
     handler.script += [(500, {"err": "boom"}), (429, {"err": "slow down"}),
                        (200, _choices("ok"))]
-    backend = HttpBackend(base, "m", backoff=0.01)
+    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.01)
+    backend = HttpBackend(base, "m")
     assert backend.generate("x", get_profile("eval")) == ["ok"]
     assert backend.requests == 3
 
 
-def test_http_gives_up_after_retries(server):
+def test_http_gives_up_after_retries(server, monkeypatch):
     base, handler = server
     handler.script += [(503, {})] * 3
-    backend = HttpBackend(base, "m", max_retries=2, backoff=0.01)
+    monkeypatch.setattr(HttpBackend, "MAX_RETRIES", 2)
+    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.01)
+    backend = HttpBackend(base, "m")
     with pytest.raises(BackendError) as err:
         backend.generate("x", get_profile("eval"))
     assert "retries exhausted" in str(err.value)
     assert "503" in str(err.value)
 
 
-def test_http_client_errors_do_not_retry(server):
+def test_http_client_errors_do_not_retry(server, monkeypatch):
     base, handler = server
     handler.script.append((401, {"error": "bad key"}))
-    backend = HttpBackend(base, "m", backoff=0.01)
+    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.01)
+    backend = HttpBackend(base, "m")
     with pytest.raises(BackendError) as err:
         backend.generate("x", get_profile("eval"))
     assert err.value.status == 401
@@ -389,6 +404,19 @@ def test_http_rejects_malformed_body(server):
     with pytest.raises(BackendError) as err:
         backend.generate("x", get_profile("eval"))
     assert "malformed response body" in str(err.value)
+
+
+def test_http_rejects_content_that_is_not_text(server):
+    # a null content is an empty completion; a number or a list is no text
+    base, handler = server
+    handler.script += [(200, _choices(None, "b")), (200, _choices("a", 7)),
+                       (200, _choices(["a"]))]
+    backend = HttpBackend(base, "m")
+    assert backend.generate("x", SampleProfile("two", 2, 0.7)) == ["", "b"]
+    for _ in range(2):
+        with pytest.raises(BackendError) as err:
+            backend.generate("x", SampleProfile("two", 2, 0.7))
+        assert "malformed response body" in str(err.value)
 
 
 def test_http_pads_missing_choices(server):
@@ -414,11 +442,12 @@ def test_short_reply_is_requested_again(tmp_path, server):
     assert len(handler.seen) == 2
 
 
-def test_http_request_count_is_exact_under_threads(server):
+def test_http_request_count_is_exact_under_threads(server, monkeypatch):
     base, handler = server
     prompts = [f"prompt {i}" for i in range(64)]
     handler.script += [(200, _choices("ok"))] * len(prompts)
-    backend = HttpBackend(base, "m", timeout=10)
+    monkeypatch.setattr(HttpBackend, "TIMEOUT", 10)
+    backend = HttpBackend(base, "m")
     out = _contended(lambda: sample(prompts, get_profile("eval"), backend,
                                     jobs=8))
     assert out == [["ok"]] * len(prompts)
