@@ -145,8 +145,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         backend = _make_backend(cfg, problems)
         report = run_eval(problems, backend,
                           profile=get_profile(cfg.profile or "eval"),
-                          repeats=cfg.repeats, jobs=cfg.jobs,
-                          cache=_open_cache(cfg))
+                          jobs=cfg.jobs, cache=_open_cache(cfg),
+                          max_requests=cfg.max_requests)
     os.makedirs(args.out, exist_ok=True)
     with open_atomic(os.path.join(args.out, "report.json")) as fh:
         json.dump(report, fh, indent=2)
@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend(p)
     p.add_argument("--problems", required=True)
     p.add_argument("--predictions", help="predictions file; omit to sample")
-    p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=cmd_evaluate)
 
@@ -281,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphCorpusError as exc:
+    except (GraphCorpusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

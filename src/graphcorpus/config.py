@@ -32,7 +32,6 @@ class PipelineConfig:
     cap: int = 5
     beta: float = 0.1
     jobs: int = 1
-    repeats: int = 1
     profile: str | None = None
     backend: str = "stub"
     stub_error_rate: float = 0.0
@@ -77,8 +76,8 @@ def _has_type(value: object, hint: object) -> bool:
 
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
-    """Set known fields, rejecting unknown keys and splits and values of the
-    wrong type; None values are skipped."""
+    """Set known fields, rejecting unknown keys and splits, values of the
+    wrong type and a beta that is not positive; None values are skipped."""
     known = {f.name: f.type for f in fields(PipelineConfig)}
     hints = get_type_hints(PipelineConfig)
     for key, value in overrides.items():
@@ -94,5 +93,7 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
         if not _has_type(value, hints[key]):
             raise InvalidSpecError(f"config key {key} expects {known[key]}, "
                                    f"got {value!r}")
+        if key == "beta" and not value > 0:
+            raise InvalidSpecError("beta must be positive")
         setattr(cfg, key, value)
     return cfg

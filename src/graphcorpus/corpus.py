@@ -147,11 +147,12 @@ def write_jsonl(path: str, records: Iterable[dict]) -> int:
 
 def read_jsonl(path: str, schema: str | None = None) -> list[dict]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:            # a UnicodeDecodeError is a ValueError too
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 rec = json.loads(line)
             except ValueError as exc:
                 raise SchemaError(f"{path}: {exc}", line=lineno) from exc

@@ -1,5 +1,7 @@
 """Accuracy evaluation over prediction files or a live backend.
 
+A backend is sampled once, one answer per problem, and that answer is
+graded like a predictions file, so both give a report of the same shape.
 Scores are computed per task; difficulty groups and the overall number are
 unweighted means over their member tasks, so a task with 40 problems counts
 as much as one with 400. A problem without a prediction counts as wrong; a
@@ -55,55 +57,24 @@ def evaluate(problems: list[Problem], predictions: dict[str, str]) -> dict:
 
 
 def run_eval(problems: list[Problem], backend, *,
-             profile: SampleProfile | None = None, repeats: int = 1,
-             jobs: int = 1, cache=None) -> dict:
-    """Sample the backend over all problems and grade, averaging repeats.
+             profile: SampleProfile | None = None, jobs: int = 1,
+             cache=None, max_requests: int | None = None) -> dict:
+    """Sample one answer per problem from the backend and grade it.
 
-    Repeats only differ when the backend is nondeterministic and uncached;
-    with a cache every repeat replays the first one.
+    The report has the shape of evaluate()'s; max_requests caps backend
+    calls as in sample(), checked before the first one goes out.
     """
-    if repeats < 1:
-        raise RecordError("repeats must be at least 1")
-    profile = profile or get_profile("eval")
     prompts = [wrap_instruction(p.text) for p in problems]
-    reports = []
-    for _ in range(repeats):
-        texts = sample(prompts, profile, backend, cache=cache, jobs=jobs)
-        predictions = {p.id: texts[i][0] for i, p in enumerate(problems)}
-        reports.append(evaluate(problems, predictions))
-    merged = _merge_reports(reports)
-    merged["repeats"] = repeats
-    return merged
-
-
-def _merge_reports(reports: list[dict]) -> dict:
-    if len(reports) == 1:
-        return dict(reports[0])
-    tasks: dict[str, dict] = {}
-    for t in reports[0]["tasks"]:
-        rows = [r["tasks"][t] for r in reports]
-        tasks[t] = {
-            "total": rows[0]["total"],
-            "correct": sum(r["correct"] for r in rows) / len(rows),
-            "extraction_failures": sum(r["extraction_failures"] for r in rows),
-            "missing": sum(r["missing"] for r in rows),
-            "accuracy": sum(r["accuracy"] for r in rows) / len(rows),
-        }
-    groups = {}
-    for name in reports[0]["groups"]:
-        groups[name] = sum(r["groups"][name] for r in reports) / len(reports)
-    overall = sum(r["overall"] for r in reports) / len(reports)
-    return {"tasks": tasks, "groups": groups, "overall": overall,
-            "missing_predictions": sum(r["missing_predictions"] for r in reports)}
+    texts = sample(prompts, profile or get_profile("eval"), backend,
+                   cache=cache, jobs=jobs, max_requests=max_requests)
+    return evaluate(problems, {p.id: t[0] for p, t in zip(problems, texts)})
 
 
 def format_report(report: dict) -> str:
     header = f"{'task':<12}{'total':>8}{'correct':>10}{'accuracy':>10}{'no-parse':>10}"
     lines = [header, "-" * len(header)]
     for t, row in report["tasks"].items():
-        correct = row["correct"]
-        correct_s = f"{correct:.1f}" if isinstance(correct, float) else str(correct)
-        lines.append(f"{t:<12}{row['total']:>8}{correct_s:>10}"
+        lines.append(f"{t:<12}{row['total']:>8}{row['correct']:>10}"
                      f"{row['accuracy']:>9.1%}{row['extraction_failures']:>10}")
     lines.append("-" * len(header))
     for name, acc in report["groups"].items():

@@ -12,6 +12,8 @@ from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
 from graphcorpus.errors import InvalidSpecError
 from graphcorpus.grader import judge
 from graphcorpus.graphs import canonical_key
+from graphcorpus.sampler import StubBackend, get_profile, sample
+from graphcorpus.textgen import wrap_instruction
 from graphcorpus.transcripts import make_transcript
 
 
@@ -118,12 +120,16 @@ def test_dpo_reuses_paths(problems_file, tmp_path, capsys):
 @pytest.mark.parametrize("beta", ["-1", "0", "nan"])
 def test_dpo_rejects_beta_that_is_not_positive(problems_file, tmp_path,
                                                capsys, beta):
+    # the check comes before sampling, so no completion is paid for
     out = tmp_path / "dpo.jsonl"
+    cache = tmp_path / "c.jsonl"
     rc = main(["dpo", "--problems", str(problems_file), "--backend", "stub",
-               "--seed", "3", "--beta", beta, "--out", str(out)])
+               "--seed", "3", "--beta", beta, "--cache", str(cache),
+               "--out", str(out)])
     assert rc == 2
     assert "error: beta must be positive" in capsys.readouterr().err
     assert not out.exists()
+    assert not cache.exists()
 
 
 def test_dpo_samples_when_no_paths(problems_file, tmp_path):
@@ -160,7 +166,57 @@ def test_evaluate_stub_backend(problems_file, tmp_path):
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert report["overall"] == 1.0
-    assert report["repeats"] == 1
+
+
+def test_sampled_report_is_a_predictions_report(problems_file, tmp_path):
+    # grading the stub's sampled answers as a predictions file gives the
+    # same report, key for key and byte for byte
+    problems = read_problems(str(problems_file))
+    backend = StubBackend(problems, error_rate=0.4, seed=3)
+    texts = sample([wrap_instruction(p.text) for p in problems],
+                   get_profile("eval"), backend)
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(str(preds), [
+        {"schema": PREDICTIONS_SCHEMA, "id": p.id, "text": t[0]}
+        for p, t in zip(problems, texts)])
+    reports = {}
+    for name, source in (
+            ("graded", ["--predictions", str(preds)]),
+            ("sampled", ["--backend", "stub", "--stub-error-rate", "0.4",
+                         "--seed", "3"])):
+        out = tmp_path / name
+        rc = main(["evaluate", "--problems", str(problems_file), *source,
+                   "--out", str(out)])
+        assert rc == 0
+        reports[name] = [(out / f).read_bytes()
+                         for f in ("report.json", "report.txt")]
+    assert json.loads(reports["sampled"][0]).keys() == \
+        json.loads(reports["graded"][0]).keys()
+    assert reports["sampled"] == reports["graded"]
+
+
+def test_evaluate_obeys_max_requests(problems_file, tmp_path, capsys,
+                                     monkeypatch):
+    from graphcorpus import cli
+    problems = tmp_path / "two.jsonl"
+    problems.write_text("".join(
+        problems_file.read_text(encoding="utf-8").splitlines(True)[:2]))
+    backends = []
+    make = cli._make_backend
+
+    def recorded(cfg, ps):
+        backends.append(make(cfg, ps))
+        return backends[-1]
+
+    monkeypatch.setattr(cli, "_make_backend", recorded)
+    out = tmp_path / "report"
+    rc = main(["evaluate", "--problems", str(problems), "--backend", "stub",
+               "--max-requests", "1", "--out", str(out)])
+    assert rc == 2
+    assert ("error: batch needs 2 requests but only 1 allowed"
+            in capsys.readouterr().err)
+    assert backends[0].requests == 0
+    assert not out.exists()
 
 
 def test_stats_output(problems_file, tmp_path, capsys):
@@ -303,6 +359,27 @@ def test_failed_report_and_stats_writes_keep_old_files(problems_file,
     assert os.listdir(report) == ["report.json"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["select", "--problems", "{problems}", "--paths", "{tmp}/missing.jsonl",
+      "--out", "{tmp}/sft.jsonl"], "No such file"),
+    (["stats", "--problems", "{tmp}/missing.jsonl"], "No such file"),
+    (["generate", "--config", "{tmp}/nope.json", "--out", "{tmp}/x.jsonl"],
+     "No such file"),
+    (["generate", "--tasks", "cycle", "--count", "1",
+      "--out", "{tmp}/nodir/x.jsonl"], "No such file"),
+    (["stats", "--problems", "{tmp}/latin1.jsonl"], "line 2: "),
+], ids=["select-paths", "stats-problems", "generate-config", "generate-out",
+        "not-utf8"])
+def test_bad_files_exit_two(problems_file, tmp_path, capsys, argv, message):
+    first = problems_file.read_bytes().splitlines(True)[0]
+    (tmp_path / "latin1.jsonl").write_bytes(
+        first + b'{"schema": "problems-v1", "id": "caf\xe9"}\n')
+    argv = [a.format(problems=problems_file, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_unknown_task_exits_two(tmp_path, capsys):
     rc = main(["generate", "--tasks", "maze", "--count", "1",
                "--out", str(tmp_path / "x.jsonl")])
@@ -311,9 +388,10 @@ def test_unknown_task_exits_two(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
-    # the generation limits are constants of config.py, not config keys
+    # the generation limits are constants of config.py, not config keys,
+    # and evaluate samples once, so repeats is no key either
     for key in ("bogus", "token_budget", "max_attempts", "rejection_attempts",
-                "hamilton_budget", "hamilton_dp_limit"):
+                "hamilton_budget", "hamilton_dp_limit", "repeats"):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 1}))
         rc = main(["generate", "--config", str(cfg),

@@ -26,7 +26,7 @@ EXPECTED = {
     "audit.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "report/report.json":
-        "616da068d1b8cf5fc3d2398c1f08857dd6de12db3de9d4888dd03d9483581114",
+        "56455f85822cd6257d8a49869aafee39e70b21fc882bd118e8a6c4335940d5ad",
     "report/report.txt":
         "470276169f3c83e566de3e736f583443cbf0c4905026557498b1440ec63155ba",
 }

@@ -76,22 +76,17 @@ def test_run_eval_with_stub_ground_truth(corpus):
     backend = StubBackend(corpus, error_rate=0.0, seed=1)
     report = run_eval(corpus, backend)
     assert report["overall"] == 1.0
-    assert report["repeats"] == 1
     assert all(row["accuracy"] == 1.0 for row in report["tasks"].values())
 
 
-def test_run_eval_repeats_average(tmp_path, corpus):
+def test_run_eval_cached_equals_uncached(tmp_path, corpus):
     backend = StubBackend(corpus, error_rate=0.5, seed=3)
-    single = run_eval(corpus, backend)
-    tripled = run_eval(corpus, backend, repeats=3)
-    assert tripled["repeats"] == 3
-    # the stub is deterministic per prompt, so repeats replay identically
-    assert tripled["overall"] == pytest.approx(single["overall"])
+    uncached = run_eval(corpus, backend)
     cache = Cache(str(tmp_path / "c.jsonl"))
-    cached = run_eval(corpus, backend, repeats=2, cache=cache)
-    assert cached["overall"] == pytest.approx(single["overall"])
-    with pytest.raises(RecordError):
-        run_eval(corpus, backend, repeats=0)
+    assert run_eval(corpus, backend, cache=cache) == uncached   # fills it
+    sent = backend.requests
+    assert run_eval(corpus, backend, cache=cache) == uncached   # replays it
+    assert backend.requests == sent
 
 
 def test_run_eval_flipped_binary_is_zero():
