@@ -9,6 +9,7 @@ stages produced. Flags override config-file values, which override defaults.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -49,15 +50,24 @@ def _make_backend(cfg: PipelineConfig, problems):
     raise InvalidSpecError(f"unknown backend: {cfg.backend}")
 
 
-def _load_paths(path: str) -> dict[str, list[str]]:
+def _sampling(cfg: PipelineConfig, problems, profile: str) -> dict:
+    """The backend, profile, cache and limits `sample` and `run_eval` take;
+    profile is the stage's default when the config names none."""
+    return {"backend": _make_backend(cfg, problems),
+            "profile": get_profile(cfg.profile or profile),
+            "cache": Cache(cfg.cache) if cfg.cache else None,
+            "jobs": cfg.jobs,
+            "max_requests": cfg.max_requests}
+
+
+def _load_paths(path: str, problems) -> dict[str, list[str]]:
+    known = {p.id for p in problems}
     out: dict[str, list[str]] = {}
     for rec in read_jsonl(path, PATHS_SCHEMA):
+        if rec["id"] not in known:
+            raise RecordError(f"{rec['id']}: paths reference no known problem")
         out.setdefault(rec["id"], []).extend(rec["texts"])
     return out
-
-
-def _open_cache(cfg: PipelineConfig) -> Cache | None:
-    return Cache(cfg.cache) if cfg.cache else None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -76,12 +86,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_annotate(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     problems = read_problems(args.problems)
-    profile = get_profile(cfg.profile or "initial")
-    backend = _make_backend(cfg, problems)
     prompts = [build_cot_prompt(p.task, p.text, shots=cfg.shots)
                for p in problems]
-    texts = sample(prompts, profile, backend, cache=_open_cache(cfg),
-                   jobs=cfg.jobs, max_requests=cfg.max_requests)
+    texts = sample(prompts, **_sampling(cfg, problems, "initial"))
     records = [{"schema": PATHS_SCHEMA, "id": p.id,
                 "prompt_sha": prompt_sha(prompts[i]), "texts": texts[i]}
                for i, p in enumerate(problems)]
@@ -95,14 +102,11 @@ def cmd_select(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     problems = read_problems(args.problems)
     by_id = {p.id: p for p in problems}
-    paths = _load_paths(args.paths)
+    paths = _load_paths(args.paths, problems)
     selected: dict[str, list[str]] = {}
     dropped = 0
     for pid, texts in paths.items():
-        problem = by_id.get(pid)
-        if problem is None:
-            raise RecordError(f"{pid}: paths reference no known problem")
-        correct = [t for t in texts if judge(problem, t).correct]
+        correct = [t for t in texts if judge(by_id[pid], t).correct]
         if not correct:
             dropped += 1
             continue
@@ -119,13 +123,10 @@ def cmd_dpo(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     problems = read_problems(args.problems)
     if args.paths:
-        paths = _load_paths(args.paths)
+        paths = _load_paths(args.paths, problems)
     else:
-        profile = get_profile(cfg.profile or "dpo")
-        backend = _make_backend(cfg, problems)
         prompts = [wrap_instruction(p.text) for p in problems]
-        texts = sample(prompts, profile, backend, cache=_open_cache(cfg),
-                       jobs=cfg.jobs, max_requests=cfg.max_requests)
+        texts = sample(prompts, **_sampling(cfg, problems, "dpo"))
         paths = {p.id: texts[i] for i, p in enumerate(problems)}
     rows = assemble_dpo(problems, paths, beta=cfg.beta)
     write_jsonl(args.out, rows)
@@ -142,11 +143,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                  for rec in read_jsonl(args.predictions, PREDICTIONS_SCHEMA)}
         report = evaluate(problems, preds)
     else:
-        backend = _make_backend(cfg, problems)
-        report = run_eval(problems, backend,
-                          profile=get_profile(cfg.profile or "eval"),
-                          jobs=cfg.jobs, cache=_open_cache(cfg),
-                          max_requests=cfg.max_requests)
+        report = run_eval(problems, **_sampling(cfg, problems, "eval"))
     os.makedirs(args.out, exist_ok=True)
     with open_atomic(os.path.join(args.out, "report.json")) as fh:
         json.dump(report, fh, indent=2)
@@ -173,16 +170,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     problems = read_problems(args.problems)
     by_id = {p.id: p for p in problems}
-    paths = _load_paths(args.paths)
+    paths = _load_paths(args.paths, problems)
     rows = []
     audited = 0
     for pid in sorted(paths):
-        problem = by_id.get(pid)
-        if problem is None:
-            raise RecordError(f"{pid}: paths reference no known problem")
         for k, text in enumerate(paths[pid]):
             audited += 1
-            for v in audit_steps(problem, text):
+            for v in audit_steps(by_id[pid], text):
                 rows.append({"schema": "audit-v1", "id": pid, "path_index": k,
                              "sentence": v.sentence, "kind": v.kind,
                              "detail": v.detail})
@@ -279,6 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a file --out in a missing directory fails before the stage works;
+        # evaluate's --out is a directory the stage creates
+        out_dir = os.path.dirname(getattr(args, "out", None) or "")
+        if (args.command != "evaluate" and out_dir
+                and not os.path.isdir(out_dir)):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    args.out)
         return args.func(args)
     except (GraphCorpusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,13 @@
 """Sampling backends and the caching batch driver.
 
 Two backends share one interface: `StubBackend` fabricates reasoning paths
-offline from the ground truth (deterministic per prompt and sample index),
-`HttpBackend` talks to an OpenAI-compatible chat endpoint. Each backend
-names itself in `identity`. `sample` fans a prompt list out over a thread
-pool, whose `jobs` workers are the only bound on concurrent requests, and
-keeps an append-only JSONL cache so re-runs never pay for the same prompt
-twice.
+offline from the ground truth (deterministic per prompt and sample index)
+for the prompts `wrap_instruction` and `build_cot_prompt` build, and raises
+BackendError for any other; `HttpBackend` talks to an OpenAI-compatible
+chat endpoint. Each backend names itself in `identity`. `sample` fans a
+prompt list out over a thread pool, whose `jobs` workers are the only bound
+on concurrent requests, sizes every reply to the profile's n, and keeps an
+append-only JSONL cache so re-runs never pay for the same prompt twice.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BackendError, CacheError, InvalidSpecError
-from .textgen import Problem
+from .textgen import ALPACA_PREFIX, ZERO_SHOT_SUFFIX, Problem
 from .transcripts import make_transcript
 
 log = logging.getLogger(__name__)
@@ -56,28 +57,13 @@ def prompt_sha(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-_INSTRUCTION = re.compile(r"### Instruction:\n(.*?)\n\n### Response:", re.DOTALL)
-
-
-def _question_of(prompt: str) -> str | None:
-    """Recover the problem text embedded in a prompt."""
-    m = None
-    for m in _INSTRUCTION.finditer(prompt):
-        pass
-    if m is not None:
-        return m.group(1)
-    # few-shot form: the final "Q: ...\nA:" block
-    idx = prompt.rfind("\nQ: ")
-    if idx >= 0:
-        start = idx + 4
-    elif prompt.startswith("Q: "):
-        start = 3
-    else:
-        return None
-    end = prompt.find("\nA:", start)
-    if end >= 0:
-        return prompt[start:end]
-    return None
+# Finds the problem text in the two prompt forms the stages build:
+# wrap_instruction's, and build_cot_prompt's final "Q: ...\nA:" block at any
+# shot count.
+_PROMPT = re.compile(
+    rf"(?:{re.escape(ALPACA_PREFIX)}|.*\nQ: )(.*?)"
+    rf"(?:\n\n### Response:|\nA:(?: {re.escape(ZERO_SHOT_SUFFIX)})?)",
+    re.DOTALL)
 
 
 class StubBackend:
@@ -99,18 +85,11 @@ class StubBackend:
         self.requests = 0
         self._count_lock = threading.Lock()
 
-    def _lookup(self, prompt: str) -> Problem:
-        text = _question_of(prompt)
-        if text is not None and text in self._by_text:
-            return self._by_text[text]
-        # tolerate prompt formats we did not build ourselves
-        hits = [p for t, p in self._by_text.items() if t and t in prompt]
-        if hits:
-            return max(hits, key=lambda p: len(p.text))
-        raise BackendError("stub backend knows no problem for this prompt")
-
     def generate(self, prompt: str, profile: SampleProfile) -> list[str]:
-        problem = self._lookup(prompt)
+        m = _PROMPT.fullmatch(prompt)
+        problem = self._by_text.get(m.group(1)) if m else None
+        if problem is None:
+            raise BackendError("stub backend knows no problem for this prompt")
         with self._count_lock:
             self.requests += 1
         sha = prompt_sha(prompt)
@@ -174,7 +153,7 @@ class HttpBackend:
                 if not all(t is None or isinstance(t, str) for t in texts):
                     raise BackendError("malformed response body: a content "
                                        "is neither a string nor null")
-                return [t or "" for t in texts[: profile.n]]
+                return [t or "" for t in texts]
             if resp.status_code in self.RETRY_STATUSES:
                 last = f"status {resp.status_code}"
                 continue
@@ -242,7 +221,7 @@ class Cache:
     def _key(sha: str, profile: SampleProfile, backend: str) -> tuple:
         return sha, profile.name, profile.temperature, profile.max_tokens, backend
 
-    def lookup(self, sha: str, profile: SampleProfile, backend: str = ""
+    def lookup(self, sha: str, profile: SampleProfile, backend: str
                ) -> list[str] | None:
         got = self._store.get(self._key(sha, profile, backend))
         if got is None or len(got) < profile.n:
@@ -250,7 +229,7 @@ class Cache:
         return got[: profile.n]
 
     def put(self, sha: str, profile: SampleProfile, texts: list[str],
-            backend: str = "") -> None:
+            backend: str) -> None:
         key = self._key(sha, profile, backend)
         line = json.dumps(dict(zip(_KEY_FIELDS, key), texts=texts),
                           ensure_ascii=False)
@@ -268,15 +247,13 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
 
     max_requests caps the number of backend calls (cache hits are free); the
     cap is checked up front so a too-large batch fails before spending money.
-    A reply with fewer than profile.n texts is padded with "" and not
-    cached, so the next run asks for that prompt again.
+    A reply is trimmed to profile.n texts; one with fewer is padded with ""
+    and not cached, so the next run asks for that prompt again.
     """
     if profile.n < 1:
         raise InvalidSpecError("profile.n must be at least 1")
     if jobs < 1:
         raise InvalidSpecError("jobs must be at least 1")
-    if not prompts:
-        return []
     results: list[list[str] | None] = [None] * len(prompts)
     misses: list[int] = []
     shas = [prompt_sha(p) for p in prompts]
@@ -292,13 +269,12 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
             f"batch needs {len(misses)} requests but only {max_requests} allowed")
 
     def fetch(i: int) -> None:
-        texts = backend.generate(prompts[i], profile)
-        if cache is not None and len(texts) >= profile.n:
+        texts = backend.generate(prompts[i], profile)[: profile.n]
+        if cache is not None and len(texts) == profile.n:
             cache.put(shas[i], profile, texts, backend.identity)
         results[i] = texts + [""] * (profile.n - len(texts))
 
-    if misses:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for _ in pool.map(fetch, misses):
-                pass
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for _ in pool.map(fetch, misses):
+            pass
     return results

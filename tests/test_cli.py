@@ -459,6 +459,42 @@ def test_select_rejects_orphan_paths(problems_file, tmp_path, capsys):
     assert "ghost-7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage,work", [("select", "judge"),
+                                        ("audit", "audit_steps")])
+def test_orphan_paths_fail_before_any_grading(problems_file, tmp_path, capsys,
+                                              monkeypatch, stage, work):
+    # the orphan comes after a known problem's paths, and is still found
+    # when the paths file is read, before the first path is graded
+    from graphcorpus import cli
+    known = read_problems(str(problems_file))[0]
+    paths = tmp_path / "paths.jsonl"
+    write_jsonl(str(paths), [
+        {"schema": PATHS_SCHEMA, "id": known.id, "prompt_sha": "x",
+         "texts": ["### Yes."]},
+        {"schema": PATHS_SCHEMA, "id": "ghost-7", "prompt_sha": "x",
+         "texts": ["### Yes."]}])
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a: calls.append(a))
+    rc = main([stage, "--problems", str(problems_file), "--paths", str(paths),
+               "--out", str(tmp_path / "out.jsonl")])
+    assert rc == 2
+    assert ("error: ghost-7: paths reference no known problem"
+            in capsys.readouterr().err)
+    assert calls == []
+
+
+def test_missing_out_directory_fails_before_sampling(problems_file, tmp_path,
+                                                     capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["annotate", "--problems", str(problems_file), "--backend",
+               "stub", "--cache", "c.jsonl", "--out", "nodir/x.jsonl"])
+    assert rc == 2
+    assert not (tmp_path / "c.jsonl").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'nodir/x.jsonl'" in err, err
+    assert ".tmp" not in err
+
+
 def test_http_backend_requires_url(problems_file, tmp_path, capsys):
     rc = main(["annotate", "--problems", str(problems_file),
                "--backend", "http", "--out", str(tmp_path / "x.jsonl")])

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 import graphcorpus
 from graphcorpus.errors import BackendError, CacheError, InvalidSpecError
-from graphcorpus.generate import generate_task
+from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.grader import judge
 from graphcorpus.sampler import (PROFILES, Cache, HttpBackend, SampleProfile,
                                  StubBackend, get_profile, prompt_sha, sample)
@@ -71,23 +72,34 @@ def test_stub_rejects_bad_error_rate(problems):
 
 
 def test_stub_recognizes_prompt_formats(problems):
+    # every prompt the stages build: annotate's chain-of-thought prompts at
+    # any shot count, and dpo's and evaluate's instruction prompts
+    corpus = generate_corpus(None, 2, seed=4, split="test")
+    # a problem text may span lines
     p = problems[0]
-    profile = get_profile("eval")
-    backend = StubBackend(problems, seed=2)
-    for prompt in (wrap_instruction(p.text),
-                   build_cot_prompt("cycle", p.text),
-                   build_cot_prompt("cycle", p.text, shots=0),
-                   p.text,
-                   f"Please answer carefully.\n\n{p.text}\n\nThanks!"):
-        texts = backend.generate(prompt, profile)
-        assert len(texts) == 1
-        assert judge(p, texts[0]).correct
+    corpus.append(replace(p, text=p.text.replace(". ", ".\n", 1)))
+    assert "\n" in corpus[-1].text
+    profile = SampleProfile("two", 2, 0.9)
+    backend = StubBackend(corpus, seed=2)
+    for p in corpus:
+        for prompt in (wrap_instruction(p.text),
+                       *(build_cot_prompt(p.task, p.text, shots=k)
+                         for k in (0, 1, 2))):
+            texts = backend.generate(prompt, profile)
+            assert len(texts) == 2
+            assert all(judge(p, t).correct for t in texts), (p.id, prompt)
 
 
 def test_stub_rejects_unknown_prompt(problems):
+    # a prompt no stage builds names no problem, even one holding its text
+    p = problems[0]
     backend = StubBackend(problems)
-    with pytest.raises(BackendError):
-        backend.generate("what is the capital of France?", get_profile("eval"))
+    for prompt in ("what is the capital of France?",
+                   p.text,
+                   f"Please answer carefully.\n\n{p.text}\n\nThanks!"):
+        with pytest.raises(BackendError):
+            backend.generate(prompt, get_profile("eval"))
+    assert backend.requests == 0
 
 
 # ---------------------------------------------------------------------------
@@ -97,27 +109,30 @@ def test_stub_rejects_unknown_prompt(problems):
 P3 = SampleProfile("p3", 3, 0.5)
 
 
+STUB = "stub error_rate=0.0 seed=0"
+
+
 def test_cache_roundtrip_and_truncation(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = Cache(str(path))
-    assert cache.lookup("abc", P3) is None
-    cache.put("abc", P3, ["one", "two", "three", "four"])
-    assert cache.lookup("abc", P3) == ["one", "two", "three"]
+    assert cache.lookup("abc", P3, STUB) is None
+    cache.put("abc", P3, ["one", "two", "three", "four"], STUB)
+    assert cache.lookup("abc", P3, STUB) == ["one", "two", "three"]
     # fewer stored texts than the profile asks for is a miss
-    cache.put("short", P3, ["only"])
-    assert cache.lookup("short", P3) is None
+    cache.put("short", P3, ["only"], STUB)
+    assert cache.lookup("short", P3, STUB) is None
     # same sha under another profile name is a distinct key
-    assert cache.lookup("abc", SampleProfile("p1", 1, 0.0)) is None
+    assert cache.lookup("abc", SampleProfile("p1", 1, 0.0), STUB) is None
     reloaded = Cache(str(path))
-    assert reloaded.lookup("abc", P3) == ["one", "two", "three"]
+    assert reloaded.lookup("abc", P3, STUB) == ["one", "two", "three"]
 
 
 def test_cache_last_write_wins(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = Cache(str(path))
-    cache.put("k", P3, ["a", "b", "c"])
-    cache.put("k", P3, ["x", "y", "z"])
-    assert Cache(str(path)).lookup("k", P3) == ["x", "y", "z"]
+    cache.put("k", P3, ["a", "b", "c"], STUB)
+    cache.put("k", P3, ["x", "y", "z"], STUB)
+    assert Cache(str(path)).lookup("k", P3, STUB) == ["x", "y", "z"]
 
 
 def test_cache_rejects_corrupt_lines(tmp_path):
@@ -158,20 +173,20 @@ def test_cache_rejects_texts_that_are_not_strings(tmp_path):
 def test_cache_drops_torn_final_line(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
     cache = Cache(str(path))
-    cache.put("a", P3, ["x", "y", "z"])
-    cache.put("b", P3, ["p", "q", "r"])
+    cache.put("a", P3, ["x", "y", "z"], STUB)
+    cache.put("b", P3, ["p", "q", "r"], STUB)
     whole = path.read_bytes()
     # a process killed mid-put leaves part of a line and no newline
     path.write_bytes(whole + b'{"prompt_sha": "c", "profile": "p3", "te')
     with caplog.at_level("WARNING", logger="graphcorpus.sampler"):
         reloaded = Cache(str(path))
     assert "torn final line" in caplog.text and f"{path}:3" in caplog.text
-    assert reloaded.lookup("a", P3) == ["x", "y", "z"]
-    assert reloaded.lookup("b", P3) == ["p", "q", "r"]
-    assert reloaded.lookup("c", P3) is None
+    assert reloaded.lookup("a", P3, STUB) == ["x", "y", "z"]
+    assert reloaded.lookup("b", P3, STUB) == ["p", "q", "r"]
+    assert reloaded.lookup("c", P3, STUB) is None
     assert path.read_bytes() == whole           # fragment truncated away
-    reloaded.put("c", P3, ["1", "2", "3"])
-    assert Cache(str(path)).lookup("c", P3) == ["1", "2", "3"]
+    reloaded.put("c", P3, ["1", "2", "3"], STUB)
+    assert Cache(str(path)).lookup("c", P3, STUB) == ["1", "2", "3"]
 
 
 def test_cache_torn_tail_does_not_excuse_corrupt_lines(tmp_path):
@@ -205,19 +220,17 @@ def test_cache_never_replays_another_backends_completions(tmp_path, problems):
 def test_cache_keys_on_sampling_settings(tmp_path):
     path = tmp_path / "c.jsonl"
     cache = Cache(str(path))
-    cache.put("k", P3, ["a", "b", "c"], "stub error_rate=0.0 seed=0")
-    assert cache.lookup("k", P3, "stub error_rate=0.0 seed=0") == ["a", "b", "c"]
+    cache.put("k", P3, ["a", "b", "c"], STUB)
+    assert cache.lookup("k", P3, STUB) == ["a", "b", "c"]
     assert cache.lookup("k", P3, "stub error_rate=0.0 seed=1") is None
-    assert cache.lookup("k", SampleProfile("p3", 3, 0.9),
-                        "stub error_rate=0.0 seed=0") is None
-    assert cache.lookup("k", SampleProfile("p3", 3, 0.5, 512),
-                        "stub error_rate=0.0 seed=0") is None
+    assert cache.lookup("k", SampleProfile("p3", 3, 0.9), STUB) is None
+    assert cache.lookup("k", SampleProfile("p3", 3, 0.5, 512), STUB) is None
     # a line written before these fields were keyed is a miss, not an error
     path.write_text('{"prompt_sha": "k", "profile": "p3", "texts": ["x", "y", "z"]}\n',
                     encoding="utf-8")
     old = Cache(str(path))
-    assert old.lookup("k", P3) is None
-    assert old.lookup("k", P3, "stub error_rate=0.0 seed=0") is None
+    assert old.lookup("k", P3, "") is None
+    assert old.lookup("k", P3, STUB) is None
 
 
 def test_http_identity_names_url_and_model_not_key():
@@ -271,6 +284,27 @@ def test_sample_budget_checked_up_front(tmp_path, problems):
     # cached prompts are free under the budget
     out = sample(prompts[:3], profile, backend, cache=cache, max_requests=1)
     assert len(out) == 3
+
+
+def test_sample_trims_a_long_reply_before_caching(tmp_path, problems):
+    # a backend that sends more texts than asked for gives the same n
+    # texts cold and warm, and the cache holds only those n
+    class Wordy(StubBackend):
+        def generate(self, prompt, profile):
+            return super().generate(
+                prompt, SampleProfile("more", profile.n + 1, 0.9))
+
+    profile = SampleProfile("two", 2, 0.9)
+    prompts = [wrap_instruction(p.text) for p in problems]
+    path = str(tmp_path / "c.jsonl")
+    backend = Wordy(problems, seed=8)
+    cold = sample(prompts, profile, backend, cache=Cache(path))
+    warm = sample(prompts, profile, backend, cache=Cache(path))
+    assert backend.requests == len(prompts)      # the warm run sent none
+    assert all(len(texts) == 2 for texts in cold)
+    assert warm == cold
+    with open(path, encoding="utf-8") as fh:
+        assert all(len(json.loads(line)["texts"]) == 2 for line in fh)
 
 
 def test_sample_parallel_matches_serial(problems):
