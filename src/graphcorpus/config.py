@@ -77,7 +77,7 @@ def _has_type(value: object, hint: object) -> bool:
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
     """Set known fields, rejecting unknown keys and splits, values of the
-    wrong type and a beta that is not positive; None values are skipped."""
+    wrong type, a beta that is not positive and a cap below 1; skip Nones."""
     known = {f.name: f.type for f in fields(PipelineConfig)}
     hints = get_type_hints(PipelineConfig)
     for key, value in overrides.items():
@@ -95,5 +95,7 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
                                    f"got {value!r}")
         if key == "beta" and not value > 0:
             raise InvalidSpecError("beta must be positive")
+        if key == "cap" and value < 1:
+            raise InvalidSpecError("cap must be at least 1")
         setattr(cfg, key, value)
     return cfg

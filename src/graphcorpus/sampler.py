@@ -3,11 +3,11 @@
 Two backends share one interface: `StubBackend` fabricates reasoning paths
 offline from the ground truth (deterministic per prompt and sample index)
 for the prompts `wrap_instruction` and `build_cot_prompt` build, and raises
-BackendError for any other; `HttpBackend` talks to an OpenAI-compatible
-chat endpoint. Each backend names itself in `identity`. `sample` fans a
-prompt list out over a thread pool, whose `jobs` workers are the only bound
-on concurrent requests, sizes every reply to the profile's n, and keeps an
-append-only JSONL cache so re-runs never pay for the same prompt twice.
+BackendError for any other; `HttpBackend` posts to an OpenAI-compatible
+chat endpoint through the standard library's `urllib.request`. Each backend
+names itself in `identity`. `sample` fans prompts out over `jobs` threads,
+the only bound on concurrent requests, sizes every reply to the profile's
+n, and keeps an append-only JSONL cache so no prompt is paid for twice.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 from .errors import BackendError, CacheError, InvalidSpecError
 from .textgen import ALPACA_PREFIX, ZERO_SHOT_SUFFIX, Problem
@@ -112,6 +113,12 @@ class HttpBackend:
     BACKOFF = 0.5            # seconds before the first retry, doubling
 
     def __init__(self, base_url: str, model: str, *, api_key: str | None = None):
+        try:
+            parts = urlsplit(base_url)    # raises on an unclosed "[" host
+        except ValueError:
+            parts = None
+        if not (parts and parts.scheme in ("http", "https") and parts.hostname):
+            raise InvalidSpecError(f"base URL {base_url!r} is not http(s)://host")
         self.url = base_url.rstrip("/") + "/v1/chat/completions"
         self.model = model
         self.identity = f"http url={self.url} model={model}"   # no API key
@@ -120,7 +127,9 @@ class HttpBackend:
         self._count_lock = threading.Lock()
 
     def generate(self, prompt: str, profile: SampleProfile) -> list[str]:
-        import requests     # deferred: only HTTP stages pay for the import
+        import http.client          # deferred: only HTTP stages pay for these
+        import urllib.error
+        import urllib.request
 
         payload = {
             "model": self.model,
@@ -132,21 +141,28 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        request = urllib.request.Request(self.url, json.dumps(payload).encode(),
+                                         headers)
         last = "no attempt made"
         for attempt in range(self.MAX_RETRIES + 1):
             if attempt:
                 time.sleep(self.BACKOFF * 2 ** (attempt - 1))
             with self._count_lock:
                 self.requests += 1
+            # IncompleteRead (a body cut short) and a bad header are no OSError
             try:
-                resp = requests.post(self.url, json=payload,
-                                     headers=headers, timeout=self.TIMEOUT)
-            except requests.RequestException as exc:
+                try:
+                    resp = urllib.request.urlopen(request, timeout=self.TIMEOUT)
+                except urllib.error.HTTPError as err:
+                    resp = err        # a reply that is not 2xx reads the same
+                with resp:
+                    status, data = resp.status, resp.read()
+            except (OSError, ValueError, http.client.HTTPException) as exc:
                 last = f"connection error: {exc}"
                 continue
-            if resp.status_code == 200:
+            if status == 200:
                 try:
-                    choices = resp.json()["choices"]
+                    choices = json.loads(data)["choices"]
                     texts = [c["message"]["content"] for c in choices]
                 except (ValueError, KeyError, TypeError) as exc:
                     raise BackendError(f"malformed response body: {exc}") from exc
@@ -154,12 +170,11 @@ class HttpBackend:
                     raise BackendError("malformed response body: a content "
                                        "is neither a string nor null")
                 return [t or "" for t in texts]
-            if resp.status_code in self.RETRY_STATUSES:
-                last = f"status {resp.status_code}"
+            if status in self.RETRY_STATUSES:
+                last = f"status {status}"
                 continue
-            raise BackendError(
-                f"backend rejected the request: {resp.text[:200]}",
-                status=resp.status_code)
+            raise BackendError("backend rejected the request: " + data.decode(
+                "utf-8", "replace")[:200], status=status)
         raise BackendError(f"retries exhausted ({last})")
 
 

@@ -305,20 +305,19 @@ def _hamilton_backtrack(g: Graph, budget: int) -> Answer | None:
     return Answer("yes_no", False)
 
 
-def hamilton_path(g: Graph, *, budget: int = HAMILTON_BUDGET,
-                  dp_limit: int = HAMILTON_DP_LIMIT) -> Answer | None:
+def hamilton_path(g: Graph) -> Answer | None:
     """Hamiltonian path existence; None means the search budget ran out.
 
-    Exact DP up to dp_limit nodes, degree-pruned backtracking beyond. A yes
-    answer always carries the path as its witness.
+    Exact DP up to HAMILTON_DP_LIMIT nodes, degree-pruned backtracking of at
+    most HAMILTON_BUDGET expansions beyond. A yes answer carries the path.
     """
     _require_kind(g, "hamilton")
     n = g.num_nodes
     if n >= 2 and len(bfs(g.adjacency, 0)) < n:
         return Answer("yes_no", False)
-    if n <= dp_limit:
+    if n <= HAMILTON_DP_LIMIT:
         return _hamilton_dp(g)
-    return _hamilton_backtrack(g, budget)
+    return _hamilton_backtrack(g, HAMILTON_BUDGET)
 
 
 def find_subgraph(g: Graph, pattern: Graph) -> Answer:

@@ -132,6 +132,21 @@ def test_dpo_rejects_beta_that_is_not_positive(problems_file, tmp_path,
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("error_rate", ["0.0", "1.0"])
+def test_select_rejects_cap_below_one(problems_file, tmp_path, capsys,
+                                      error_rate):
+    # at error rate 1.0 no problem has a correct path to select from
+    paths = tmp_path / "paths.jsonl"
+    main(["annotate", "--problems", str(problems_file), "--backend", "stub",
+          "--stub-error-rate", error_rate, "--seed", "3", "--out", str(paths)])
+    out = tmp_path / "sft.jsonl"
+    rc = main(["select", "--problems", str(problems_file),
+               "--paths", str(paths), "--cap", "0", "--out", str(out)])
+    assert rc == 2
+    assert "error: cap must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dpo_samples_when_no_paths(problems_file, tmp_path):
     out = tmp_path / "dpo.jsonl"
     rc = main(["dpo", "--problems", str(problems_file), "--backend", "stub",
@@ -500,3 +515,22 @@ def test_http_backend_requires_url(problems_file, tmp_path, capsys):
                "--backend", "http", "--out", str(tmp_path / "x.jsonl")])
     assert rc == 2
     assert "base-url" in capsys.readouterr().err
+
+
+def test_http_base_url_without_scheme_exits_two(problems_file, tmp_path,
+                                                 capsys, monkeypatch):
+    # found before any request, not after every retry and its back-off
+    from graphcorpus.sampler import HttpBackend
+    one = tmp_path / "one.jsonl"
+    one.write_text(problems_file.read_text(encoding="utf-8").splitlines(True)[0])
+    calls = []
+    monkeypatch.setattr(HttpBackend, "generate",
+                        lambda self, *a: calls.append(a) or [])
+    out = tmp_path / "paths.jsonl"
+    rc = main(["annotate", "--problems", str(one), "--backend", "http",
+               "--base-url", "localhost:8000", "--model", "m",
+               "--out", str(out)])
+    assert rc == 2
+    assert "'localhost:8000'" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()

@@ -1,5 +1,8 @@
+import ast
 import json
 import os
+import re
+import socket
 import subprocess
 import sys
 import threading
@@ -356,12 +359,17 @@ class _Scripted(BaseHTTPRequestHandler):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         type(self).seen.append((self.headers.get("Authorization"),
                                 json.loads(body)))
-        status, payload = type(self).script.pop(0)
+        # an entry is (status, payload) or (status, payload, bytes the
+        # body falls short of its Content-Length); status None closes the
+        # connection with no reply
+        status, payload, *short = type(self).script.pop(0)
+        if status is None:
+            return
         data = payload if isinstance(payload, bytes) else \
             json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Content-Length", str(len(data) + sum(short)))
         self.end_headers()
         self.wfile.write(data)
 
@@ -488,6 +496,41 @@ def test_http_request_count_is_exact_under_threads(server, monkeypatch):
     assert backend.requests == len(prompts)     # one per cache miss
 
 
+@pytest.mark.parametrize("api_key", [None, "sekrit\n"],
+                         ids=["closed-port", "key-that-is-no-header-value"])
+def test_http_transport_failure_is_a_retried_connection_error(monkeypatch,
+                                                              api_key):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    # nothing listens on port now
+    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.01)
+    backend = HttpBackend(f"http://127.0.0.1:{port}", "m", api_key=api_key)
+    with pytest.raises(BackendError) as err:
+        backend.generate("x", get_profile("eval"))
+    assert str(err.value).startswith("retries exhausted (connection error: ")
+    assert backend.requests == HttpBackend.MAX_RETRIES + 1
+
+
+@pytest.mark.parametrize("failure", [(200, _choices("cut"), 10), (None, {})],
+                         ids=["body-cut-short", "closed-with-no-reply"])
+def test_http_retries_a_broken_reply(server, monkeypatch, failure):
+    base, handler = server
+    handler.script += [failure, (200, _choices("ok"))]
+    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.01)
+    backend = HttpBackend(base, "m")
+    assert backend.generate("x", get_profile("eval")) == ["ok"]
+    assert backend.requests == 2 and len(handler.seen) == 2
+
+
+@pytest.mark.parametrize("url", ["localhost:8000", "127.0.0.1:8000",
+                                 "ftp://host", "http://", "http://[::1", ""])
+def test_http_rejects_a_base_url_that_is_not_http_host(url):
+    with pytest.raises(InvalidSpecError) as err:
+        HttpBackend(url, "m")
+    assert repr(url) in str(err.value)
+
+
 def _fresh_python(code, *args):
     """Run code in a new interpreter that finds the package under test."""
     src = os.path.dirname(os.path.dirname(graphcorpus.__file__))
@@ -498,11 +541,12 @@ def _fresh_python(code, *args):
 
 
 def test_package_import_loads_neither_numpy_nor_requests():
-    # only HttpBackend.generate needs requests and only the selector's
+    # only HttpBackend.generate needs an HTTP client and only the selector's
     # numeric code needs numpy; importing the package loads neither, and
     # networkx, a test-only dependency, never
     out = _fresh_python("import sys, graphcorpus, graphcorpus.cli; "
-                        "print([m for m in ('numpy', 'requests', 'networkx') "
+                        "print([m for m in ('numpy', 'requests', 'networkx', "
+                        "'urllib.request', 'http.client') "
                         "if m in sys.modules])")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
@@ -532,3 +576,62 @@ def test_stages_that_compute_no_vectors_run_without_numpy(tmp_path):
     """
     out = _fresh_python(code, str(tmp_path))
     assert out.returncode == 0, out.stderr
+
+
+def test_http_stages_run_without_requests(tmp_path, server):
+    # requests = None in sys.modules makes any import of it raise ImportError
+    base, handler = server
+    handler.script += [(200, _choices("one", "two", "three")),
+                       (200, _choices("The answer is yes."))]
+    code = """if True:
+        import os, sys
+        sys.modules["requests"] = None
+        from graphcorpus.cli import main
+        root, base = sys.argv[1:]
+        problems = os.path.join(root, "problems.jsonl")
+        http = ["--backend", "http", "--base-url", base, "--model", "m"]
+        for argv in (
+                ["generate", "--tasks", "cycle", "--count", "1", "--seed", "3",
+                 "--split", "test", "--out", problems],
+                ["annotate", "--problems", problems, *http,
+                 "--out", os.path.join(root, "paths.jsonl")],
+                ["evaluate", "--problems", problems, *http,
+                 "--out", os.path.join(root, "report")]):
+            assert main(argv) == 0, argv
+    """
+    out = _fresh_python(code, str(tmp_path), base)
+    assert out.returncode == 0, out.stderr
+    assert len(handler.seen) == 2
+    paths = json.loads((tmp_path / "paths.jsonl").read_text(encoding="utf-8"))
+    assert paths["texts"] == ["one", "two", "three"]
+
+
+def _declared_dependencies(pyproject):
+    """Distribution names in [project] dependencies, read without a TOML
+    parser (Python 3.10 has no tomllib)."""
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject,
+                        re.MULTILINE | re.DOTALL).group(1)
+    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project,
+                     re.MULTILINE | re.DOTALL).group(1)
+    return {re.match(r"[A-Za-z0-9._-]+", d).group(0)
+            for d in re.findall(r'"([^"]*)"', deps)}
+
+
+def test_declared_dependencies_match_imports():
+    pkg = os.path.dirname(graphcorpus.__file__)
+    imported = set()
+    for name in os.listdir(pkg):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"graphcorpus"}
+    root = os.path.dirname(os.path.dirname(pkg))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        declared = _declared_dependencies(fh.read())
+    assert third_party == declared == {"numpy"}

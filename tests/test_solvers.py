@@ -1,5 +1,6 @@
 import pytest
 
+import graphcorpus.solvers
 from graphcorpus.errors import (GraphKindError, InvalidQueryError,
                                 InvalidSpecError)
 from graphcorpus.grader import (check_witness, is_hamilton_path,
@@ -270,12 +271,15 @@ def test_hamilton_star_has_too_many_leaves():
     assert hamilton_path(g).value is False
 
 
-def test_hamilton_budget_exhaustion_returns_none():
+def test_hamilton_budget_exhaustion_returns_none(monkeypatch):
     ring = Graph(16, False, [(i, i + 1) for i in range(15)] + [(0, 15)])
-    assert hamilton_path(ring, budget=2) is None
+    with monkeypatch.context() as m:
+        m.setattr(graphcorpus.solvers, "HAMILTON_BUDGET", 2)
+        assert hamilton_path(ring) is None
     full = hamilton_path(ring)
     assert full.value is True and is_hamilton_path(ring, full.witness)
-    via_dp = hamilton_path(ring, dp_limit=16)
+    monkeypatch.setattr(graphcorpus.solvers, "HAMILTON_DP_LIMIT", 16)
+    via_dp = hamilton_path(ring)
     assert via_dp.value is True and is_hamilton_path(ring, via_dp.witness)
 
 
@@ -459,11 +463,14 @@ def test_subgraph_matches_oracle():
                 ans), f"seed {seed}"
 
 
-def test_hamilton_dp_and_backtrack_agree():
+def test_hamilton_dp_and_backtrack_agree(monkeypatch):
     for seed in range(30):
         g = generate_er(8, 0.35, seed=seed)
-        dp = hamilton_path(g, dp_limit=15)
-        bt = hamilton_path(g, dp_limit=0, budget=10_000_000)
+        monkeypatch.setattr(graphcorpus.solvers, "HAMILTON_DP_LIMIT", 15)
+        dp = hamilton_path(g)
+        monkeypatch.setattr(graphcorpus.solvers, "HAMILTON_DP_LIMIT", 0)
+        monkeypatch.setattr(graphcorpus.solvers, "HAMILTON_BUDGET", 10_000_000)
+        bt = hamilton_path(g)
         assert dp.value == bt.value, f"seed {seed}"
         if bt.value:
             assert is_hamilton_path(g, bt.witness), f"seed {seed}"
