@@ -26,7 +26,7 @@ from typing import Any, Iterable
 
 from .errors import InvalidSpecError, RecordError, SchemaError
 from .graphs import Graph, validate_graph
-from .selector import build_dpo_pair
+from .selector import SELECTOR_VERSION, build_dpo_pair
 from .solvers import Answer
 from .textgen import Problem
 from .grader import judge
@@ -223,7 +223,8 @@ def assemble_sft(problems: list[Problem],
                 "task": problem.task,
                 "instruction": problem.text,
                 "output": text,
-                "meta": {"source_id": pid, "path_index": k},
+                "meta": {"source_id": pid, "path_index": k,
+                         "selector": SELECTOR_VERSION},
             })
     return rows
 

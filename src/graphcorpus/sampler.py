@@ -119,6 +119,10 @@ class HttpBackend:
             parts = None
         if not (parts and parts.scheme in ("http", "https") and parts.hostname):
             raise InvalidSpecError(f"base URL {base_url!r} is not http(s)://host")
+        if api_key and not all("!" <= ch <= "~" for ch in api_key):
+            # no echo: the message lands in logs, and the key is a secret
+            raise InvalidSpecError("API key has a character that is not "
+                                   "visible ASCII (a trailing newline?)")
         self.url = base_url.rstrip("/") + "/v1/chat/completions"
         self.model = model
         self.identity = f"http url={self.url} model={model}"   # no API key

@@ -11,28 +11,40 @@ algorithm of Myers (1999) in Hyyro's (2001) Levenshtein form. It returns
 exactly the distance of the textbook O(n*m) dynamic program, in
 O(ceil(m/w)*n) word operations.
 
-numpy is imported only by the numeric code (TfidfModel, HashingEmbedder,
-the k-means and select_diverse's embedding matrix), so a process that
-never selects paths never loads it. TfidfModel and HashingEmbedder memoise
-each text's vector on the instance, read-only; an instance lives for one
-select_diverse or select_dispreferred call, so the anchor's vector is
-computed once, not once per candidate.
+The numeric code is standard-library arithmetic that no summation order
+or BLAS kernel can round differently. A tf-idf vector maps each token to
+count * idf over the vector's l2 norm, and its cosine is the math.fsum of
+the products over shared tokens; fsum rounds the exact sum once. An embedding is a text's integer bucket
+counts and their integer squared norm, and its cosine is dot / sqrt(na * nb)
+with an exact integer dot. The k-means (k-means++ seeding, then at most 50
+Lloyd rounds) never forms a centroid vector: a cluster is its member list,
+and the squared distance from unit embedding p_i to the members' mean is
+G_ii - 2 mean_m G_im + mean_m,m' G_mm' over the Gram matrix G of the unit
+embeddings. Its draws come from random.Random(seed). SFT rows record
+SELECTOR_VERSION, so rows picked by another selector can be told apart.
+
+TfidfModel and HashingEmbedder memoise each text's vector on the instance,
+read-only; an instance lives for one select_diverse or select_dispreferred
+call, so the anchor's vector is computed once, not once per candidate.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import random
 import re
-from typing import TYPE_CHECKING
+from bisect import bisect_right
+from collections import Counter
+from collections.abc import Mapping
+from itertools import accumulate
+from types import MappingProxyType
 
 from .errors import InvalidSpecError
 
-if TYPE_CHECKING:
-    import numpy as np
-
 METRICS = ("edit", "jaccard", "tfidf", "embedding")
 EMBED_DIM = 256          # buckets of the hashed embedding
+SELECTOR_VERSION = 2     # SFT rows record it; bump when select_diverse changes
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -94,41 +106,44 @@ class TfidfModel:
     """Tiny tf-idf fit on one candidate set; cosine over l2-normed vectors."""
 
     def __init__(self, corpus: list[str]):
-        import numpy as np
-        docs = [tokenize(t) for t in corpus]
-        vocab: dict[str, int] = {}
         df: dict[str, int] = {}
-        for tokens in docs:
-            for tok in set(tokens):
+        for text in corpus:
+            for tok in set(tokenize(text)):
                 df[tok] = df.get(tok, 0) + 1
-        for tok in sorted(df):
-            vocab[tok] = len(vocab)
-        n = len(docs)
-        self.vocab = vocab
-        self.idf = np.zeros(len(vocab))
-        for tok, j in vocab.items():
-            self.idf[j] = math.log((1 + n) / (1 + df[tok])) + 1.0
-        self._vectors: dict[str, np.ndarray] = {}
+        n = len(corpus)
+        self.idf = {tok: math.log((1 + n) / (1 + d)) + 1.0
+                    for tok, d in df.items()}
+        self._vectors: dict[str, Mapping[str, float]] = {}
 
-    def vector(self, text: str) -> np.ndarray:
+    def vector(self, text: str) -> Mapping[str, float]:
         v = self._vectors.get(text)
         if v is None:
-            import numpy as np
-            v = np.zeros(len(self.vocab))
-            for tok in tokenize(text):
-                j = self.vocab.get(tok)
-                if j is not None:
-                    v[j] += 1.0
-            v *= self.idf
-            norm = np.linalg.norm(v)
-            if norm > 0:
-                v = v / norm
-            v.flags.writeable = False
+            weights = {tok: count * self.idf[tok]
+                       for tok, count in Counter(tokenize(text)).items()
+                       if tok in self.idf}
+            norm = math.sqrt(math.fsum(w * w for w in weights.values()))
+            v = MappingProxyType({tok: w / norm for tok, w in weights.items()})
             self._vectors[text] = v
         return v
 
     def similarity(self, a: str, b: str) -> float:
-        return float(self.vector(a).dot(self.vector(b)))
+        va, vb = self.vector(a), self.vector(b)
+        if len(vb) < len(va):
+            va, vb = vb, va
+        return math.fsum(w * vb[tok] for tok, w in va.items() if tok in vb)
+
+
+Embedding = tuple[Mapping[int, int], int]     # bucket counts, squared norm
+
+
+def _cosine(a: Embedding, b: Embedding) -> float:
+    """Cosine of two embeddings; 0.0 when either text has no tokens."""
+    (ca, na), (cb, nb) = a, b
+    if not na or not nb:
+        return 0.0
+    if len(cb) < len(ca):
+        ca, cb = cb, ca
+    return sum([c * cb.get(k, 0) for k, c in ca.items()]) / math.sqrt(na * nb)
 
 
 class HashingEmbedder:
@@ -136,7 +151,7 @@ class HashingEmbedder:
 
     def __init__(self):
         self._buckets: dict[str, int] = {}
-        self._vectors: dict[str, np.ndarray] = {}
+        self._vectors: dict[str, Embedding] = {}
 
     def _bucket(self, token: str) -> int:
         bucket = self._buckets.get(token)
@@ -146,23 +161,17 @@ class HashingEmbedder:
             self._buckets[token] = bucket
         return bucket
 
-    def embed(self, text: str) -> np.ndarray:
-        v = self._vectors.get(text)
-        if v is None:
-            import numpy as np
-            v = np.zeros(EMBED_DIM)
-            for tok in tokenize(text):
-                v[self._bucket(tok)] += 1.0
-            norm = np.linalg.norm(v)
-            if norm > 0:
-                v = v / norm
-            v.flags.writeable = False
-            self._vectors[text] = v
-        return v
+    def embed(self, text: str) -> Embedding:
+        e = self._vectors.get(text)
+        if e is None:
+            counts = Counter(self._bucket(tok) for tok in tokenize(text))
+            e = (MappingProxyType(dict(counts)),
+                 sum(c * c for c in counts.values()))
+            self._vectors[text] = e
+        return e
 
     def similarity(self, a: str, b: str) -> float:
-        cos = float(self.embed(a).dot(self.embed(b)))
-        return (1.0 + cos) / 2.0
+        return (1.0 + _cosine(self.embed(a), self.embed(b))) / 2.0
 
 
 def similarity(a: str, b: str, metric: str, *,
@@ -181,39 +190,55 @@ def similarity(a: str, b: str, metric: str, *,
     raise InvalidSpecError(f"unknown similarity metric: {metric}")
 
 
-def _kmeans_medoids(vectors: np.ndarray, k: int, seed: int) -> list[int]:
-    """Seeded k-means++ then Lloyd; returns one medoid index per cluster."""
-    import numpy as np
-    n = len(vectors)
-    rng = np.random.default_rng(seed)
-    centers = [vectors[int(rng.integers(n))]]
+def _kmeans_medoids(embeddings: list[Embedding], k: int,
+                    seed: int) -> list[int]:
+    """Seeded k-means++ then Lloyd; returns one medoid index per cluster.
+
+    A cluster is its member list and its centroid their mean, so every
+    distance comes from the Gram matrix of the unit embeddings.
+    """
+    n = len(embeddings)
+    gram = [[0.0] * n for _ in range(n)]
+    for i, a in enumerate(embeddings):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = _cosine(a, embeddings[j])
+
+    def distances(clusters: list[list[int]]) -> list[tuple[float, ...]]:
+        """Squared distance from each point to each cluster's mean."""
+        cols = []
+        for c in clusters:      # gram is symmetric: zip walks G_im over m
+            m = len(c)
+            spread = math.fsum([gram[a][b] for a in c for b in c]) / (m * m)
+            cols.append([
+                math.fsum((gram[i][i], -2.0 * math.fsum(g) / m, spread))
+                for i, g in enumerate(zip(*[gram[a] for a in c]))])
+        return list(zip(*cols))
+
+    rng = random.Random(seed)
+    clusters = [[int(rng.random() * n)]]
     for _ in range(1, k):
-        d2 = np.min(
-            [((vectors - c) ** 2).sum(axis=1) for c in centers], axis=0)
-        total = d2.sum()
-        if total <= 0:
-            centers.append(vectors[int(rng.integers(n))])
-            continue
-        centers.append(vectors[int(rng.choice(n, p=d2 / total))])
-    cents = np.array(centers)
-    assign = np.full(n, -1, dtype=int)
+        # rounding can take a distance a hair below 0; a weight may not be
+        d2 = [max(0.0, min(row)) for row in distances(clusters)]
+        cum = list(accumulate(d2))
+        if cum[-1] > 0:
+            clusters.append([bisect_right(cum, rng.random() * cum[-1])])
+        else:
+            clusters.append([int(rng.random() * n)])
+    assign: list[int] = []
     for _ in range(50):
-        dists = ((vectors[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-        new_assign = dists.argmin(axis=1)
-        if np.array_equal(new_assign, assign):
+        new_assign = [min(range(k), key=row.__getitem__)
+                      for row in distances(clusters)]
+        if new_assign == assign:
             break
         assign = new_assign
-        for j in range(k):
-            members = vectors[assign == j]
-            if len(members):
-                cents[j] = members.mean(axis=0)
+        clusters = [[i for i in range(n) if assign[i] == j] or c
+                    for j, c in enumerate(clusters)]
+    dist = distances(clusters)
     medoids = []
     for j in range(k):
-        idx = np.flatnonzero(assign == j)
-        if len(idx) == 0:
-            continue
-        d = ((vectors[idx] - cents[j]) ** 2).sum(axis=1)
-        medoids.append(int(idx[int(d.argmin())]))
+        members = [i for i in range(n) if assign[i] == j]
+        if members:
+            medoids.append(min(members, key=lambda i: dist[i][j]))
     return medoids
 
 
@@ -239,7 +264,6 @@ def select_diverse(texts: list[str], *, cap: int = 5, seed: int = 0) -> list[int
     candidates = [i for i in range(len(texts)) if i != anchor]
     nominations: list[int] = []
     if candidates:
-        import numpy as np
         tfidf = TfidfModel(texts)
         embedder = HashingEmbedder()
         for metric in METRICS:
@@ -247,9 +271,8 @@ def select_diverse(texts: list[str], *, cap: int = 5, seed: int = 0) -> list[int
                 similarity(texts[i], texts[anchor], metric,
                            tfidf=tfidf, embedder=embedder), texts[i], i))
             nominations.append(best)
-        vectors = np.array([embedder.embed(t) for t in texts])
-        nominations.extend(
-            _kmeans_medoids(vectors, min(5, len(texts)), seed))
+        nominations.extend(_kmeans_medoids(
+            [embedder.embed(t) for t in texts], min(5, len(texts)), seed))
     picked: list[int] = []
     seen_text: set[str] = set()
     for i in [anchor] + nominations:

@@ -8,6 +8,8 @@ silently turn into an hour-long run.
 
 from __future__ import annotations
 
+import math
+import random
 from itertools import combinations, permutations
 
 from graphcorpus.errors import GraphCorpusError, InvalidSpecError
@@ -18,6 +20,7 @@ TOPOLOGY_LIMIT = 8
 HAMILTON_LIMIT = 9
 HAMILTON_DP_LIMIT = 16
 PATTERN_LIMIT = 6
+TIE = 1e-9          # k-means distances closer than this are equal
 
 
 class OracleLimitError(GraphCorpusError, ValueError):
@@ -210,6 +213,59 @@ def oracle_subgraph(pattern: Graph, host: Graph) -> bool:
         if all((image[a], image[b]) in host_adj for a, b in p_pairs):
             return True
     return False
+
+
+def oracle_kmeans_medoids(points: list[list[float]], k: int,
+                          seed: int) -> list[int]:
+    """Dense k-means++ then Lloyd, with every centroid an explicit vector.
+
+    The draws follow the selector's protocol (random.Random(seed): the
+    first centre is int(r * n), each next one is d2-weighted), found here
+    by a linear scan. Returns one medoid per non-empty cluster, the member
+    nearest its centroid. Distances within TIE of each other count as equal
+    and go to the lower index: the two members of a pair are exactly as far
+    from their mean, which dense rounding would otherwise split at random.
+    """
+    def d2(p, c):
+        return math.fsum((x - y) ** 2 for x, y in zip(p, c))
+
+    def nearest(options, dist):
+        d = {o: dist(o) for o in options}
+        best = min(d.values())
+        return min(o for o in options if d[o] <= best + TIE)
+
+    n = len(points)
+    rng = random.Random(seed)
+    centers = [list(points[int(rng.random() * n)])]
+    for _ in range(1, k):
+        weights = [min(d2(p, c) for c in centers) for p in points]
+        total = math.fsum(weights)
+        if total <= 0:
+            centers.append(list(points[int(rng.random() * n)]))
+            continue
+        target, acc = rng.random() * total, 0.0
+        for i, w in enumerate(weights):
+            acc += w
+            if acc > target:
+                break
+        centers.append(list(points[i]))
+    assign = None
+    for _ in range(50):
+        new = [nearest(range(k), lambda j: d2(p, centers[j])) for p in points]
+        if new == assign:
+            break
+        assign = new
+        for j in range(k):
+            members = [p for p, a in zip(points, assign) if a == j]
+            if members:
+                centers[j] = [math.fsum(col) / len(members)
+                              for col in zip(*members)]
+    medoids = []
+    for j in range(k):
+        idx = [i for i in range(n) if assign[i] == j]
+        if idx:
+            medoids.append(nearest(idx, lambda i: d2(points[i], centers[j])))
+    return medoids
 
 
 def oracle_solve(task: str, g: Graph, query: dict | None = None):

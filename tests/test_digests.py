@@ -2,10 +2,9 @@
 exactly the bytes it wrote when these digests were recorded.
 
 A change that alters any stage's output for a fixed seed must say so in
-CHANGES.md and record the new digests here. The digests were recorded on
-CPython 3.11.7 with numpy 2.4.6; the selector's tf-idf, embedding and
-k-means arithmetic runs through numpy, so another numpy or BLAS build may
-legitimately differ in sft.jsonl.
+CHANGES.md and record the new digests here. The pipeline's arithmetic is
+exact standard-library Python, so the digests hold on every CPU and
+supported Python version.
 """
 
 import hashlib
@@ -20,7 +19,7 @@ EXPECTED = {
     "paths.jsonl":
         "110fac4632c1c7cd4fc4b483ef52e446c64f8771b7e07e43eeb8f9d2d1b8e1ee",
     "sft.jsonl":
-        "6ff1072b52852861cb7bbc3b26a74ce7b03b87c35a3fb56e0fad93b83dd34872",
+        "6038056b67f43d49ac049054bc5261e8d53ae6fd8c97aad1b9cdac2f497e103e",
     "dpo.jsonl":
         "b5172eb5c1cc2ce18ef388da1dc723d27b2afac0063d5e2e52f53f4c0754cc37",
     "audit.jsonl":

@@ -12,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import graphcorpus
+from graphcorpus.cli import main
 from graphcorpus.errors import BackendError, CacheError, InvalidSpecError
 from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.grader import judge
@@ -496,8 +497,7 @@ def test_http_request_count_is_exact_under_threads(server, monkeypatch):
     assert backend.requests == len(prompts)     # one per cache miss
 
 
-@pytest.mark.parametrize("api_key", [None, "sekrit\n"],
-                         ids=["closed-port", "key-that-is-no-header-value"])
+@pytest.mark.parametrize("api_key", [None], ids=["closed-port"])
 def test_http_transport_failure_is_a_retried_connection_error(monkeypatch,
                                                               api_key):
     with socket.socket() as sock:
@@ -510,6 +510,27 @@ def test_http_transport_failure_is_a_retried_connection_error(monkeypatch,
         backend.generate("x", get_profile("eval"))
     assert str(err.value).startswith("retries exhausted (connection error: ")
     assert backend.requests == HttpBackend.MAX_RETRIES + 1
+
+
+def test_http_rejects_an_api_key_that_is_no_header_value(server, tmp_path,
+                                                         capsys):
+    # found at construction, not after every retry and its back-off
+    for key in ("sekrit\n", "sek rit", "\tsekrit", "sekr\u00eft", "k\x7f"):
+        with pytest.raises(InvalidSpecError) as err:
+            HttpBackend("http://127.0.0.1:9", "m", api_key=key)
+        assert key not in str(err.value) and key.strip() not in str(err.value)
+    base, handler = server
+    problems = tmp_path / "problems.jsonl"
+    assert main(["generate", "--tasks", "cycle", "--count", "1", "--seed", "3",
+                 "--split", "test", "--out", str(problems)]) == 0
+    out = tmp_path / "paths.jsonl"
+    capsys.readouterr()
+    rc = main(["annotate", "--problems", str(problems), "--backend", "http",
+               "--base-url", base, "--model", "m", "--api-key", "k\n",
+               "--out", str(out)])
+    assert rc == 2
+    assert "API key" in capsys.readouterr().err
+    assert handler.seen == [] and not out.exists()
 
 
 @pytest.mark.parametrize("failure", [(200, _choices("cut"), 10), (None, {})],
@@ -552,7 +573,7 @@ def test_package_import_loads_neither_numpy_nor_requests():
     assert out.stdout.strip() == "[]"
 
 
-def test_stages_that_compute_no_vectors_run_without_numpy(tmp_path):
+def test_every_stage_runs_without_numpy(tmp_path):
     # numpy = None in sys.modules makes any import of it raise ImportError
     code = """if True:
         import os, sys
@@ -561,12 +582,16 @@ def test_stages_that_compute_no_vectors_run_without_numpy(tmp_path):
         root = sys.argv[1]
         problems = os.path.join(root, "problems.jsonl")
         paths = os.path.join(root, "paths.jsonl")
-        stub = ["--backend", "stub", "--seed", "3"]
+        stub = ["--backend", "stub", "--stub-error-rate", "0.4", "--seed", "3"]
         for argv in (
                 ["generate", "--tasks", "cycle,shortest", "--count", "2",
                  "--seed", "3", "--split", "test", "--out", problems],
                 ["annotate", "--problems", problems, "--profile", "augment",
                  *stub, "--out", paths],
+                ["select", "--problems", problems, "--paths", paths,
+                 "--seed", "3", "--out", os.path.join(root, "sft.jsonl")],
+                ["dpo", "--problems", problems, "--paths", paths,
+                 "--out", os.path.join(root, "dpo.jsonl")],
                 ["audit", "--problems", problems, "--paths", paths,
                  "--out", os.path.join(root, "audit.jsonl")],
                 ["evaluate", "--problems", problems, *stub,
@@ -576,6 +601,8 @@ def test_stages_that_compute_no_vectors_run_without_numpy(tmp_path):
     """
     out = _fresh_python(code, str(tmp_path))
     assert out.returncode == 0, out.stderr
+    for name in ("sft.jsonl", "dpo.jsonl"):
+        assert (tmp_path / name).read_text(encoding="utf-8").strip(), name
 
 
 def test_http_stages_run_without_requests(tmp_path, server):
@@ -634,4 +661,4 @@ def test_declared_dependencies_match_imports():
     root = os.path.dirname(os.path.dirname(pkg))
     with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
         declared = _declared_dependencies(fh.read())
-    assert third_party == declared == {"numpy"}
+    assert third_party == declared == set()

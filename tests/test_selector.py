@@ -1,20 +1,22 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from graphcorpus.errors import InvalidSpecError
 from graphcorpus.generate import generate_task
 from graphcorpus.grader import judge
 from graphcorpus.sampler import StubBackend, get_profile
-from graphcorpus.selector import (METRICS, HashingEmbedder, TfidfModel,
-                                  build_dpo_pair, dpo_loss, dpo_loss_grad,
-                                  edit_similarity, jaccard_similarity,
-                                  select_dispreferred, select_diverse,
-                                  similarity, token_edit_distance, tokenize)
+from graphcorpus.selector import (EMBED_DIM, METRICS, HashingEmbedder,
+                                  TfidfModel, _kmeans_medoids, build_dpo_pair,
+                                  dpo_loss, dpo_loss_grad, edit_similarity,
+                                  jaccard_similarity, select_dispreferred,
+                                  select_diverse, similarity,
+                                  token_edit_distance, tokenize)
 from graphcorpus.tasks import TASK_ORDER
 from graphcorpus.textgen import wrap_instruction
+
+from oracles import oracle_kmeans_medoids
 
 
 def test_tokenize_lowercases_and_splits():
@@ -132,15 +134,76 @@ def test_embedding_similarity_bounds():
 def test_vectors_are_memoised_read_only():
     texts = ["cat dog", "cat fish", "bird", "cat cat dog dog dog"]
     tfidf, emb = TfidfModel(texts), HashingEmbedder()
-    for memo, fresh in ((tfidf.vector, lambda t: TfidfModel(texts).vector(t)),
-                        (emb.embed, lambda t: HashingEmbedder().embed(t))):
-        for text in texts + ["zebra", ""]:
-            v = memo(text)
-            assert memo(text) is v
-            assert np.array_equal(v, fresh(text))
-            with pytest.raises(ValueError):
-                v *= 2.0
-            assert np.array_equal(memo(text), fresh(text))
+    for text in texts + ["zebra", ""]:
+        v = tfidf.vector(text)
+        assert tfidf.vector(text) is v
+        assert v == TfidfModel(texts).vector(text)
+        with pytest.raises(TypeError):
+            v["cat"] = 2.0
+        assert v == TfidfModel(texts).vector(text)
+        if v:
+            assert math.fsum(w * w for w in v.values()) == pytest.approx(1.0)
+        e = emb.embed(text)
+        assert emb.embed(text) is e
+        counts, norm2 = e
+        assert e == HashingEmbedder().embed(text)
+        with pytest.raises(TypeError):
+            counts[0] = 1
+        assert e == HashingEmbedder().embed(text)
+        assert norm2 == sum(c * c for c in counts.values())
+        assert sum(counts.values()) == len(tokenize(text))
+
+
+def test_vector_similarities_are_exact():
+    rng = random.Random(11)
+    texts = [_word_salad(rng, rng.randint(1, 30)) for _ in range(30)] + [""]
+    tfidf, emb = TfidfModel(texts), HashingEmbedder()
+    for a in texts:
+        words = a.split()
+        rng.shuffle(words)
+        shuffled = " ".join(words)
+        for b in texts:
+            assert tfidf.similarity(a, b) == tfidf.similarity(b, a)
+            assert emb.similarity(a, b) == emb.similarity(b, a)
+            assert tfidf.similarity(shuffled, b) == tfidf.similarity(a, b)
+            assert emb.similarity(shuffled, b) == emb.similarity(a, b)
+        if a:
+            assert emb.similarity(a, a) == 1.0
+            assert HashingEmbedder().similarity(a, shuffled) == 1.0
+        assert emb.similarity(a, "") == 0.5
+
+
+def _clustered_texts(rng, k):
+    """Texts drawn from k disjoint five-word vocabularies."""
+    texts = []
+    for _ in range(rng.randint(2 * k, 30)):
+        c = rng.randrange(k)
+        texts.append(" ".join(f"c{c}w{rng.randrange(5)}"
+                              for _ in range(rng.randint(4, 10))))
+    return texts
+
+
+def _unit_vectors(embedded):
+    return [[counts.get(b, 0) / math.sqrt(norm2) for b in range(EMBED_DIM)]
+            for counts, norm2 in embedded]
+
+
+def test_kmeans_medoids_match_dense_reference():
+    for seed in range(100):
+        rng = random.Random(seed)
+        k = rng.randint(2, 5)
+        emb = HashingEmbedder()
+        embedded = [emb.embed(t) for t in _clustered_texts(rng, k)]
+        medoids = _kmeans_medoids(embedded, k, seed)
+        assert medoids == oracle_kmeans_medoids(
+            _unit_vectors(embedded), k, seed), seed
+        assert len(set(medoids)) == len(medoids)
+        # fewer distinct texts than clusters: a zero-weight k-means++ draw
+        # and clusters left empty
+        few = embedded[:rng.randint(1, k - 1)]
+        dupes = [rng.choice(few) for _ in range(10)]
+        assert _kmeans_medoids(dupes, k, seed) == oracle_kmeans_medoids(
+            _unit_vectors(dupes), k, seed), seed
 
 
 def test_similarity_dispatcher():
