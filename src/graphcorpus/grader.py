@@ -3,16 +3,19 @@
 Extraction reads the text after the LAST "###" marker, falling back to the
 last "The answer is" clause. Grading compares against the stored ground
 truth. `check_witness` is the one home of every path, order and weight
-rule: grading sends it order-free answers (topological sorts), so any valid
-order counts and not just the solver's, and every witness an answer claims.
-The step audit, `audit_steps`, runs apart from grading: it flags claimed
-edges or nodes that do not exist in the graph and never changes a verdict.
+rule, one `_RULES` row per task: the check, the witness an answer line can
+claim, the reason a failed claim reports. Grading sends it order-free
+answers (topological sorts), so any valid order counts and not just the
+solver's, and every claimed witness. The step audit, `audit_steps`, runs
+apart from grading: it flags claimed edges or nodes that do not exist in
+the graph and never changes a verdict.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .graphs import Graph
 from .solvers import Answer
@@ -58,13 +61,15 @@ def _tail(text: str) -> str | None:
     return None
 
 
-def _parse_sequence(tail: str) -> list[int] | None:
+def _parse_sequence(tail: str, least: int = 1) -> list[int] | None:
+    """The first bracketed, else bare, node sequence of at least `least` nodes."""
     m = _BRACKET_SEQ.search(tail)
     if m is None:
         m = _BARE_SEQ.search(tail)
         if m is None:
             return None
-    return [int(x) for x in m.group(1).split(",")]
+    seq = [int(x) for x in m.group(1).split(",")]
+    return seq if len(seq) >= least else None
 
 
 def extract_answer(text: str, task: str) -> Answer | ExtractionFailure:
@@ -78,23 +83,13 @@ def extract_answer(text: str, task: str) -> Answer | ExtractionFailure:
         if m is None:
             return ExtractionFailure("no Yes/No after the answer marker")
         value = m.group(1).lower() == "yes"
-        witness = None
-        if task == "hamilton" and value:
-            seq = _parse_sequence(tail[m.end():])
-            if seq is not None:
-                witness = seq
-        return Answer("yes_no", value, witness=witness)
+        return Answer("yes_no", value, witness=_RULES[task].claim(tail, m, value))
     if info.answer_kind == "numeric":
         m = _INT.search(tail)
         if m is None:
             return ExtractionFailure("no integer after the answer marker")
         value = int(m.group(0))
-        witness = None
-        if task == "shortest":
-            seq = _parse_sequence(tail)
-            if seq is not None and len(seq) > 1:
-                witness = seq
-        return Answer("numeric", value, witness=witness)
+        return Answer("numeric", value, witness=_RULES[task].claim(tail, m, value))
     seq = _parse_sequence(tail)
     if seq is None:
         return ExtractionFailure("no node sequence after the answer marker")
@@ -105,13 +100,15 @@ def extract_answer(text: str, task: str) -> Answer | ExtractionFailure:
 # Witness validation helpers (shared by grading and the solver tests)
 # ---------------------------------------------------------------------------
 
-def is_valid_path(g: Graph, nodes: list[int]) -> bool:
-    """True when consecutive nodes are joined by edges and ids are in range."""
+def is_valid_path(g: Graph, nodes: list[int], either_way: bool = False) -> bool:
+    """True when consecutive nodes are joined by edges and ids are in range;
+    either_way ignores edge direction."""
     if not nodes:
         return False
     if any(not (0 <= x < g.num_nodes) for x in nodes):
         return False
-    return all(g.has_edge(a, b) for a, b in zip(nodes, nodes[1:]))
+    return all(g.has_edge(a, b) or (either_way and g.has_edge(b, a))
+               for a, b in zip(nodes, nodes[1:]))
 
 
 def is_hamilton_path(g: Graph, nodes: list[int]) -> bool:
@@ -131,69 +128,47 @@ def path_weight(g: Graph, nodes: list[int]) -> int:
     return sum(wm[g.key(a, b)] for a, b in zip(nodes, nodes[1:]))
 
 
-def is_valid_cycle(g: Graph, nodes: list[int]) -> bool:
+def is_valid_cycle(g: Graph, nodes: list[int], either_way: bool = False) -> bool:
     """At least three distinct nodes forming a closed loop."""
     if len(nodes) < 3 or len(set(nodes)) != len(nodes):
         return False
-    return is_valid_path(g, list(nodes) + [nodes[0]])
+    return is_valid_path(g, list(nodes) + [nodes[0]], either_way)
 
 
-def check_witness(problem: Problem, answer: Answer) -> bool:
-    """Validate an answer's witness against the graph: a solver's, or one a
-    graded answer claims (for topology, the order itself)."""
-    g = problem.graph
-    task = problem.task
-    w = answer.witness
-    if task == "cycle":
-        return (not answer.value) or is_valid_cycle(g, list(w))
-    if task == "connect":
-        if not answer.value:
-            return True
-        u, v = problem.query["u"], problem.query["v"]
-        return bool(w) and w[0] == u and w[-1] == v and (
-            len(w) == 1 or is_valid_path(g, list(w)))
-    if task == "bipartite":
-        if answer.value:
-            if len(w) != 2:
-                return False
-            side0, side1 = w
-            split = set(side0) | set(side1)
-            if split != set(range(g.num_nodes)) or set(side0) & set(side1):
-                return False
-            return all(
-                (u in set(side0)) != (v in set(side0)) for u, v in g.edge_pairs)
-        return len(w) % 2 == 1 and is_valid_cycle(
-            Graph(g.num_nodes, False,
-                  sorted({(min(u, v), max(u, v)) for u, v in g.edge_pairs})),
-            list(w))
-    if task == "topology":
-        return answer.kind == "none_exists" or is_topo_order(g, list(answer.value))
-    if task == "shortest":
-        if answer.kind == "none_exists":
-            return True
-        u, v = problem.query["u"], problem.query["v"]
-        return (bool(w) and w[0] == u and w[-1] == v
-                and (len(w) == 1 or is_valid_path(g, list(w)))
-                and path_weight(g, list(w)) == answer.value)
-    if task == "triangle":
-        if answer.kind == "none_exists":
-            return True
-        nw = g.node_weights or []
-        return (len(w) == 3 and is_valid_cycle(g, list(w))
-                and sum(nw[x] for x in w) == answer.value)
-    if task == "flow":
-        s, t = problem.query["s"], problem.query["t"]
-        side = set(w)
-        if s not in side or t in side:
-            return False
-        cut = sum(c for (a, b), c in g.weight_map.items()
-                  if a in side and b not in side)
-        return cut == answer.value
-    if task == "hamilton":
-        return (not answer.value) or is_hamilton_path(g, list(w))
-    # subgraph
+def _route(problem: Problem, w) -> bool:
+    """A path from query node u to query node v (one node when u is v)."""
+    u, v = problem.query["u"], problem.query["v"]
+    return bool(w) and w[0] == u and w[-1] == v and (
+        len(w) == 1 or is_valid_path(problem.graph, list(w)))
+
+
+def _bipartite(problem: Problem, answer: Answer) -> bool:
+    """Yes: two disjoint sides covering every node, each edge between them.
+    No: an odd cycle, ignoring edge direction."""
+    g, w = problem.graph, answer.witness
     if not answer.value:
-        return True
+        return len(w) % 2 == 1 and is_valid_cycle(g, list(w), either_way=True)
+    if len(w) != 2:
+        return False
+    side0, side1 = map(set, w)
+    if side0 | side1 != set(range(g.num_nodes)) or side0 & side1:
+        return False
+    return all((u in side0) != (v in side0) for u, v in g.edge_pairs)
+
+
+def _min_cut(problem: Problem, answer: Answer) -> bool:
+    """The witness is the source side of a cut whose capacity is the value."""
+    s, t = problem.query["s"], problem.query["t"]
+    side = set(answer.witness)
+    if s not in side or t in side:
+        return False
+    cut = sum(c for (a, b), c in problem.graph.weight_map.items()
+              if a in side and b not in side)
+    return cut == answer.value
+
+
+def _embedding(problem: Problem, answer: Answer) -> bool:
+    g, w = problem.graph, answer.witness
     pattern: Graph = problem.query["pattern"]
     if not isinstance(w, dict) or sorted(w) != list(range(pattern.num_nodes)):
         return False                    # w maps every pattern node to a host node
@@ -202,8 +177,49 @@ def check_witness(problem: Problem, answer: Answer) -> bool:
     return all(g.has_edge(w[a], w[b]) for a, b in pattern.edge_pairs)
 
 
-_WITNESS_REASONS = {"hamilton": "claimed path is not Hamiltonian",
-                    "shortest": "claimed path is not optimal"}
+class _Rule(NamedTuple):
+    """One task's answer rule: `holds` judges an answer's witness (for
+    topology, the order itself), `claim` reads the witness an answer line
+    can carry, and `reason` is the verdict when a claimed witness fails."""
+    holds: Callable[[Problem, Answer], bool]
+    claim: Callable[..., list[int] | None] = lambda tail, m, value: None
+    reason: str = "claimed witness does not hold"
+
+
+_RULES: dict[str, _Rule] = {
+    "cycle": _Rule(lambda p, a: not a.value or is_valid_cycle(p.graph, list(a.witness))),
+    "connect": _Rule(lambda p, a: not a.value or _route(p, a.witness)),
+    "bipartite": _Rule(_bipartite),
+    "topology": _Rule(lambda p, a: a.kind == "none_exists"
+                      or is_topo_order(p.graph, list(a.value))),
+    "shortest": _Rule(
+        lambda p, a: a.kind == "none_exists" or (
+            _route(p, a.witness)
+            and path_weight(p.graph, list(a.witness)) == a.value),
+        lambda tail, m, value: _parse_sequence(tail, least=2),
+        "claimed path is not optimal"),
+    "triangle": _Rule(
+        lambda p, a: a.kind == "none_exists" or (
+            len(a.witness) == 3 and is_valid_cycle(p.graph, list(a.witness))
+            and sum(p.graph.node_weights[x] for x in a.witness) == a.value)),
+    "flow": _Rule(_min_cut),
+    "hamilton": _Rule(
+        lambda p, a: not a.value or is_hamilton_path(p.graph, list(a.witness)),
+        lambda tail, m, yes: _parse_sequence(tail[m.end():]) if yes else None,
+        "claimed path is not Hamiltonian"),
+    "subgraph": _Rule(lambda p, a: not a.value or _embedding(p, a)),
+}
+
+
+def check_witness(problem: Problem, answer: Answer) -> bool:
+    """Validate an answer's witness against the graph: a solver's, a stored
+    one read from a file, or one a graded answer claims (for topology, the
+    order itself). A witness of the wrong shape (missing, a number,
+    non-integer nodes) fails."""
+    try:
+        return _RULES[problem.task].holds(problem, answer)
+    except TypeError:
+        return False
 
 
 def grade(problem: Problem, extracted: Answer | ExtractionFailure) -> Verdict:
@@ -230,8 +246,7 @@ def grade(problem: Problem, extracted: Answer | ExtractionFailure) -> Verdict:
         # check_witness passes a none_exists answer; here an order exists
         return Verdict(False, extracted, reason="sequence violates the graph order")
     if extracted.witness is not None and not check_witness(problem, extracted):
-        return Verdict(False, extracted, reason=_WITNESS_REASONS.get(
-            problem.task, "claimed witness does not hold"))
+        return Verdict(False, extracted, reason=_RULES[problem.task].reason)
     return Verdict(True, extracted)
 
 

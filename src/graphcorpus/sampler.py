@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 from .errors import BackendError, CacheError, InvalidSpecError
+from .grader import check_witness
 from .textgen import ALPACA_PREFIX, ZERO_SHOT_SUFFIX, Problem
 from .transcripts import make_transcript
 
@@ -79,6 +80,10 @@ class StubBackend:
                  seed: int = 0):
         if not 0.0 <= error_rate <= 1.0:
             raise InvalidSpecError("error_rate must be within [0, 1]")
+        for p in problems:      # before any path is written from a bad answer
+            if p.answer is None or not check_witness(p, p.answer):
+                raise InvalidSpecError(
+                    f"problem {p.id}: stored answer fails its witness check")
         self.error_rate = error_rate
         self.seed = seed
         self.identity = f"stub error_rate={float(error_rate)!r} seed={seed!r}"

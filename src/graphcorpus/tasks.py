@@ -1,5 +1,6 @@
 """Registry of the nine graph tasks: generation envelopes, answer kinds,
-and the edge tuple style and question sentence their problems render with."""
+and the edge tuple style, graph preamble and question sentence their
+problems render with."""
 
 from __future__ import annotations
 
@@ -19,6 +20,9 @@ class TaskInfo:
     answer_kind: str         # yes_no | numeric | sequence
     edge_style: str          # str.format of an edge: {0}, {1} ends, {2} weight
     question: str            # closing sentence; {u} {v} {s} {t} are query nodes
+    # the graph sentence before the question: {last} node id, {edges} clause,
+    # {weights} node weights, {pattern_last} {pattern_edges} of a pattern
+    preamble: str = "The nodes are numbered from 0 to {last}, and {edges}."
 
 
 _TASKS = [
@@ -32,17 +36,24 @@ _TASKS = [
              "({0}->{1})", "Give one topology sorting path of this graph."),
     TaskInfo("shortest", "medium", False, True, False, (2, 100), "numeric",
              "({0},{1},{2})",
-             "Give the weight of the shortest path from node {u} to node {v}."),
+             "Give the weight of the shortest path from node {u} to node {v}.",
+             "In an undirected graph, the nodes are numbered from 0 to {last}, "
+             "and {edges}."),
     TaskInfo("triangle", "medium", False, False, True, (2, 25), "numeric",
              "({0}, {1})",
-             "What is the maximum sum of the weights of three interconnected nodes?"),
+             "What is the maximum sum of the weights of three interconnected nodes?",
+             "The nodes are numbered from 0 to {last}, weights of nodes are: "
+             "{weights}, and {edges}."),
     TaskInfo("flow", "medium", True, True, False, (2, 50), "numeric",
              "({0}->{1},{2})", "What is the maximum flow from node {s} to node {t}?"),
     TaskInfo("hamilton", "hard", False, False, False, (2, 50), "yes_no",
              "({0},{1})", "Is there a Hamiltonian path in this graph?"),
     TaskInfo("subgraph", "hard", True, False, False, (2, 30), "yes_no",
              "({0}->{1})",
-             "Is subgraph G' present within graph G as a direct substructure?"),
+             "Is subgraph G' present within graph G as a direct substructure?",
+             "The nodes of graph G are numbered from 0 to {last}, and {edges}. "
+             "The nodes of subgraph G' are numbered from a to {pattern_last}, "
+             "and {pattern_edges}."),
 ]
 
 TASKS: dict[str, TaskInfo] = {t.name: t for t in _TASKS}

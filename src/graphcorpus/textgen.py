@@ -1,8 +1,8 @@
 """Problem type, text rendering, and prompt assembly.
 
-Each task renders its graph with the edge tuple style and the question
-sentence of its `tasks.TaskInfo` entry (some tasks use "(u,v)", some
-"(u->v)", weighted variants add ",k", triangle spaces its tuples).
+Each task renders its graph with the preamble, edge tuple style and
+question sentence of its `tasks.TaskInfo` entry (some tasks use "(u,v)",
+some "(u->v)", weighted variants add ",k", triangle spaces its tuples).
 """
 
 from __future__ import annotations
@@ -53,33 +53,19 @@ def _edge_section(style: str, edges: tuple, letters: bool = False) -> str:
 
 
 def render_problem(task: str, g: Graph, query: dict | None = None) -> str:
-    """Graph preamble plus the task's question sentence."""
+    """The task's graph preamble plus its question sentence; node weights
+    and a pattern graph are rendered only where the graph has them."""
     info = get_task(task)
     query = query or {}
-    last = g.num_nodes - 1
-    edges = _edge_section(info.edge_style, g.edges)
-    if task == "subgraph":
-        pattern: Graph = query["pattern"]
-        head = (
-            f"The nodes of graph G are numbered from 0 to {last}, and {edges}. "
-            f"The nodes of subgraph G' are numbered from a to "
-            f"{_letter(pattern.num_nodes - 1)}, and "
-            f"{_edge_section(info.edge_style, pattern.edges, letters=True)}."
-        )
-    elif task == "triangle":
-        weights = " ".join(f"[{i}, {w}]" for i, w in enumerate(g.node_weights or []))
-        head = (
-            f"The nodes are numbered from 0 to {last}, weights of nodes are: "
-            f"{weights}, and {edges}."
-        )
-    elif task == "shortest":
-        head = (
-            f"In an undirected graph, the nodes are numbered from 0 to {last}, "
-            f"and {edges}."
-        )
-    else:
-        head = f"The nodes are numbered from 0 to {last}, and {edges}."
-    return f"{head} {info.question.format(**query)}"
+    nw, pattern = g.node_weights, query.get("pattern")
+    return f"{info.preamble} {info.question}".format(
+        last=g.num_nodes - 1,
+        edges=_edge_section(info.edge_style, g.edges),
+        weights=" ".join(f"[{i}, {w}]" for i, w in enumerate(nw)) if nw else "",
+        pattern_last=_letter(pattern.num_nodes - 1) if pattern else "",
+        pattern_edges=_edge_section(info.edge_style, pattern.edges, letters=True)
+        if pattern else "",
+        **query)
 
 
 ALPACA_PREFIX = (

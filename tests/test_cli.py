@@ -82,6 +82,29 @@ def test_annotate_stub(problems_file, tmp_path, capsys):
     assert f"wrote 24 paths for 8 problems to {out}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("stage", ["annotate", "dpo"])
+def test_stub_rejects_a_stored_answer_without_its_witness(
+        problems_file, tmp_path, capsys, stage):
+    # the stub narrates the stored witness: a missing one stops the stage
+    # before a path or a cache line is written, not with a traceback
+    recs = [json.loads(line) for line
+            in problems_file.read_text(encoding="utf-8").splitlines()]
+    bad = next(r for r in recs if r["task"] == "cycle" and r["answer"]["value"])
+    bad["answer"]["witness"] = None
+    problems = tmp_path / "no_witness.jsonl"
+    problems.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                        encoding="utf-8")
+    out, cache = tmp_path / "out.jsonl", tmp_path / "c.jsonl"
+    rc = main([stage, "--problems", str(problems), "--backend", "stub",
+               "--seed", "3", "--cache", str(cache), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert (f"error: problem {bad['id']}: stored answer fails its witness "
+            "check") in err
+    assert "Traceback" not in err
+    assert not out.exists() and not cache.exists()
+
+
 def test_select_builds_sft_rows(problems_file, tmp_path, capsys):
     paths = tmp_path / "paths.jsonl"
     main(["annotate", "--problems", str(problems_file), "--backend", "stub",

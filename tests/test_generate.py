@@ -1,8 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from graphcorpus import generate, solvers, textgen
+from graphcorpus import generate, grader, solvers, textgen, transcripts
 from graphcorpus.corpus import problem_to_record
 from graphcorpus.errors import InvalidSpecError, StageError
 from graphcorpus.generate import (attempt_seed, generate_corpus,
@@ -25,8 +27,34 @@ BINARY = [t for t in TASK_ORDER if TASKS[t].answer_kind == "yes_no"]
 def test_every_task_table_covers_exactly_the_task_order():
     assert list(TASKS) == TASK_ORDER
     for table in (generate._BUILDERS, solvers._SOLVE, textgen.TEMPLATES,
+                  grader._RULES, transcripts._NARRATIONS,
                   dict(textparse._QUESTIONS)):
         assert list(table) == TASK_ORDER
+
+
+def test_task_behaviour_is_looked_up_not_compared_by_name():
+    # per-task behaviour lives in task-keyed tables; corpus.py keeps the one
+    # subgraph record form and is the only module that may test a task name
+    src = Path(generate.__file__).parent
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "corpus.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            for op, left, right in zip(node.ops, [node.left] + node.comparators,
+                                       node.comparators):
+                if not isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)):
+                    continue
+                literals = [left, right] + [
+                    e for side in (left, right)
+                    if isinstance(side, (ast.Tuple, ast.List, ast.Set))
+                    for e in side.elts]
+                if any(isinstance(x, ast.Constant) and x.value in TASKS
+                       for x in literals):
+                    hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
 
 
 def test_tiers_partition_the_node_range():

@@ -307,6 +307,29 @@ def test_check_witness_subgraph_requires_injective_map():
     assert not check_witness(p, Answer("yes_no", True, witness={0: 2, 1: 0}))
 
 
+def test_check_witness_bipartite_odd_cycle_ignores_direction():
+    g = Graph(4, True, [(0, 1), (2, 1), (0, 2), (2, 3)])
+    p = _problem("bipartite", g)
+    assert check_witness(p, Answer("yes_no", False, witness=[0, 1, 2]))
+    assert check_witness(p, Answer("yes_no", False, witness=[1, 0, 2]))
+    assert not check_witness(p, Answer("yes_no", False, witness=[0, 1, 3]))
+    assert not check_witness(p, Answer("yes_no", False, witness=[0, 1, 2, 3]))
+
+
+@pytest.mark.parametrize("task", TASK_ORDER)
+def test_check_witness_of_the_wrong_shape_is_false_not_an_error(task):
+    # stored answers are read from files: wherever the answer carries a
+    # witness (for topology, the order), a malformed one fails the check
+    for q in generate_task(task, 4, seed=4, split="witness"):
+        assert check_witness(q, q.answer), q.id
+        ans = q.answer
+        carries = ans.witness is not None or ans.kind == "sequence"
+        for bad in (None, 5, ["a"], [[0]]):
+            claim = (Answer(ans.kind, bad) if ans.kind == "sequence"
+                     else Answer(ans.kind, ans.value, witness=bad))
+            assert check_witness(q, claim) is (not carries), (q.id, bad)
+
+
 def test_violation_fields():
     v = audit_steps(UNDIRECTED, "use (0,3).")[0]
     assert isinstance(v, Violation)

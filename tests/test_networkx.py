@@ -5,7 +5,8 @@ compares every stored answer of a seeded test split (graphs of up to 99
 nodes) with an independent implementation. Hamilton has no polynomial
 reference: answers on up to 16 nodes are checked by the oracle's subset
 DP, larger "yes" answers through their witness, and larger "no" answers
-not at all.
+through a reason that needs no search: the graph is disconnected, or more
+than two of its nodes have degree at most 1 (a path has only two ends).
 """
 
 from itertools import takewhile
@@ -115,6 +116,16 @@ def test_stored_answers_match_networkx(corpus, task):
     assert len(problems) == PER_TASK
     wrong = [p.id for p in problems if not CHECKS[task](p, _nx(p.graph))]
     assert wrong == []
+
+
+def test_large_hamilton_no_answers_have_a_structural_reason(corpus):
+    large_no = [p for p in corpus if p.task == "hamilton"
+                and not p.answer.value and p.graph.num_nodes > HAMILTON_DP_LIMIT]
+    assert large_no
+    for p in large_no:
+        h = _nx(p.graph)
+        ends = sum(1 for _, degree in h.degree if degree <= 1)
+        assert not nx.is_connected(h) or ends > 2, p.id
 
 
 def test_hamilton_answers_match_subset_dp_up_to_its_limit():
