@@ -28,6 +28,7 @@ from .errors import InvalidSpecError, RecordError, SchemaError
 from .graphs import Graph, validate_graph
 from .selector import SELECTOR_VERSION, build_dpo_pair
 from .solvers import Answer
+from .tasks import get_task
 from .textgen import Problem
 from .grader import judge
 
@@ -98,9 +99,14 @@ def problem_to_record(p: Problem) -> dict:
 
 
 def record_to_problem(rec: dict) -> Problem:
-    """Inverse of problem_to_record."""
+    """Inverse of problem_to_record; an unknown task, or an answer kind that
+    is not its task's, is an InvalidSpecError."""
     task = rec["task"]
     query, answer = dict(rec["query"]), rec["answer"]
+    expected = get_task(task).answer_kind
+    if answer["kind"] != expected:
+        raise InvalidSpecError(f"answer kind {answer['kind']!r} is not "
+                               f"{task}'s {expected!r}")
     witness = answer.get("witness")
     if task == "subgraph":
         query = {"pattern": graph_from_dict(query["pattern"])}

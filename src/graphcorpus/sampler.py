@@ -5,9 +5,12 @@ offline from the ground truth (deterministic per prompt and sample index)
 for the prompts `wrap_instruction` and `build_cot_prompt` build, and raises
 BackendError for any other; `HttpBackend` posts to an OpenAI-compatible
 chat endpoint through the standard library's `urllib.request`. Each backend
-names itself in `identity`. `sample` fans prompts out over `jobs` threads,
-the only bound on concurrent requests, sizes every reply to the profile's
-n, and keeps an append-only JSONL cache so no prompt is paid for twice.
+names itself in `identity`. `sample` keeps at most `jobs` requests in
+flight: `jobs` worker threads and the calling thread pull prompts from one
+queue, each holding one of `jobs` request slots while it asks. A retry's
+back-off lends its slot to the next prompt. `sample` sizes every reply to
+the profile's n and keeps an append-only JSONL cache so no prompt is paid
+for twice.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
@@ -109,6 +111,37 @@ class StubBackend:
         return out
 
 
+# The request slot a `sample` runner holds while it asks; None while lent.
+_runner = threading.local()
+
+
+def _back_off(seconds: float) -> None:
+    """Sleep before a retry. On a `sample` runner, lend its request slot to
+    the next prompt for the sleep and take it back before the retry."""
+    slot = getattr(_runner, "slot", None)
+    if slot is None:
+        time.sleep(seconds)
+        return
+    _runner.slot = None         # an interrupted sleep leaves the slot lent
+    slot.release()
+    time.sleep(seconds)
+    slot.acquire()
+    _runner.slot = slot
+
+
+# A JSON "\ud83d" escape with no partner decodes to a lone surrogate, which
+# no UTF-8 file can hold.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _mend_surrogates(text: str) -> str:
+    """text with each unpaired surrogate replaced by U+FFFD."""
+    if not _SURROGATE.search(text):
+        return text
+    return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le",
+                                                            "replace")
+
+
 class HttpBackend:
     """OpenAI-compatible chat completions client with retry and backoff."""
 
@@ -155,7 +188,7 @@ class HttpBackend:
         last = "no attempt made"
         for attempt in range(self.MAX_RETRIES + 1):
             if attempt:
-                time.sleep(self.BACKOFF * 2 ** (attempt - 1))
+                _back_off(self.BACKOFF * 2 ** (attempt - 1))
             with self._count_lock:
                 self.requests += 1
             # IncompleteRead (a body cut short) and a bad header are no OSError
@@ -178,7 +211,7 @@ class HttpBackend:
                 if not all(t is None or isinstance(t, str) for t in texts):
                     raise BackendError("malformed response body: a content "
                                        "is neither a string nor null")
-                return [t or "" for t in texts]
+                return [_mend_surrogates(t) if t else "" for t in texts]
             if status in self.RETRY_STATUSES:
                 last = f"status {status}"
                 continue
@@ -273,6 +306,11 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
     cap is checked up front so a too-large batch fails before spending money.
     A reply is trimmed to profile.n texts; one with fewer is padded with ""
     and not cached, so the next run asks for that prompt again.
+
+    At most `jobs` requests are in flight. One more runner than that pulls
+    prompts, so a prompt waiting out a retry's back-off lends its slot to
+    the next one. The first error (or Ctrl-C) stops every runner from taking
+    another prompt and is raised here once the requests in flight end.
     """
     if profile.n < 1:
         raise InvalidSpecError("profile.n must be at least 1")
@@ -298,7 +336,38 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
             cache.put(shas[i], profile, texts, backend.identity)
         results[i] = texts + [""] * (profile.n - len(texts))
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for _ in pool.map(fetch, misses):
-            pass
+    slots = threading.Semaphore(jobs)      # one per request in flight
+    todo = iter(misses)
+    take = threading.Lock()
+    failed: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            while True:
+                slots.acquire()
+                _runner.slot = slots
+                with take:
+                    i = None if failed else next(todo, None)
+                if i is None:
+                    return
+                fetch(i)
+                _runner.slot = None
+                slots.release()
+        except BaseException as exc:    # Ctrl-C too: every runner stops
+            failed.append(exc)
+        finally:
+            if getattr(_runner, "slot", None) is not None:  # not while lent
+                slots.release()
+            _runner.slot = None
+
+    # the calling thread is the spare runner that takes a lent slot
+    workers = [threading.Thread(target=run)
+               for _ in range(min(jobs, len(misses) - 1))]
+    for w in workers:
+        w.start()
+    run()
+    for w in workers:
+        w.join()
+    if failed:
+        raise failed[0]
     return results

@@ -370,6 +370,25 @@ def test_malformed_nested_problem_fields_exit_two(problems_file, tmp_path,
     assert "'edges'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("task", "foo", "unknown task 'foo'"),
+    ("kind", "yes_no", "answer kind 'yes_no' is not shortest's 'numeric'"),
+], ids=["unknown-task", "kind-not-the-tasks"])
+def test_problem_of_no_known_task_kind_exits_two(problems_file, tmp_path,
+                                                 capsys, field, value,
+                                                 message):
+    # a shortest record relabelled yes/no would pass its witness check
+    rec = next(r for r in map(json.loads, problems_file.read_text(
+        encoding="utf-8").splitlines()) if r["task"] == "shortest")
+    (rec["answer"] if field == "kind" else rec)[field] = value
+    problems = tmp_path / "relabelled.jsonl"
+    problems.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    assert main(["stats", "--problems", str(problems)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {problems}: record {rec['id']!r}: ")
+    assert message in err and "Traceback" not in err
+
+
 def test_failed_report_and_stats_writes_keep_old_files(problems_file,
                                                        tmp_path, monkeypatch):
     from graphcorpus import cli

@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -355,15 +356,29 @@ def test_sample_validates_inputs(problems):
 class _Scripted(BaseHTTPRequestHandler):
     script: list = []
     seen: list = []
+    reply = None          # if set, the script entry for a request's prompt
+    delay = 0.0           # seconds each request waits before its reply
+    active = peak = 0     # requests being answered: now, and the most at once
+    lock = threading.Lock()
 
     def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        type(self).seen.append((self.headers.get("Authorization"),
-                                json.loads(body)))
+        cls = type(self)
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        cls.seen.append((self.headers.get("Authorization"), body))
         # an entry is (status, payload) or (status, payload, bytes the
         # body falls short of its Content-Length); status None closes the
         # connection with no reply
-        status, payload, *short = type(self).script.pop(0)
+        with cls.lock:
+            cls.active += 1
+            cls.peak = max(cls.peak, cls.active)
+            entry = (cls.reply(body["messages"][0]["content"]) if cls.reply
+                     else cls.script.pop(0))
+        time.sleep(cls.delay)
+        with cls.lock:        # before the reply, so the count never overshoots
+            cls.active -= 1
+        self._answer(*entry)
+
+    def _answer(self, status, payload, *short):
         if status is None:
             return
         data = payload if isinstance(payload, bytes) else \
@@ -382,6 +397,9 @@ class _Scripted(BaseHTTPRequestHandler):
 def server():
     _Scripted.script = []
     _Scripted.seen = []
+    _Scripted.reply = None
+    _Scripted.delay = 0.0
+    _Scripted.active = _Scripted.peak = 0
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Scripted)
     thread = threading.Thread(target=httpd.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
@@ -497,6 +515,74 @@ def test_http_request_count_is_exact_under_threads(server, monkeypatch):
     assert backend.requests == len(prompts)     # one per cache miss
 
 
+def test_a_back_off_lends_its_slot_to_the_next_prompt(server, monkeypatch):
+    # one slot: b is asked while a waits out the back-off after its 503
+    base, handler = server
+    handler.script += [(503, {}), (200, _choices("for b")),
+                       (200, _choices("for a"))]
+    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.2)
+    out = sample(["a", "b"], get_profile("eval"), HttpBackend(base, "m"),
+                 jobs=1)
+    assert [payload["messages"][0]["content"]
+            for _, payload in handler.seen] == ["a", "b", "a"]
+    assert out == [["for a"], ["for b"]]
+
+
+def test_requests_in_flight_never_exceed_jobs(server, monkeypatch):
+    base, handler = server
+    prompts = [f"prompt {i}" for i in range(40)]
+    refused = set()
+
+    def reply(prompt):            # every fifth prompt answers 503 once
+        if int(prompt.split()[1]) % 5 == 0 and prompt not in refused:
+            refused.add(prompt)
+            return 503, {}
+        return 200, _choices("re " + prompt)
+
+    handler.reply, handler.delay = reply, 0.01
+    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.02)
+    backend = HttpBackend(base, "m")
+    out = sample(prompts, get_profile("eval"), backend, jobs=2)
+    assert out == [["re " + p] for p in prompts]
+    assert handler.peak == 2
+    assert backend.requests == len(handler.seen) == 48
+
+
+def test_a_fatal_error_stops_every_runner(server):
+    base, handler = server
+    prompts = [f"prompt {i}" for i in range(200)]
+    handler.reply = lambda prompt: ((401, {"error": "bad key"})
+                                    if prompt == prompts[0]
+                                    else (200, _choices("ok")))
+    handler.delay = 0.005
+    with pytest.raises(BackendError) as err:
+        sample(prompts, get_profile("eval"), HttpBackend(base, "m"), jobs=2)
+    assert err.value.status == 401
+    assert len(handler.seen) < 10
+
+
+def test_a_lone_surrogate_in_a_completion_is_replaced(server, tmp_path):
+    # a JSON "\ud83d" escape alone is no text a UTF-8 file can hold
+    base, handler = server
+    handler.script.append(
+        (200, _choices("half an emoji \ud83d here", "whole \U0001f600", "c")))
+    problems = tmp_path / "problems.jsonl"
+    assert main(["generate", "--tasks", "cycle", "--count", "1", "--seed", "3",
+                 "--split", "test", "--out", str(problems)]) == 0
+    cache = tmp_path / "cache.jsonl"
+    http = ["annotate", "--problems", str(problems), "--backend", "http",
+            "--base-url", base, "--model", "m", "--cache", str(cache)]
+    for name in ("cold.jsonl", "warm.jsonl"):
+        assert main([*http, "--out", str(tmp_path / name)]) == 0
+    assert len(handler.seen) == 1          # the warm run read the cache line
+    texts = ["half an emoji \ufffd here", "whole \U0001f600", "c"]
+    for name in ("cold.jsonl", "warm.jsonl"):
+        rec = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+        assert rec["texts"] == texts
+    (line,) = cache.read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["texts"] == texts
+
+
 @pytest.mark.parametrize("api_key", [None], ids=["closed-port"])
 def test_http_transport_failure_is_a_retried_connection_error(monkeypatch,
                                                               api_key):
@@ -564,11 +650,12 @@ def _fresh_python(code, *args):
 def test_package_import_loads_neither_numpy_nor_requests():
     # only HttpBackend.generate needs an HTTP client and only the selector's
     # numeric code needs numpy; importing the package loads neither, and
-    # networkx, a test-only dependency, never
+    # networkx, a test-only dependency, never; sample starts its own
+    # threads, so no stage pays for concurrent.futures
     out = _fresh_python("import sys, graphcorpus, graphcorpus.cli; "
                         "print([m for m in ('numpy', 'requests', 'networkx', "
-                        "'urllib.request', 'http.client') "
-                        "if m in sys.modules])")
+                        "'urllib.request', 'http.client', "
+                        "'concurrent.futures') if m in sys.modules])")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
