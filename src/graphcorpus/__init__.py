@@ -22,10 +22,11 @@ from .graphs import (Graph, assign_edge_weights, assign_node_weights,
 from .sampler import (PROFILES, Cache, HttpBackend, SampleProfile,
                       StubBackend, get_profile, sample)
 from .selector import (build_dpo_pair, dpo_loss, dpo_loss_grad,
-                       select_dispreferred, select_diverse, similarity)
+                       features, select_dispreferred, select_diverse,
+                       similarity)
 from .solvers import (Answer, find_subgraph, hamilton_path, has_cycle,
                       is_bipartite, is_connected, max_flow, max_triangle_sum,
-                      shortest_path, solve, topo_sort)
+                      shortest_path, topo_sort)
 from .tasks import DIFFICULTY_GROUPS, TASK_ORDER, TASKS, build_tiers, get_task
 from .textgen import (Problem, build_cot_prompt, estimate_tokens,
                       render_problem, wrap_instruction)
@@ -42,13 +43,13 @@ __all__ = [
     "assign_edge_weights", "assign_node_weights", "audit_steps",
     "build_cot_prompt", "build_dpo_pair", "build_tiers", "canonical_key",
     "compute_stats", "connected_components", "dpo_loss", "dpo_loss_grad",
-    "estimate_tokens", "evaluate", "extract_answer", "find_subgraph",
-    "format_report", "format_stats", "generate_corpus", "generate_dag",
-    "generate_er", "generate_task", "get_profile", "get_task", "grade",
-    "hamilton_path", "has_cycle", "is_bipartite", "is_connected", "judge",
-    "load_config", "max_flow", "max_triangle_sum", "problem_to_record",
-    "read_jsonl", "read_problems", "record_to_problem", "render_problem",
-    "run_eval", "sample", "select_dispreferred", "select_diverse",
-    "shortest_path", "similarity", "solve", "topo_sort", "validate_graph",
-    "wrap_instruction", "write_jsonl", "write_problems",
+    "estimate_tokens", "evaluate", "extract_answer", "features",
+    "find_subgraph", "format_report", "format_stats", "generate_corpus",
+    "generate_dag", "generate_er", "generate_task", "get_profile",
+    "get_task", "grade", "hamilton_path", "has_cycle", "is_bipartite",
+    "is_connected", "judge", "load_config", "max_flow", "max_triangle_sum",
+    "problem_to_record", "read_jsonl", "read_problems", "record_to_problem",
+    "render_problem", "run_eval", "sample", "select_dispreferred",
+    "select_diverse", "shortest_path", "similarity", "topo_sort",
+    "validate_graph", "wrap_instruction", "write_jsonl", "write_problems",
 ]

@@ -28,7 +28,7 @@ from .errors import InvalidSpecError, RecordError, SchemaError
 from .graphs import Graph, validate_graph
 from .selector import SELECTOR_VERSION, build_dpo_pair
 from .solvers import Answer
-from .tasks import get_task
+from .tasks import require_kind
 from .textgen import Problem
 from .grader import judge
 
@@ -100,10 +100,12 @@ def problem_to_record(p: Problem) -> dict:
 
 def record_to_problem(rec: dict) -> Problem:
     """Inverse of problem_to_record; an unknown task, or an answer kind that
-    is not its task's, is an InvalidSpecError."""
+    is not its task's, is an InvalidSpecError, and a graph of another kind
+    than its task's is a GraphKindError."""
     task = rec["task"]
     query, answer = dict(rec["query"]), rec["answer"]
-    expected = get_task(task).answer_kind
+    graph = graph_from_dict(rec["graph"])
+    expected = require_kind(graph, task).answer_kind
     if answer["kind"] != expected:
         raise InvalidSpecError(f"answer kind {answer['kind']!r} is not "
                                f"{task}'s {expected!r}")
@@ -115,7 +117,7 @@ def record_to_problem(rec: dict) -> Problem:
     return Problem(
         id=rec["id"],
         task=task,
-        graph=graph_from_dict(rec["graph"]),
+        graph=graph,
         query=query,
         answer=Answer(answer["kind"], answer["value"], witness=witness),
         tier=rec.get("tier"),
@@ -151,6 +153,16 @@ def write_jsonl(path: str, records: Iterable[dict]) -> int:
     return count
 
 
+def _encodable(rec: dict) -> bool:
+    """False when a string holds a lone surrogate, which a JSON escape such
+    as "\\ud83d" alone decodes to and no UTF-8 file can hold."""
+    try:
+        json.dumps(rec, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def read_jsonl(path: str, schema: str | None = None) -> list[dict]:
     out = []
     with open(path, "rb") as fh:
@@ -160,6 +172,9 @@ def read_jsonl(path: str, schema: str | None = None) -> list[dict]:
                 if not line.strip():
                     continue
                 rec = json.loads(line)
+                if "\\u" in line and not _encodable(rec):
+                    raise ValueError("a string holds an unpaired surrogate "
+                                     "escape, which UTF-8 cannot encode")
             except ValueError as exc:
                 raise SchemaError(f"{path}: {exc}", line=lineno) from exc
             if not isinstance(rec, dict):

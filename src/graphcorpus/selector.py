@@ -1,10 +1,12 @@
 """Reasoning-path selection and the DPO preference objective.
 
-Path selection works on plain strings. Four similarity metrics (token edit
-ratio, Jaccard, tf-idf cosine, hashed-embedding cosine) nominate candidates
-that disagree with an anchor path; a seeded k-means over the hashed
-embeddings adds cluster medoids. Everything is deterministic for a fixed
-seed: all ties break on (similarity, text, index).
+Path selection tokenizes each text once per call: `features` turns the
+texts into records (tokens, token set, tf-idf vector, hashed embedding),
+and the four similarity metrics (token edit ratio, Jaccard, tf-idf cosine,
+hashed-embedding cosine) read two records. The metrics nominate
+candidates that disagree with an anchor path; a seeded k-means over the
+records' embeddings adds cluster medoids. Everything is deterministic for
+a fixed seed: all ties break on (similarity, text, index).
 
 The edit ratio's token Levenshtein distance comes from the bit-parallel
 algorithm of Myers (1999) in Hyyro's (2001) Levenshtein form. It returns
@@ -14,18 +16,19 @@ O(ceil(m/w)*n) word operations.
 The numeric code is standard-library arithmetic that no summation order
 or BLAS kernel can round differently. A tf-idf vector maps each token to
 count * idf over the vector's l2 norm, and its cosine is the math.fsum of
-the products over shared tokens; fsum rounds the exact sum once. An embedding is a text's integer bucket
-counts and their integer squared norm, and its cosine is dot / sqrt(na * nb)
-with an exact integer dot. The k-means (k-means++ seeding, then at most 50
-Lloyd rounds) never forms a centroid vector: a cluster is its member list,
-and the squared distance from unit embedding p_i to the members' mean is
-G_ii - 2 mean_m G_im + mean_m,m' G_mm' over the Gram matrix G of the unit
-embeddings. Its draws come from random.Random(seed). SFT rows record
-SELECTOR_VERSION, so rows picked by another selector can be told apart.
+the products over shared tokens; fsum rounds the exact sum once. An
+embedding is a text's integer bucket counts and their integer squared
+norm, and its cosine is dot / sqrt(na * nb) with an exact integer dot. The
+k-means (k-means++ seeding, then at most 50 Lloyd rounds) never forms a
+centroid vector: a cluster is its member list, and the squared distance
+from unit embedding p_i to the members' mean is G_ii - 2 mean_m G_im +
+mean_m,m' G_mm' over the Gram matrix G of the unit embeddings. Its draws
+come from random.Random(seed). SFT rows record SELECTOR_VERSION, so rows
+picked by another selector can be told apart.
 
-TfidfModel and HashingEmbedder memoise each text's vector on the instance,
-read-only; an instance lives for one select_diverse or select_dispreferred
-call, so the anchor's vector is computed once, not once per candidate.
+TfidfModel (the fit and every text's vector) and HashingEmbedder.embed
+stay separate calls inside `features` because the benchmark's traced run
+times them by these names, as it does `similarity` and `_kmeans_medoids`.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ import random
 import re
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable
 from itertools import accumulate
-from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import InvalidSpecError
 
@@ -87,53 +90,23 @@ def token_edit_distance(a: list[str], b: list[str]) -> int:
     return dist
 
 
-def edit_similarity(a: str, b: str) -> float:
-    """1 - normalized Levenshtein distance over token sequences."""
-    ta, tb = tokenize(a), tokenize(b)
-    if not ta and not tb:
-        return 1.0
-    return 1.0 - token_edit_distance(ta, tb) / max(len(ta), len(tb))
-
-
-def jaccard_similarity(a: str, b: str) -> float:
-    sa, sb = set(tokenize(a)), set(tokenize(b))
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / len(sa | sb)
-
-
 class TfidfModel:
-    """Tiny tf-idf fit on one candidate set; cosine over l2-normed vectors."""
+    """Tiny tf-idf fit on one candidate set: an l2-normed vector per text."""
 
-    def __init__(self, corpus: list[str]):
-        df: dict[str, int] = {}
-        for text in corpus:
-            for tok in set(tokenize(text)):
-                df[tok] = df.get(tok, 0) + 1
+    def __init__(self, corpus: list[list[str]]):
+        df = Counter(tok for tokens in corpus for tok in set(tokens))
         n = len(corpus)
-        self.idf = {tok: math.log((1 + n) / (1 + d)) + 1.0
-                    for tok, d in df.items()}
-        self._vectors: dict[str, Mapping[str, float]] = {}
-
-    def vector(self, text: str) -> Mapping[str, float]:
-        v = self._vectors.get(text)
-        if v is None:
-            weights = {tok: count * self.idf[tok]
-                       for tok, count in Counter(tokenize(text)).items()
-                       if tok in self.idf}
+        idf = {tok: math.log((1 + n) / (1 + d)) + 1.0 for tok, d in df.items()}
+        self.vocabulary = idf.keys()
+        self.vectors: list[dict[str, float]] = []
+        for tokens in corpus:
+            weights = {tok: count * idf[tok]
+                       for tok, count in Counter(tokens).items()}
             norm = math.sqrt(math.fsum(w * w for w in weights.values()))
-            v = MappingProxyType({tok: w / norm for tok, w in weights.items()})
-            self._vectors[text] = v
-        return v
-
-    def similarity(self, a: str, b: str) -> float:
-        va, vb = self.vector(a), self.vector(b)
-        if len(vb) < len(va):
-            va, vb = vb, va
-        return math.fsum(w * vb[tok] for tok, w in va.items() if tok in vb)
+            self.vectors.append({tok: w / norm for tok, w in weights.items()})
 
 
-Embedding = tuple[Mapping[int, int], int]     # bucket counts, squared norm
+Embedding = tuple[dict[int, int], int]     # bucket counts, squared norm
 
 
 def _cosine(a: Embedding, b: Embedding) -> float:
@@ -149,44 +122,53 @@ def _cosine(a: Embedding, b: Embedding) -> float:
 class HashingEmbedder:
     """Bag-of-words embedding: md5 token hashing into EMBED_DIM buckets."""
 
-    def __init__(self):
-        self._buckets: dict[str, int] = {}
-        self._vectors: dict[str, Embedding] = {}
+    def __init__(self, vocabulary: Iterable[str]):
+        self.buckets = {
+            tok: int.from_bytes(hashlib.md5(tok.encode("utf-8")).digest()[:8],
+                                "big") % EMBED_DIM
+            for tok in vocabulary}
 
-    def _bucket(self, token: str) -> int:
-        bucket = self._buckets.get(token)
-        if bucket is None:
-            digest = hashlib.md5(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:8], "big") % EMBED_DIM
-            self._buckets[token] = bucket
-        return bucket
-
-    def embed(self, text: str) -> Embedding:
-        e = self._vectors.get(text)
-        if e is None:
-            counts = Counter(self._bucket(tok) for tok in tokenize(text))
-            e = (MappingProxyType(dict(counts)),
-                 sum(c * c for c in counts.values()))
-            self._vectors[text] = e
-        return e
-
-    def similarity(self, a: str, b: str) -> float:
-        return (1.0 + _cosine(self.embed(a), self.embed(b))) / 2.0
+    def embed(self, tokens: list[str]) -> Embedding:
+        counts = Counter(self.buckets[tok] for tok in tokens)
+        return dict(counts), sum(c * c for c in counts.values())
 
 
-def similarity(a: str, b: str, metric: str, *,
-               tfidf: TfidfModel | None = None,
-               embedder: HashingEmbedder | None = None) -> float:
-    if metric == "edit":
-        return edit_similarity(a, b)
+class Features(NamedTuple):
+    """What the four metrics read of one text."""
+    tokens: list[str]
+    token_set: set[str]
+    tfidf: dict[str, float]
+    embedding: Embedding
+
+
+def features(texts: list[str]) -> list[Features]:
+    """One record per text from one tokenization; tf-idf is fit on texts."""
+    tokens = [tokenize(t) for t in texts]
+    tfidf = TfidfModel(tokens)
+    embedder = HashingEmbedder(tfidf.vocabulary)
+    return [Features(toks, set(toks), vector, embedder.embed(toks))
+            for toks, vector in zip(tokens, tfidf.vectors)]
+
+
+def similarity(a: Features, b: Features, metric: str) -> float:
+    """Similarity in [0, 1] of two records from one `features` call, whose
+    tf-idf vectors share one fit."""
+    if metric == "edit":      # 1 - normalized token Levenshtein distance
+        longest = max(len(a.tokens), len(b.tokens))
+        if not longest:
+            return 1.0
+        return 1.0 - token_edit_distance(a.tokens, b.tokens) / longest
     if metric == "jaccard":
-        return jaccard_similarity(a, b)
+        if not a.token_set and not b.token_set:
+            return 1.0
+        return len(a.token_set & b.token_set) / len(a.token_set | b.token_set)
     if metric == "tfidf":
-        if tfidf is None:
-            raise InvalidSpecError("tfidf metric needs a fitted model")
-        return tfidf.similarity(a, b)
+        va, vb = a.tfidf, b.tfidf
+        if len(vb) < len(va):
+            va, vb = vb, va
+        return math.fsum(w * vb[tok] for tok, w in va.items() if tok in vb)
     if metric == "embedding":
-        return (embedder or HashingEmbedder()).similarity(a, b)
+        return (1.0 + _cosine(a.embedding, b.embedding)) / 2.0
     raise InvalidSpecError(f"unknown similarity metric: {metric}")
 
 
@@ -264,15 +246,13 @@ def select_diverse(texts: list[str], *, cap: int = 5, seed: int = 0) -> list[int
     candidates = [i for i in range(len(texts)) if i != anchor]
     nominations: list[int] = []
     if candidates:
-        tfidf = TfidfModel(texts)
-        embedder = HashingEmbedder()
+        feats = features(texts)
         for metric in METRICS:
             best = min(candidates, key=lambda i: (
-                similarity(texts[i], texts[anchor], metric,
-                           tfidf=tfidf, embedder=embedder), texts[i], i))
+                similarity(feats[i], feats[anchor], metric), texts[i], i))
             nominations.append(best)
         nominations.extend(_kmeans_medoids(
-            [embedder.embed(t) for t in texts], min(5, len(texts)), seed))
+            [f.embedding for f in feats], min(5, len(texts)), seed))
     picked: list[int] = []
     seen_text: set[str] = set()
     for i in [anchor] + nominations:
@@ -293,13 +273,11 @@ def select_dispreferred(texts: list[str], anchor: str) -> int:
     """
     if not texts:
         raise InvalidSpecError("no candidates to select from")
-    tfidf = TfidfModel(texts + [anchor])
-    embedder = HashingEmbedder()
+    *feats, target = features(texts + [anchor])
     votes: dict[int, int] = {}
     for metric in METRICS:
         best = min(range(len(texts)), key=lambda i: (
-            -similarity(texts[i], anchor, metric,
-                        tfidf=tfidf, embedder=embedder), texts[i], i))
+            -similarity(feats[i], target, metric), texts[i], i))
         votes[best] = votes.get(best, 0) + 1
     ranked = sorted(votes, key=lambda i: (-votes[i], -len(texts[i]), texts[i], i))
     return ranked[0]

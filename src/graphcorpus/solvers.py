@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .config import HAMILTON_BUDGET, HAMILTON_DP_LIMIT
 from .errors import GraphKindError, InvalidQueryError
 from .graphs import Graph, bfs, path_to
-from .tasks import get_task
+from .tasks import require_kind
 
 
 @dataclass
@@ -32,20 +32,9 @@ def _check_node(g: Graph, node: int, label: str) -> None:
         raise InvalidQueryError(f"{label}={node} outside [0,{g.num_nodes - 1}]")
 
 
-def _require_kind(g: Graph, task: str) -> None:
-    """Reject a graph whose directedness or node weights do not match the
-    task's TaskInfo."""
-    info = get_task(task)
-    if g.directed != info.directed:
-        kind = "a directed" if info.directed else "an undirected"
-        raise GraphKindError(f"{task} expects {kind} graph")
-    if info.node_weighted and g.node_weights is None:
-        raise GraphKindError(f"{task} expects node weights")
-
-
 def has_cycle(g: Graph) -> Answer:
     """Cycle = closed walk over >= 3 distinct nodes. Witness: the node list."""
-    _require_kind(g, "cycle")
+    require_kind(g, "cycle")
     adj = g.adjacency
     color = [0] * g.num_nodes          # 0 unseen, 1 on stack, 2 done
     parent = [-1] * g.num_nodes
@@ -82,7 +71,7 @@ def has_cycle(g: Graph) -> Answer:
 
 def is_connected(g: Graph, u: int, v: int) -> Answer:
     """Path existence between u and v. Witness: one path as a node list."""
-    _require_kind(g, "connect")
+    require_kind(g, "connect")
     _check_node(g, u, "u")
     _check_node(g, v, "v")
     tree = bfs(g.adjacency, u, stop=v)
@@ -126,7 +115,7 @@ def is_bipartite(g: Graph) -> Answer:
 
 def topo_sort(g: Graph) -> Answer:
     """Lexicographically smallest topological order; none_exists on a cycle."""
-    _require_kind(g, "topology")
+    require_kind(g, "topology")
     indeg = [0] * g.num_nodes
     adj = g.adjacency
     for _, v in g.edge_pairs:
@@ -148,7 +137,7 @@ def topo_sort(g: Graph) -> Answer:
 
 def shortest_path(g: Graph, u: int, v: int) -> Answer:
     """Dijkstra over positive integer weights. Witness: one optimal path."""
-    _require_kind(g, "shortest")
+    require_kind(g, "shortest")
     _check_node(g, u, "u")
     _check_node(g, v, "v")
     if u == v:
@@ -180,7 +169,7 @@ def shortest_path(g: Graph, u: int, v: int) -> Answer:
 
 def max_triangle_sum(g: Graph) -> Answer:
     """Maximum node-weight sum over triangles. Witness: the best triple."""
-    _require_kind(g, "triangle")
+    require_kind(g, "triangle")
     nw = g.node_weights
     neighbor_sets = [set(a) for a in g.adjacency]
     best_sum = -1
@@ -205,7 +194,7 @@ def max_flow(g: Graph, s: int, t: int) -> Answer:
     are the source side of a minimum cut (its capacity equals the flow
     value), and the smallest one, so every maximum flow gives the same set.
     """
-    _require_kind(g, "flow")
+    require_kind(g, "flow")
     _check_node(g, s, "s")
     _check_node(g, t, "t")
     if s == t:
@@ -311,7 +300,7 @@ def hamilton_path(g: Graph) -> Answer | None:
     Exact DP up to HAMILTON_DP_LIMIT nodes, degree-pruned backtracking of at
     most HAMILTON_BUDGET expansions beyond. A yes answer carries the path.
     """
-    _require_kind(g, "hamilton")
+    require_kind(g, "hamilton")
     n = g.num_nodes
     if n >= 2 and len(bfs(g.adjacency, 0)) < n:
         return Answer("yes_no", False)
@@ -325,7 +314,7 @@ def find_subgraph(g: Graph, pattern: Graph) -> Answer:
 
     Extra host edges are allowed. Witness: {pattern node: host node}.
     """
-    _require_kind(g, "subgraph")
+    require_kind(g, "subgraph")
     if not pattern.directed:
         raise GraphKindError("subgraph pattern must be directed")
     if pattern.num_nodes > g.num_nodes:
@@ -393,21 +382,3 @@ def find_subgraph(g: Graph, pattern: Graph) -> Answer:
         return Answer("yes_no", True, witness=dict(sorted(assign.items())))
     return Answer("yes_no", False)
 
-
-_SOLVE = {
-    "cycle": lambda g, q: has_cycle(g),
-    "connect": lambda g, q: is_connected(g, q["u"], q["v"]),
-    "bipartite": lambda g, q: is_bipartite(g),
-    "topology": lambda g, q: topo_sort(g),
-    "shortest": lambda g, q: shortest_path(g, q["u"], q["v"]),
-    "triangle": lambda g, q: max_triangle_sum(g),
-    "flow": lambda g, q: max_flow(g, q["s"], q["t"]),
-    "hamilton": lambda g, q: hamilton_path(g),
-    "subgraph": lambda g, q: find_subgraph(g, q["pattern"]),
-}
-
-
-def solve(task: str, g: Graph, query: dict | None = None) -> Answer | None:
-    """Dispatch to the task's solver; query fields depend on the task."""
-    get_task(task)
-    return _SOLVE[task](g, query or {})

@@ -1,12 +1,14 @@
 """Registry of the nine graph tasks: generation envelopes, answer kinds,
 and the edge tuple style, graph preamble and question sentence their
-problems render with."""
+problems render with; `require_kind` checks that a graph is of a task's
+kind."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSpecError
+from .errors import GraphKindError, InvalidSpecError
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,18 @@ def get_task(name: str) -> TaskInfo:
         return TASKS[name]
     except KeyError:
         raise InvalidSpecError(f"unknown task {name!r}; expected one of {TASK_ORDER}") from None
+
+
+def require_kind(g: Graph, name: str) -> TaskInfo:
+    """The task's TaskInfo; a graph whose directedness or node weights do
+    not match it is a GraphKindError."""
+    info = get_task(name)
+    if g.directed != info.directed:
+        kind = "a directed" if info.directed else "an undirected"
+        raise GraphKindError(f"{name} expects {kind} graph")
+    if info.node_weighted and g.node_weights is None:
+        raise GraphKindError(f"{name} expects node weights")
+    return info
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Brute-force reference implementations for the test suite.
 
-Every function here answers by exhaustive enumeration and shares no code
+Every oracle here answers by exhaustive enumeration and shares no code
 with the production solvers. They are deliberately slow and refuse graphs
 beyond small size limits (OracleLimitError) so a typo in a test cannot
-silently turn into an hour-long run.
+silently turn into an hour-long run. `solve` is the one exception: it
+dispatches a task to the package's exact solver, for tests that need a
+problem's true answer.
 """
 
 from __future__ import annotations
@@ -14,6 +16,11 @@ from itertools import combinations, permutations
 
 from graphcorpus.errors import GraphCorpusError, InvalidSpecError
 from graphcorpus.graphs import Graph
+from graphcorpus.solvers import (Answer, find_subgraph, hamilton_path,
+                                 has_cycle, is_bipartite, is_connected,
+                                 max_flow, max_triangle_sum, shortest_path,
+                                 topo_sort)
+from graphcorpus.tasks import get_task
 
 NODE_LIMIT = 10
 TOPOLOGY_LIMIT = 8
@@ -294,3 +301,22 @@ def oracle_solve(task: str, g: Graph, query: dict | None = None):
     if task == "subgraph":
         return oracle_subgraph(query["pattern"], g)
     raise InvalidSpecError(f"unknown task: {task}")
+
+
+SOLVE = {
+    "cycle": lambda g, q: has_cycle(g),
+    "connect": lambda g, q: is_connected(g, q["u"], q["v"]),
+    "bipartite": lambda g, q: is_bipartite(g),
+    "topology": lambda g, q: topo_sort(g),
+    "shortest": lambda g, q: shortest_path(g, q["u"], q["v"]),
+    "triangle": lambda g, q: max_triangle_sum(g),
+    "flow": lambda g, q: max_flow(g, q["s"], q["t"]),
+    "hamilton": lambda g, q: hamilton_path(g),
+    "subgraph": lambda g, q: find_subgraph(g, q["pattern"]),
+}
+
+
+def solve(task: str, g: Graph, query: dict | None = None) -> Answer | None:
+    """Dispatch to the task's exact solver; query fields depend on the task."""
+    get_task(task)
+    return SOLVE[task](g, query or {})

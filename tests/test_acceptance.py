@@ -24,13 +24,12 @@ from graphcorpus.generate import generate_corpus
 from graphcorpus.grader import is_hamilton_path, judge
 from graphcorpus.graphs import (assign_edge_weights, assign_node_weights,
                                 canonical_key, generate_dag, generate_er)
-from graphcorpus.selector import (METRICS, HashingEmbedder, TfidfModel,
-                                  dpo_loss, dpo_loss_grad, select_diverse,
+from graphcorpus.selector import (METRICS, dpo_loss, dpo_loss_grad,
+                                  features, select_diverse,
                                   select_dispreferred, similarity)
 from graphcorpus.solvers import (find_subgraph, hamilton_path, has_cycle,
                                  is_bipartite, is_connected, max_flow,
-                                 max_triangle_sum, shortest_path, solve,
-                                 topo_sort)
+                                 max_triangle_sum, shortest_path, topo_sort)
 from graphcorpus.tasks import TASK_ORDER, TASKS
 from graphcorpus.textgen import TEMPLATES, Problem
 from graphcorpus.transcripts import make_transcript
@@ -38,7 +37,7 @@ from graphcorpus.transcripts import make_transcript
 from oracles import (oracle_bipartite, oracle_connect,
                      oracle_cycle, oracle_flow, oracle_hamilton,
                      oracle_shortest, oracle_subgraph,
-                     oracle_topo_orders, oracle_triangle)
+                     oracle_topo_orders, oracle_triangle, solve)
 from textparse import parse_problem
 
 RUNS = 200          # oracle comparisons per task
@@ -266,14 +265,12 @@ def test_criterion_5_selector_equivalence():
         anchor = sorted(range(len(texts)),
                         key=lambda i: (-len(texts[i]), texts[i], i))[0]
         rest = [i for i in range(len(texts)) if i != anchor]
-        tfidf = TfidfModel(texts)
-        emb = HashingEmbedder()
+        recs = features(texts)
         expected = [anchor]
         seen = {texts[anchor]}
         for metric in METRICS:
             nom = min(rest, key=lambda i: (
-                similarity(texts[i], texts[anchor], metric,
-                           tfidf=tfidf, embedder=emb), texts[i], i))
+                similarity(recs[i], recs[anchor], metric), texts[i], i))
             if texts[nom] not in seen:
                 seen.add(texts[nom])
                 expected.append(nom)
@@ -285,12 +282,11 @@ def test_criterion_5_selector_equivalence():
 
         target = _word_salad(rng)
         pool = texts + [target]
-        tfidf = TfidfModel(pool + [texts[anchor]])
+        recs = features(pool + [texts[anchor]])
         votes: dict[int, int] = {}
         for metric in METRICS:
             best = min(range(len(pool)), key=lambda i: (
-                -similarity(pool[i], texts[anchor], metric,
-                            tfidf=tfidf, embedder=emb), pool[i], i))
+                -similarity(recs[i], recs[-1], metric), pool[i], i))
             votes[best] = votes.get(best, 0) + 1
         want = sorted(votes, key=lambda i: (-votes[i], -len(pool[i]),
                                             pool[i], i))[0]

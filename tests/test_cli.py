@@ -358,6 +358,32 @@ def test_malformed_records_exit_two(problems_file, tmp_path, capsys):
     assert not (tmp_path / "sft.jsonl").exists()
 
 
+@pytest.mark.parametrize("stage", ["select", "dpo"])
+def test_lone_surrogate_in_paths_exits_two(problems_file, tmp_path, capsys,
+                                           stage):
+    # "\ud83d" alone is valid JSON but no UTF-8 file can hold the string
+    paths = tmp_path / "paths.jsonl"
+    assert main(["annotate", "--problems", str(problems_file), "--backend",
+                 "stub", "--stub-error-rate", "0.5", "--seed", "3",
+                 "--out", str(paths)]) == 0
+    recs = read_jsonl(str(paths), PATHS_SCHEMA)
+    for head, rc in (("\\ud83d ", 0), ("\ud83d ", 2)):
+        edited = tmp_path / f"edited{rc}.jsonl"
+        edited.write_text("".join(
+            json.dumps({**r, "texts": [head + t for t in r["texts"]]}) + "\n"
+            for r in recs), encoding="utf-8")
+        capsys.readouterr()
+        assert main([stage, "--problems", str(problems_file), "--paths",
+                     str(edited), "--out", str(tmp_path / f"out{rc}.jsonl")
+                     ]) == rc, head
+    # a backslash before "ud83d" is plain text and reaches the rows
+    assert "\\\\ud83d " in (tmp_path / "out0.jsonl").read_text("utf-8")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 1: {edited}: "), err
+    assert "surrogate" in err and "Traceback" not in err
+    assert not (tmp_path / "out2.jsonl").exists()
+
+
 def test_malformed_nested_problem_fields_exit_two(problems_file, tmp_path,
                                                   capsys):
     rec = json.loads(problems_file.read_text(encoding="utf-8").splitlines()[0])
@@ -370,17 +396,26 @@ def test_malformed_nested_problem_fields_exit_two(problems_file, tmp_path,
     assert "'edges'" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("field,value,message", [
-    ("task", "foo", "unknown task 'foo'"),
-    ("kind", "yes_no", "answer kind 'yes_no' is not shortest's 'numeric'"),
-], ids=["unknown-task", "kind-not-the-tasks"])
-def test_problem_of_no_known_task_kind_exits_two(problems_file, tmp_path,
-                                                 capsys, field, value,
-                                                 message):
-    # a shortest record relabelled yes/no would pass its witness check
-    rec = next(r for r in map(json.loads, problems_file.read_text(
-        encoding="utf-8").splitlines()) if r["task"] == "shortest")
-    (rec["answer"] if field == "kind" else rec)[field] = value
+@pytest.mark.parametrize("task,change,message", [
+    ("shortest", lambda rec: rec.update(task="foo"), "unknown task 'foo'"),
+    ("shortest", lambda rec: rec["answer"].update(kind="yes_no"),
+     "answer kind 'yes_no' is not shortest's 'numeric'"),
+    ("cycle", lambda rec: rec["graph"].update(directed=True),
+     "cycle expects an undirected graph"),
+    ("triangle", lambda rec: rec["graph"].pop("node_weights"),
+     "triangle expects node weights"),
+], ids=["unknown-task", "kind-not-the-tasks", "directed-cycle",
+        "triangle-without-node-weights"])
+def test_problem_of_no_known_task_kind_exits_two(tmp_path, capsys, task,
+                                                 change, message):
+    # a shortest record relabelled yes/no would pass its witness check, and
+    # nothing after reading rechecks a graph of the wrong kind
+    source = tmp_path / "problems.jsonl"
+    assert main(["generate", "--tasks", task, "--count", "2", "--seed", "3",
+                 "--split", "test", "--out", str(source)]) == 0
+    capsys.readouterr()
+    rec = json.loads(source.read_text(encoding="utf-8").splitlines()[0])
+    change(rec)
     problems = tmp_path / "relabelled.jsonl"
     problems.write_text(json.dumps(rec) + "\n", encoding="utf-8")
     assert main(["stats", "--problems", str(problems)]) == 2

@@ -12,9 +12,10 @@ from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
 from graphcorpus.errors import RecordError, SchemaError
 from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.graphs import Graph
-from graphcorpus.solvers import Answer, solve
+from graphcorpus.solvers import Answer
 from graphcorpus.textgen import Problem, render_problem
 
+from oracles import solve
 from textparse import problem_signature
 
 

@@ -4,21 +4,21 @@ from pathlib import Path
 
 import pytest
 
-from graphcorpus import generate, grader, solvers, textgen, transcripts
+from graphcorpus import generate, grader, textgen, transcripts
 from graphcorpus.corpus import problem_to_record
 from graphcorpus.errors import InvalidSpecError, StageError
 from graphcorpus.generate import (attempt_seed, generate_corpus,
                                   generate_task)
 from graphcorpus.grader import judge
 from graphcorpus.graphs import canonical_key, validate_graph
-from graphcorpus.solvers import solve
 from graphcorpus.tasks import (DENSITIES, DENSITIES_DIRECTED, TASK_ORDER,
                                TASKS, build_tiers)
 from graphcorpus.textgen import render_problem
 from graphcorpus.transcripts import make_transcript
 
 import textparse
-from oracles import NODE_LIMIT, OracleLimitError, oracle_solve
+import oracles
+from oracles import NODE_LIMIT, OracleLimitError, oracle_solve, solve
 from textparse import parse_problem
 
 BINARY = [t for t in TASK_ORDER if TASKS[t].answer_kind == "yes_no"]
@@ -26,7 +26,7 @@ BINARY = [t for t in TASK_ORDER if TASKS[t].answer_kind == "yes_no"]
 
 def test_every_task_table_covers_exactly_the_task_order():
     assert list(TASKS) == TASK_ORDER
-    for table in (generate._BUILDERS, solvers._SOLVE, textgen.TEMPLATES,
+    for table in (generate._BUILDERS, oracles.SOLVE, textgen.TEMPLATES,
                   grader._RULES, transcripts._NARRATIONS,
                   dict(textparse._QUESTIONS)):
         assert list(table) == TASK_ORDER

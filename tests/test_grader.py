@@ -5,10 +5,10 @@ from graphcorpus.grader import (Answer, ExtractionFailure, Verdict, Violation,
                                 audit_steps, check_witness, extract_answer,
                                 grade, judge)
 from graphcorpus.graphs import Graph
-from graphcorpus.solvers import solve
 from graphcorpus.tasks import TASK_ORDER
 from graphcorpus.textgen import TEMPLATES, Problem
 
+from oracles import solve
 from textparse import parse_problem
 
 

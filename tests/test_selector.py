@@ -7,10 +7,10 @@ from graphcorpus.errors import InvalidSpecError
 from graphcorpus.generate import generate_task
 from graphcorpus.grader import judge
 from graphcorpus.sampler import StubBackend, get_profile
-from graphcorpus.selector import (EMBED_DIM, METRICS, HashingEmbedder,
-                                  TfidfModel, _kmeans_medoids, build_dpo_pair,
-                                  dpo_loss, dpo_loss_grad, edit_similarity,
-                                  jaccard_similarity, select_dispreferred,
+from graphcorpus import selector
+from graphcorpus.selector import (EMBED_DIM, METRICS, _kmeans_medoids,
+                                  build_dpo_pair, dpo_loss, dpo_loss_grad,
+                                  features, select_dispreferred,
                                   select_diverse, similarity,
                                   token_edit_distance, tokenize)
 from graphcorpus.tasks import TASK_ORDER
@@ -25,12 +25,17 @@ def test_tokenize_lowercases_and_splits():
     assert tokenize("") == []
 
 
+def _sim(a, b, metric):
+    """One metric between two texts, from records built for the pair."""
+    return similarity(*features([a, b]), metric)
+
+
 def test_edit_similarity_hand_values():
-    assert edit_similarity("a b c", "a b c") == 1.0
-    assert edit_similarity("a b c", "a b d") == pytest.approx(2 / 3)
-    assert edit_similarity("", "") == 1.0
-    assert edit_similarity("", "a") == 0.0
-    assert edit_similarity("x y", "y x") == edit_similarity("y x", "x y")
+    assert _sim("a b c", "a b c", "edit") == 1.0
+    assert _sim("a b c", "a b d", "edit") == pytest.approx(2 / 3)
+    assert _sim("", "", "edit") == 1.0
+    assert _sim("", "a", "edit") == 0.0
+    assert _sim("x y", "y x", "edit") == _sim("y x", "x y", "edit")
 
 
 def _dp_distance(ta, tb):
@@ -51,11 +56,11 @@ def _assert_same_distance(ta, tb):
     want = _dp_distance(ta, tb)
     assert token_edit_distance(ta, tb) == want, (ta, tb)
     assert token_edit_distance(tb, ta) == want, (tb, ta)
-    # the ratio the DP-based edit_similarity computed; exact float equality
+    # the ratio a DP-based edit similarity computes; exact float equality
     ratio = 1.0 - want / max(len(ta), len(tb)) if ta or tb else 1.0
     a, b = " ".join(ta), " ".join(tb)
-    assert edit_similarity(a, b) == ratio
-    assert edit_similarity(b, a) == ratio
+    assert _sim(a, b, "edit") == ratio
+    assert _sim(b, a, "edit") == ratio
 
 
 def _random_tokens(rng, length, alphabet):
@@ -107,49 +112,39 @@ def test_edit_distance_edge_pairs():
 
 
 def test_jaccard_similarity_hand_values():
-    assert jaccard_similarity("a b", "b c") == pytest.approx(1 / 3)
-    assert jaccard_similarity("a a a b", "b a") == 1.0   # set semantics
-    assert jaccard_similarity("", "") == 1.0
-    assert jaccard_similarity("a", "b") == 0.0
+    assert _sim("a b", "b c", "jaccard") == pytest.approx(1 / 3)
+    assert _sim("a a a b", "b a", "jaccard") == 1.0   # set semantics
+    assert _sim("", "", "jaccard") == 1.0
+    assert _sim("a", "b", "jaccard") == 0.0
 
 
 def test_tfidf_similarity():
-    model = TfidfModel(["cat dog", "cat fish", "bird"])
-    assert model.similarity("cat dog", "cat dog") == pytest.approx(1.0)
-    mid = model.similarity("cat dog", "cat fish")
+    dog, fish, _, zebra = features(["cat dog", "cat fish", "bird", "zebra"])
+    assert similarity(dog, dog, "tfidf") == pytest.approx(1.0)
+    mid = similarity(dog, fish, "tfidf")
     assert 0.0 < mid < 1.0
-    assert model.similarity("cat dog", "cat fish") == pytest.approx(
-        model.similarity("cat fish", "cat dog"))
-    # tokens outside the fitted vocabulary vanish
-    assert model.similarity("zebra", "cat dog") == 0.0
+    assert similarity(dog, fish, "tfidf") == pytest.approx(
+        similarity(fish, dog, "tfidf"))
+    # texts that share no token
+    assert similarity(zebra, dog, "tfidf") == 0.0
 
 
 def test_embedding_similarity_bounds():
-    emb = HashingEmbedder()
-    assert emb.similarity("same text", "same text") == pytest.approx(1.0)
-    other = emb.similarity("alpha beta", "gamma delta")
+    assert _sim("same text", "same text", "embedding") == pytest.approx(1.0)
+    other = _sim("alpha beta", "gamma delta", "embedding")
     assert 0.0 <= other < 1.0
 
 
-def test_vectors_are_memoised_read_only():
-    texts = ["cat dog", "cat fish", "bird", "cat cat dog dog dog"]
-    tfidf, emb = TfidfModel(texts), HashingEmbedder()
-    for text in texts + ["zebra", ""]:
-        v = tfidf.vector(text)
-        assert tfidf.vector(text) is v
-        assert v == TfidfModel(texts).vector(text)
-        with pytest.raises(TypeError):
-            v["cat"] = 2.0
-        assert v == TfidfModel(texts).vector(text)
-        if v:
-            assert math.fsum(w * w for w in v.values()) == pytest.approx(1.0)
-        e = emb.embed(text)
-        assert emb.embed(text) is e
-        counts, norm2 = e
-        assert e == HashingEmbedder().embed(text)
-        with pytest.raises(TypeError):
-            counts[0] = 1
-        assert e == HashingEmbedder().embed(text)
+def test_features_are_deterministic():
+    texts = ["cat dog", "cat fish", "bird", "cat cat dog dog dog", "zebra", ""]
+    for f, again, text in zip(features(texts), features(texts), texts):
+        assert f == again
+        assert f.tokens == tokenize(text)
+        assert f.token_set == set(f.tokens)
+        if f.tfidf:
+            assert math.fsum(w * w for w in f.tfidf.values()) == \
+                pytest.approx(1.0)
+        counts, norm2 = f.embedding
         assert norm2 == sum(c * c for c in counts.values())
         assert sum(counts.values()) == len(tokenize(text))
 
@@ -157,20 +152,23 @@ def test_vectors_are_memoised_read_only():
 def test_vector_similarities_are_exact():
     rng = random.Random(11)
     texts = [_word_salad(rng, rng.randint(1, 30)) for _ in range(30)] + [""]
-    tfidf, emb = TfidfModel(texts), HashingEmbedder()
+    shuffled = []
     for a in texts:
         words = a.split()
         rng.shuffle(words)
-        shuffled = " ".join(words)
-        for b in texts:
-            assert tfidf.similarity(a, b) == tfidf.similarity(b, a)
-            assert emb.similarity(a, b) == emb.similarity(b, a)
-            assert tfidf.similarity(shuffled, b) == tfidf.similarity(a, b)
-            assert emb.similarity(shuffled, b) == emb.similarity(a, b)
-        if a:
-            assert emb.similarity(a, a) == 1.0
-            assert HashingEmbedder().similarity(a, shuffled) == 1.0
-        assert emb.similarity(a, "") == 0.5
+        shuffled.append(" ".join(words))
+    recs = features(texts + shuffled)
+    plain, mixed = recs[:len(texts)], recs[len(texts):]
+    empty = plain[-1]
+    for a, sa in zip(plain, mixed):
+        for b in plain:
+            for metric in ("tfidf", "embedding"):
+                assert similarity(a, b, metric) == similarity(b, a, metric)
+                assert similarity(sa, b, metric) == similarity(a, b, metric)
+        if a.tokens:
+            assert similarity(a, a, "embedding") == 1.0
+            assert similarity(a, sa, "embedding") == 1.0
+        assert similarity(a, empty, "embedding") == 0.5
 
 
 def _clustered_texts(rng, k):
@@ -192,8 +190,7 @@ def test_kmeans_medoids_match_dense_reference():
     for seed in range(100):
         rng = random.Random(seed)
         k = rng.randint(2, 5)
-        emb = HashingEmbedder()
-        embedded = [emb.embed(t) for t in _clustered_texts(rng, k)]
+        embedded = [f.embedding for f in features(_clustered_texts(rng, k))]
         medoids = _kmeans_medoids(embedded, k, seed)
         assert medoids == oracle_kmeans_medoids(
             _unit_vectors(embedded), k, seed), seed
@@ -207,13 +204,31 @@ def test_kmeans_medoids_match_dense_reference():
 
 
 def test_similarity_dispatcher():
-    assert similarity("a", "a", "edit") == 1.0
-    assert similarity("a", "a", "jaccard") == 1.0
-    assert similarity("a", "a", "embedding") == pytest.approx(1.0)
+    assert _sim("a", "a", "edit") == 1.0
+    assert _sim("a", "a", "jaccard") == 1.0
+    assert _sim("a", "a", "embedding") == pytest.approx(1.0)
     with pytest.raises(InvalidSpecError):
-        similarity("a", "b", "tfidf")
-    with pytest.raises(InvalidSpecError):
-        similarity("a", "b", "cosine9000")
+        _sim("a", "b", "cosine9000")
+
+
+def _count_tokenize(monkeypatch):
+    calls = []
+    real = selector.tokenize
+    monkeypatch.setattr(selector, "tokenize",
+                        lambda text: calls.append(text) or real(text))
+    return calls
+
+
+def test_each_text_is_tokenized_once_per_selection(monkeypatch):
+    rng = random.Random(3)
+    texts = [_word_salad(rng, rng.randint(4, 16)) for _ in range(9)]
+    anchor = _word_salad(rng)
+    calls = _count_tokenize(monkeypatch)
+    select_diverse(texts)
+    assert len(calls) == len(texts)
+    calls.clear()
+    select_dispreferred(texts, anchor)
+    assert len(calls) == len(texts) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +242,11 @@ def _brute_force_nominations(texts):
     candidates = [i for i in range(len(texts)) if i != anchor]
     if not candidates:
         return anchor, []
-    tfidf = TfidfModel(texts)
-    emb = HashingEmbedder()
+    recs = features(texts)
     noms = []
     for metric in METRICS:
         noms.append(min(candidates, key=lambda i: (
-            similarity(texts[i], texts[anchor], metric,
-                       tfidf=tfidf, embedder=emb), texts[i], i)))
+            similarity(recs[i], recs[anchor], metric), texts[i], i)))
     return anchor, noms
 
 
@@ -330,13 +343,11 @@ def test_select_dispreferred_prefers_near_copy():
 
 
 def _assert_dispreferred_matches_brute_force(texts, anchor):
-    tfidf = TfidfModel(texts + [anchor])
-    emb = HashingEmbedder()
+    recs = features(texts + [anchor])
     votes = {}
     for metric in METRICS:
         best = min(range(len(texts)), key=lambda i: (
-            -similarity(texts[i], anchor, metric,
-                        tfidf=tfidf, embedder=emb), texts[i], i))
+            -similarity(recs[i], recs[-1], metric), texts[i], i))
         votes[best] = votes.get(best, 0) + 1
     expected = sorted(votes, key=lambda i: (
         -votes[i], -len(texts[i]), texts[i], i))[0]

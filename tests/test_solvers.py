@@ -12,13 +12,13 @@ from graphcorpus.graphs import (Graph, assign_edge_weights,
 from graphcorpus.solvers import (Answer, find_subgraph, has_cycle,
                                  hamilton_path, is_bipartite, is_connected,
                                  max_flow, max_triangle_sum, shortest_path,
-                                 solve, topo_sort)
+                                 topo_sort)
 from graphcorpus.textgen import Problem
 
 from oracles import (oracle_bipartite, oracle_connect,
                      oracle_cycle, oracle_flow, oracle_hamilton,
                      oracle_hamilton_dp, oracle_shortest, oracle_subgraph,
-                     oracle_topo_orders, oracle_triangle)
+                     oracle_topo_orders, oracle_triangle, solve)
 
 
 def _problem(task, g, query=None, answer=None):

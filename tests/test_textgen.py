@@ -5,11 +5,12 @@ import pytest
 from graphcorpus.errors import InvalidSpecError
 from graphcorpus.grader import extract_answer, is_topo_order
 from graphcorpus.graphs import Graph
-from graphcorpus.solvers import Answer, solve
+from graphcorpus.solvers import Answer
 from graphcorpus.textgen import (ALPACA_PREFIX, TEMPLATES, ZERO_SHOT_SUFFIX,
                                  build_cot_prompt, estimate_tokens,
                                  render_problem, wrap_instruction)
 
+from oracles import solve
 from textparse import ParseError, parse_problem
 
 GOLDEN = Path(__file__).parent / "golden"
