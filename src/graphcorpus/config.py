@@ -62,17 +62,19 @@ def load_config(path: str | None) -> PipelineConfig:
     return apply_overrides(cfg, data)
 
 
-def _has_type(value: object, hint: object) -> bool:
+def has_type(value: object, hint: object) -> bool:
     """Whether value fits the annotation: a bool is not an int, an int is a
     float, and a union takes any of its members."""
+    if hint is bool:
+        return isinstance(value, bool)
     if hint is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if hint in (int, str):
         return isinstance(value, hint) and not isinstance(value, bool)
     if get_origin(hint) is list:
         item, = get_args(hint)
-        return isinstance(value, list) and all(_has_type(v, item) for v in value)
-    return any(_has_type(value, h) for h in get_args(hint))
+        return isinstance(value, list) and all(has_type(v, item) for v in value)
+    return any(has_type(value, h) for h in get_args(hint))
 
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
@@ -90,7 +92,7 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
                                    f"of {list(DEFAULT_COUNTS)}")
         if key == "tasks" and isinstance(value, str):
             value = [t.strip() for t in value.split(",") if t.strip()]
-        if not _has_type(value, hints[key]):
+        if not has_type(value, hints[key]):
             raise InvalidSpecError(f"config key {key} expects {known[key]}, "
                                    f"got {value!r}")
         if key == "beta" and not value > 0:

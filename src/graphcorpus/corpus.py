@@ -22,9 +22,11 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from string import Formatter
 from typing import Any, Iterable
 
-from .errors import InvalidSpecError, RecordError, SchemaError
+from .config import has_type
+from .errors import InvalidQueryError, InvalidSpecError, RecordError, SchemaError
 from .graphs import Graph, validate_graph
 from .selector import SELECTOR_VERSION, build_dpo_pair
 from .solvers import Answer
@@ -98,17 +100,33 @@ def problem_to_record(p: Problem) -> dict:
     }
 
 
+# The type each answer kind's value must have.
+_VALUES = {"yes_no": ("a boolean", bool), "numeric": ("an integer", int),
+           "sequence": ("a list of integers", list[int])}
+
+
 def record_to_problem(rec: dict) -> Problem:
-    """Inverse of problem_to_record; an unknown task, or an answer kind that
-    is not its task's, is an InvalidSpecError, and a graph of another kind
-    than its task's is a GraphKindError."""
+    """Inverse of problem_to_record. An unknown task, an answer kind that is
+    not its task's or a value not of that kind is an InvalidSpecError; a
+    query node the task's question names that is missing or not a node of
+    the graph is an InvalidQueryError; a graph of another kind than its
+    task's is a GraphKindError."""
     task = rec["task"]
     query, answer = dict(rec["query"]), rec["answer"]
     graph = graph_from_dict(rec["graph"])
-    expected = require_kind(graph, task).answer_kind
-    if answer["kind"] != expected:
+    info = require_kind(graph, task)
+    if answer["kind"] != info.answer_kind:
         raise InvalidSpecError(f"answer kind {answer['kind']!r} is not "
-                               f"{task}'s {expected!r}")
+                               f"{task}'s {info.answer_kind!r}")
+    what, hint = _VALUES[info.answer_kind]
+    if not has_type(answer["value"], hint):
+        raise InvalidSpecError(f"answer value {answer['value']!r} is not {what}")
+    for _, name, _, _ in Formatter().parse(info.question):
+        if name and not (has_type(query.get(name), int)
+                         and 0 <= query[name] < graph.num_nodes):
+            raise InvalidQueryError(
+                f"query node {name!r} is {query.get(name)!r}, not a node "
+                f"of the graph (0 to {graph.num_nodes - 1})")
     witness = answer.get("witness")
     if task == "subgraph":
         query = {"pattern": graph_from_dict(query["pattern"])}

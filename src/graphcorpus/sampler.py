@@ -270,6 +270,10 @@ class Cache:
                         and all(isinstance(t, str) for t in texts)):
                     raise CacheError(
                         f"{path}:{lineno}: texts is not a list of strings")
+                if b"\\u" in line and any(map(_SURROGATE.search, texts)):
+                    raise CacheError(f"{path}:{lineno}: a text holds an "
+                                     "unpaired surrogate escape, which UTF-8 "
+                                     "cannot encode")
                 self._store[key] = texts      # last write wins
         if torn:
             os.truncate(path, complete)

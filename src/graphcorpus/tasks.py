@@ -16,7 +16,6 @@ class TaskInfo:
     name: str
     difficulty: str          # easy | medium | hard
     directed: bool
-    edge_weighted: bool
     node_weighted: bool
     node_range: tuple[int, int]
     answer_kind: str         # yes_no | numeric | sequence
@@ -28,29 +27,29 @@ class TaskInfo:
 
 
 _TASKS = [
-    TaskInfo("cycle", "easy", False, False, False, (2, 100), "yes_no",
+    TaskInfo("cycle", "easy", False, False, (2, 100), "yes_no",
              "({0},{1})", "Is there a cycle in this graph?"),
-    TaskInfo("connect", "easy", False, False, False, (2, 100), "yes_no",
+    TaskInfo("connect", "easy", False, False, (2, 100), "yes_no",
              "({0},{1})", "Is there a path between node {u} and node {v}?"),
-    TaskInfo("bipartite", "easy", True, False, False, (2, 100), "yes_no",
+    TaskInfo("bipartite", "easy", True, False, (2, 100), "yes_no",
              "({0}->{1})", "Is this graph bipartite?"),
-    TaskInfo("topology", "easy", True, False, False, (2, 50), "sequence",
+    TaskInfo("topology", "easy", True, False, (2, 50), "sequence",
              "({0}->{1})", "Give one topology sorting path of this graph."),
-    TaskInfo("shortest", "medium", False, True, False, (2, 100), "numeric",
+    TaskInfo("shortest", "medium", False, False, (2, 100), "numeric",
              "({0},{1},{2})",
              "Give the weight of the shortest path from node {u} to node {v}.",
              "In an undirected graph, the nodes are numbered from 0 to {last}, "
              "and {edges}."),
-    TaskInfo("triangle", "medium", False, False, True, (2, 25), "numeric",
+    TaskInfo("triangle", "medium", False, True, (2, 25), "numeric",
              "({0}, {1})",
              "What is the maximum sum of the weights of three interconnected nodes?",
              "The nodes are numbered from 0 to {last}, weights of nodes are: "
              "{weights}, and {edges}."),
-    TaskInfo("flow", "medium", True, True, False, (2, 50), "numeric",
+    TaskInfo("flow", "medium", True, False, (2, 50), "numeric",
              "({0}->{1},{2})", "What is the maximum flow from node {s} to node {t}?"),
-    TaskInfo("hamilton", "hard", False, False, False, (2, 50), "yes_no",
+    TaskInfo("hamilton", "hard", False, False, (2, 50), "yes_no",
              "({0},{1})", "Is there a Hamiltonian path in this graph?"),
-    TaskInfo("subgraph", "hard", True, False, False, (2, 30), "yes_no",
+    TaskInfo("subgraph", "hard", True, False, (2, 30), "yes_no",
              "({0}->{1})",
              "Is subgraph G' present within graph G as a direct substructure?",
              "The nodes of graph G are numbered from 0 to {last}, and {edges}. "

@@ -384,6 +384,26 @@ def test_lone_surrogate_in_paths_exits_two(problems_file, tmp_path, capsys,
     assert not (tmp_path / "out2.jsonl").exists()
 
 
+def test_lone_surrogate_in_cache_exits_two(problems_file, tmp_path, capsys):
+    # the cache loader parses its own lines; a text it let through would
+    # fail the paths file's write with a traceback
+    cache, out = tmp_path / "cache.jsonl", tmp_path / "paths.jsonl"
+    annotate = ["annotate", "--problems", str(problems_file), "--backend",
+                "stub", "--seed", "3", "--cache", str(cache)]
+    assert main([*annotate, "--out", str(tmp_path / "cold.jsonl")]) == 0
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    rec["texts"][0] = "\ud83d"
+    lines[1] = json.dumps(rec)
+    cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([*annotate, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cache}:2: "), err
+    assert "surrogate" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_malformed_nested_problem_fields_exit_two(problems_file, tmp_path,
                                                   capsys):
     rec = json.loads(problems_file.read_text(encoding="utf-8").splitlines()[0])
@@ -404,8 +424,23 @@ def test_malformed_nested_problem_fields_exit_two(problems_file, tmp_path,
      "cycle expects an undirected graph"),
     ("triangle", lambda rec: rec["graph"].pop("node_weights"),
      "triangle expects node weights"),
+    ("cycle", lambda rec: rec["answer"].update(value="false"),
+     "answer value 'false' is not a boolean"),
+    ("shortest", lambda rec: rec["answer"].update(value="7"),
+     "answer value '7' is not an integer"),
+    ("shortest", lambda rec: rec["answer"].update(value=True),
+     "answer value True is not an integer"),
+    ("topology", lambda rec: rec["answer"].update(value=[0, "1"]),
+     "answer value [0, '1'] is not a list of integers"),
+    ("connect", lambda rec: rec.update(query={}),
+     "query node 'u' is None, not a node of the graph"),
+    ("flow", lambda rec: rec["query"].update(t=rec["graph"]["num_nodes"]),
+     "query node 't' is "),
 ], ids=["unknown-task", "kind-not-the-tasks", "directed-cycle",
-        "triangle-without-node-weights"])
+        "triangle-without-node-weights", "yes-no-value-a-string",
+        "numeric-value-a-string", "numeric-value-a-bool",
+        "sequence-value-not-all-integers", "query-node-missing",
+        "query-node-out-of-range"])
 def test_problem_of_no_known_task_kind_exits_two(tmp_path, capsys, task,
                                                  change, message):
     # a shortest record relabelled yes/no would pass its witness check, and

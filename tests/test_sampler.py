@@ -175,6 +175,21 @@ def test_cache_rejects_texts_that_are_not_strings(tmp_path):
         assert f"{path}:1: texts is not a list of strings" in str(err.value)
 
 
+def test_cache_rejects_a_lone_surrogate_escape(tmp_path):
+    # "\ud83d" alone loads as a string that no UTF-8 paths file can hold;
+    # an escaped backslash before "ud83d", or a whole pair, is a text
+    path = tmp_path / "bad.jsonl"
+    good = (r'{"prompt_sha": "a", "profile": "p3", "texts": ["\\ud83d", '
+            r'"\ud83d\ude00"]}' + "\n")
+    path.write_text(good, encoding="utf-8")
+    Cache(str(path))
+    path.write_text(good + r'{"prompt_sha": "b", "profile": "p3", '
+                    r'"texts": ["x \ud83d"]}' + "\n", encoding="utf-8")
+    with pytest.raises(CacheError) as err:
+        Cache(str(path))
+    assert f"{path}:2: " in str(err.value) and "surrogate" in str(err.value)
+
+
 def test_cache_drops_torn_final_line(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
     cache = Cache(str(path))
@@ -656,6 +671,11 @@ def test_package_import_loads_neither_numpy_nor_requests():
                         "print([m for m in ('numpy', 'requests', 'networkx', "
                         "'urllib.request', 'http.client', "
                         "'concurrent.futures') if m in sys.modules])")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    # the package root exports nothing, so importing it loads no module
+    out = _fresh_python("import sys, graphcorpus; print([m for m in "
+                        "sys.modules if m.startswith('graphcorpus.')])")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 

@@ -197,7 +197,7 @@ def parse_problem(text: str) -> Problem:
     if span:
         edges = _parse_numeric_edges(
             text, span[0], span[1], task, num_nodes,
-            directed=info.directed, weighted=info.edge_weighted)
+            directed=info.directed, weighted="{2}" in info.edge_style)
     g = Graph(num_nodes, info.directed, edges, node_weights)
     validate_graph(g)
 
