@@ -73,6 +73,8 @@ def has_type(value: object, hint: object) -> bool:
         return isinstance(value, hint) and not isinstance(value, bool)
     if get_origin(hint) is list:
         item, = get_args(hint)
+        if isinstance(value, list) and item in (bool, float, int, str):
+            value = list({type(v): v for v in value}.values())  # type decides
         return isinstance(value, list) and all(has_type(v, item) for v in value)
     return any(has_type(value, h) for h in get_args(hint))
 

@@ -45,6 +45,7 @@ PREDICTIONS_SCHEMA = "predictions-v1"
 _FIELDS = {PROBLEMS_SCHEMA: {"id": str, "task": str, "graph": dict,
                              "query": dict, "answer": dict, "text": str},
            PATHS_SCHEMA: {"id": str, "texts": list},
+           SFT_SCHEMA: {"task": str},
            PREDICTIONS_SCHEMA: {"id": str, "text": str}}
 _KINDS = {str: "a string", dict: "an object", list: "a list of strings"}
 
@@ -70,8 +71,15 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(d: dict) -> Graph:
-    g = Graph(d["num_nodes"], d["directed"], [tuple(e) for e in d["edges"]],
-              node_weights=d.get("node_weights"))
+    edges = [tuple(e) for e in d["edges"]]
+    for name, value, hint, what in (
+            ("num_nodes", d["num_nodes"], int, "an integer"),
+            ("directed", d["directed"], bool, "a boolean"),
+            ("edges", [x for e in edges for x in e], list[int], "lists of integers"),
+            ("node_weights", d.get("node_weights", []), list[int], "a list of integers")):
+        if not has_type(value, hint):
+            raise TypeError(f"graph {name!r} is not {what}")
+    g = Graph(d["num_nodes"], d["directed"], edges, node_weights=d.get("node_weights"))
     validate_graph(g)
     return g
 
@@ -318,17 +326,15 @@ def compute_stats(problems: list[Problem],
     per: dict[str, dict] = {
         t: {"problems": 0, "nodes": 0, "edges": 0, "paths": 0}
         for t in TASK_ORDER}
-    for p in problems:
-        if p.task not in per:
-            raise RecordError(f"{p.id}: unknown task {p.task!r}")
-        row = per[p.task]
-        row["problems"] += 1
-        row["nodes"] += p.graph.num_nodes
-        row["edges"] += len(p.graph.edges)
-    for rec in sft_rows or []:
-        task = rec.get("task")
-        if task in per:
-            per[task]["paths"] += 1
+    for rid, task, g in [*((p.id, p.task, p.graph) for p in problems),
+                         *((r.get("id"), r["task"], None) for r in sft_rows or [])]:
+        if task not in per:
+            raise RecordError(f"{rid}: unknown task {task!r}")
+        row = per[task]
+        row["problems" if g else "paths"] += 1      # an SFT row is one path
+        if g:
+            row["nodes"] += g.num_nodes
+            row["edges"] += len(g.edges)
     tasks = {}
     for t, row in per.items():
         n = row["problems"]

@@ -29,6 +29,10 @@ class BackendError(GraphCorpusError, RuntimeError):
         self.status = status
 
 
+class TransientError(BackendError):
+    """A request failed in a way a retry may mend (a 503, a lost connection)."""
+
+
 class CacheError(GraphCorpusError, RuntimeError):
     """The completion cache file is corrupt."""
 

@@ -3,14 +3,14 @@
 Two backends share one interface: `StubBackend` fabricates reasoning paths
 offline from the ground truth (deterministic per prompt and sample index)
 for the prompts `wrap_instruction` and `build_cot_prompt` build, and raises
-BackendError for any other; `HttpBackend` posts to an OpenAI-compatible
-chat endpoint through the standard library's `urllib.request`. Each backend
-names itself in `identity`. `sample` keeps at most `jobs` requests in
-flight: `jobs` worker threads and the calling thread pull prompts from one
-queue, each holding one of `jobs` request slots while it asks. A retry's
-back-off lends its slot to the next prompt. `sample` sizes every reply to
-the profile's n and keeps an append-only JSONL cache so no prompt is paid
-for twice.
+BackendError for any other; `HttpBackend` sends one request per call to an
+OpenAI-compatible chat endpoint through the standard library's
+`urllib.request`. Each backend names itself in `identity`. `sample` keeps at
+most `jobs` requests in flight: `jobs` worker threads and the calling thread
+pull prompts from one queue, each holding one of `jobs` request slots while
+it asks. It retries a TransientError after a back-off that lends its slot to
+the next prompt. `sample` sizes every reply to the profile's n and keeps an
+append-only JSONL cache so no prompt is paid for twice.
 """
 
 from __future__ import annotations
@@ -26,12 +26,15 @@ import time
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from .errors import BackendError, CacheError, InvalidSpecError
+from .errors import BackendError, CacheError, InvalidSpecError, TransientError
 from .grader import check_witness
 from .textgen import ALPACA_PREFIX, ZERO_SHOT_SUFFIX, Problem
 from .transcripts import make_transcript
 
 log = logging.getLogger(__name__)
+
+MAX_RETRIES = 4              # retries of a request that raised TransientError
+BACKOFF = 0.5                # seconds before the first retry, doubling
 
 
 @dataclass(frozen=True)
@@ -111,24 +114,6 @@ class StubBackend:
         return out
 
 
-# The request slot a `sample` runner holds while it asks; None while lent.
-_runner = threading.local()
-
-
-def _back_off(seconds: float) -> None:
-    """Sleep before a retry. On a `sample` runner, lend its request slot to
-    the next prompt for the sleep and take it back before the retry."""
-    slot = getattr(_runner, "slot", None)
-    if slot is None:
-        time.sleep(seconds)
-        return
-    _runner.slot = None         # an interrupted sleep leaves the slot lent
-    slot.release()
-    time.sleep(seconds)
-    slot.acquire()
-    _runner.slot = slot
-
-
 # A JSON "\ud83d" escape with no partner decodes to a lone surrogate, which
 # no UTF-8 file can hold.
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -143,12 +128,11 @@ def _mend_surrogates(text: str) -> str:
 
 
 class HttpBackend:
-    """OpenAI-compatible chat completions client with retry and backoff."""
+    """OpenAI-compatible chat completions client that sends one request per
+    call: a retry status or a broken connection raises TransientError."""
 
     RETRY_STATUSES = frozenset({429, 500, 502, 503, 504})
     TIMEOUT = 120.0          # seconds per request
-    MAX_RETRIES = 4
-    BACKOFF = 0.5            # seconds before the first retry, doubling
 
     def __init__(self, base_url: str, model: str, *, api_key: str | None = None):
         try:
@@ -185,39 +169,32 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
         request = urllib.request.Request(self.url, json.dumps(payload).encode(),
                                          headers)
-        last = "no attempt made"
-        for attempt in range(self.MAX_RETRIES + 1):
-            if attempt:
-                _back_off(self.BACKOFF * 2 ** (attempt - 1))
-            with self._count_lock:
-                self.requests += 1
-            # IncompleteRead (a body cut short) and a bad header are no OSError
+        with self._count_lock:
+            self.requests += 1
+        # IncompleteRead (a body cut short) and a bad header are no OSError
+        try:
             try:
-                try:
-                    resp = urllib.request.urlopen(request, timeout=self.TIMEOUT)
-                except urllib.error.HTTPError as err:
-                    resp = err        # a reply that is not 2xx reads the same
-                with resp:
-                    status, data = resp.status, resp.read()
-            except (OSError, ValueError, http.client.HTTPException) as exc:
-                last = f"connection error: {exc}"
-                continue
-            if status == 200:
-                try:
-                    choices = json.loads(data)["choices"]
-                    texts = [c["message"]["content"] for c in choices]
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise BackendError(f"malformed response body: {exc}") from exc
-                if not all(t is None or isinstance(t, str) for t in texts):
-                    raise BackendError("malformed response body: a content "
-                                       "is neither a string nor null")
-                return [_mend_surrogates(t) if t else "" for t in texts]
-            if status in self.RETRY_STATUSES:
-                last = f"status {status}"
-                continue
+                resp = urllib.request.urlopen(request, timeout=self.TIMEOUT)
+            except urllib.error.HTTPError as err:
+                resp = err            # a reply that is not 2xx reads the same
+            with resp:
+                status, data = resp.status, resp.read()
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            raise TransientError(f"connection error: {exc}") from exc
+        if status in self.RETRY_STATUSES:
+            raise TransientError(f"status {status}", status=status)
+        if status != 200:
             raise BackendError("backend rejected the request: " + data.decode(
                 "utf-8", "replace")[:200], status=status)
-        raise BackendError(f"retries exhausted ({last})")
+        try:
+            choices = json.loads(data)["choices"]
+            texts = [c["message"]["content"] for c in choices]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise BackendError(f"malformed response body: {exc}") from exc
+        if not all(t is None or isinstance(t, str) for t in texts):
+            raise BackendError("malformed response body: a content "
+                               "is neither a string nor null")
+        return [_mend_surrogates(t) if t else "" for t in texts]
 
 
 _KEY_FIELDS = ("prompt_sha", "profile", "temperature", "max_tokens", "backend")
@@ -311,10 +288,12 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
     A reply is trimmed to profile.n texts; one with fewer is padded with ""
     and not cached, so the next run asks for that prompt again.
 
-    At most `jobs` requests are in flight. One more runner than that pulls
-    prompts, so a prompt waiting out a retry's back-off lends its slot to
-    the next one. The first error (or Ctrl-C) stops every runner from taking
-    another prompt and is raised here once the requests in flight end.
+    A TransientError is retried up to MAX_RETRIES times, after a back-off of
+    BACKOFF seconds that doubles each time. At most `jobs` requests are in
+    flight. One more runner than that pulls prompts, so a prompt waiting out
+    a back-off lends its slot to the next one. The first error (or Ctrl-C)
+    stops every runner from taking another prompt or retrying one, and is
+    raised here once the requests in flight end.
     """
     if profile.n < 1:
         raise InvalidSpecError("profile.n must be at least 1")
@@ -334,35 +313,43 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
         raise BackendError(
             f"batch needs {len(misses)} requests but only {max_requests} allowed")
 
-    def fetch(i: int) -> None:
-        texts = backend.generate(prompts[i], profile)[: profile.n]
-        if cache is not None and len(texts) == profile.n:
-            cache.put(shas[i], profile, texts, backend.identity)
-        results[i] = texts + [""] * (profile.n - len(texts))
-
     slots = threading.Semaphore(jobs)      # one per request in flight
     todo = iter(misses)
     take = threading.Lock()
     failed: list[BaseException] = []
 
     def run() -> None:
+        held = False                    # whether this runner holds a slot
         try:
             while True:
                 slots.acquire()
-                _runner.slot = slots
+                held = True
                 with take:
                     i = None if failed else next(todo, None)
                 if i is None:
                     return
-                fetch(i)
-                _runner.slot = None
+                for attempt in range(MAX_RETRIES + 1):
+                    try:
+                        texts = backend.generate(prompts[i], profile)[: profile.n]
+                        break
+                    except TransientError as exc:
+                        if attempt == MAX_RETRIES or failed:   # or stop now
+                            raise BackendError(f"retries exhausted ({exc})") from exc
+                    slots.release()         # lend the slot for the back-off
+                    held = False            # an interrupted sleep leaves it lent
+                    time.sleep(BACKOFF * 2 ** attempt)
+                    slots.acquire()
+                    held = True
+                if cache is not None and len(texts) == profile.n:
+                    cache.put(shas[i], profile, texts, backend.identity)
+                results[i] = texts + [""] * (profile.n - len(texts))
                 slots.release()
+                held = False
         except BaseException as exc:    # Ctrl-C too: every runner stops
             failed.append(exc)
         finally:
-            if getattr(_runner, "slot", None) is not None:  # not while lent
+            if held:
                 slots.release()
-            _runner.slot = None
 
     # the calling thread is the spare runner that takes a lent slot
     workers = [threading.Thread(target=run)

@@ -436,11 +436,25 @@ def test_malformed_nested_problem_fields_exit_two(problems_file, tmp_path,
      "query node 'u' is None, not a node of the graph"),
     ("flow", lambda rec: rec["query"].update(t=rec["graph"]["num_nodes"]),
      "query node 't' is "),
+    ("cycle", lambda rec: rec["graph"].update(
+        edges=[[float(x) for x in e] for e in rec["graph"]["edges"]]),
+     "TypeError: graph 'edges' is not lists of integers"),
+    ("shortest", lambda rec: rec["graph"]["edges"][0].__setitem__(2, True),
+     "TypeError: graph 'edges' is not lists of integers"),
+    ("triangle", lambda rec: rec["graph"]["node_weights"].__setitem__(0, True),
+     "TypeError: graph 'node_weights' is not a list of integers"),
+    ("cycle", lambda rec: rec["graph"].update(directed=0),
+     "TypeError: graph 'directed' is not a boolean"),
+    ("cycle", lambda rec: rec["graph"].update(
+        num_nodes=float(rec["graph"]["num_nodes"])),
+     "TypeError: graph 'num_nodes' is not an integer"),
 ], ids=["unknown-task", "kind-not-the-tasks", "directed-cycle",
         "triangle-without-node-weights", "yes-no-value-a-string",
         "numeric-value-a-string", "numeric-value-a-bool",
         "sequence-value-not-all-integers", "query-node-missing",
-        "query-node-out-of-range"])
+        "query-node-out-of-range", "edge-endpoints-floats",
+        "edge-weight-a-bool", "node-weight-a-bool", "directed-an-integer",
+        "num-nodes-a-float"])
 def test_problem_of_no_known_task_kind_exits_two(tmp_path, capsys, task,
                                                  change, message):
     # a shortest record relabelled yes/no would pass its witness check, and
@@ -456,6 +470,32 @@ def test_problem_of_no_known_task_kind_exits_two(tmp_path, capsys, task,
     assert main(["stats", "--problems", str(problems)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {problems}: record {rec['id']!r}: ")
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda row: row.pop("task"), "'task' is missing or not a string"),
+    (lambda row: row.update(task="bogus"), "unknown task 'bogus'"),
+], ids=["sft-row-without-task", "sft-row-of-unknown-task"])
+def test_stats_of_an_sft_row_of_no_known_task_exits_two(tmp_path, capsys,
+                                                        change, message):
+    # such a row used to count as no path at all, with exit 0
+    problems, paths, sft = (tmp_path / f"{n}.jsonl" for n in "pas")
+    assert main(["generate", "--tasks", "shortest,triangle", "--count", "2",
+                 "--seed", "2", "--split", "test", "--out", str(problems)]) == 0
+    assert main(["annotate", "--problems", str(problems), "--backend", "stub",
+                 "--out", str(paths)]) == 0
+    assert main(["select", "--problems", str(problems), "--paths", str(paths),
+                 "--out", str(sft)]) == 0
+    assert main(["stats", "--problems", str(problems), "--sft", str(sft)]) == 0
+    rows = [json.loads(line) for line in sft.read_text().splitlines()]
+    assert capsys.readouterr().out.split()[-1] == str(len(rows))
+    for row in rows:
+        change(row)
+    sft.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert main(["stats", "--problems", str(problems), "--sft", str(sft)]) == 2
+    err = capsys.readouterr().err
+    assert f"{rows[0]['id']!r}" in err or f"{rows[0]['id']}: " in err
     assert message in err and "Traceback" not in err
 
 

@@ -13,8 +13,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import graphcorpus
+from graphcorpus import sampler
 from graphcorpus.cli import main
-from graphcorpus.errors import BackendError, CacheError, InvalidSpecError
+from graphcorpus.errors import (BackendError, CacheError, InvalidSpecError,
+                                TransientError)
 from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.grader import judge
 from graphcorpus.sampler import (PROFILES, Cache, HttpBackend, SampleProfile,
@@ -444,42 +446,130 @@ def test_http_retries_transient_errors(server, monkeypatch):
     base, handler = server
     handler.script += [(500, {"err": "boom"}), (429, {"err": "slow down"}),
                        (200, _choices("ok"))]
-    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.01)
+    monkeypatch.setattr(sampler, "BACKOFF", 0.01)
     backend = HttpBackend(base, "m")
-    assert backend.generate("x", get_profile("eval")) == ["ok"]
+    assert sample(["x"], get_profile("eval"), backend) == [["ok"]]
     assert backend.requests == 3
 
 
 def test_http_gives_up_after_retries(server, monkeypatch):
     base, handler = server
     handler.script += [(503, {})] * 3
-    monkeypatch.setattr(HttpBackend, "MAX_RETRIES", 2)
-    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.01)
+    monkeypatch.setattr(sampler, "MAX_RETRIES", 2)
+    monkeypatch.setattr(sampler, "BACKOFF", 0.01)
     backend = HttpBackend(base, "m")
     with pytest.raises(BackendError) as err:
-        backend.generate("x", get_profile("eval"))
+        sample(["x"], get_profile("eval"), backend)
     assert "retries exhausted" in str(err.value)
     assert "503" in str(err.value)
+
+
+def test_http_generate_sends_one_request(server):
+    # the retry is sample's: a 503 is a transient error after one request
+    base, handler = server
+    handler.script += [(503, {}), (200, _choices("never asked"))]
+    backend = HttpBackend(base, "m")
+    with pytest.raises(TransientError) as err:
+        backend.generate("x", get_profile("eval"))
+    assert err.value.status == 503 and str(err.value) == "status 503"
+    assert backend.requests == 1 and len(handler.seen) == 1
+
+
+class _Flaky:
+    """An in-process backend that raises a transient error for the first
+    `fails` requests of a prompt, then answers."""
+
+    identity = "flaky"
+
+    def __init__(self, fails):
+        self.fails, self.requests = fails, []
+
+    def generate(self, prompt, profile):
+        self.requests.append(prompt)
+        if self.requests.count(prompt) <= self.fails:
+            raise TransientError("status 503", status=503)
+        return ["re " + prompt] * profile.n
+
+
+def test_sample_retries_a_transient_error_after_a_doubling_back_off(
+        monkeypatch):
+    slept = []
+    monkeypatch.setattr(sampler.time, "sleep", slept.append)
+    backend = _Flaky(fails=2)
+    assert sample(["x"], get_profile("eval"), backend) == [["re x"]]
+    assert backend.requests == ["x"] * 3 and slept == [0.5, 1.0]
+    slept.clear()
+    backend = _Flaky(fails=5)
+    with pytest.raises(BackendError) as err:
+        sample(["x"], get_profile("eval"), backend)
+    assert str(err.value) == "retries exhausted (status 503)"
+    assert len(backend.requests) == 5 and slept == [0.5, 1.0, 2.0, 4.0]
+
+
+def test_a_fatal_error_ends_the_retries_of_other_prompts():
+    # p0 retries until p1's error, not through all its back-offs (7.5 s)
+    class Fatal(_Flaky):
+        def generate(self, prompt, profile):
+            if prompt == "p1":
+                threading.Event().wait(0.05)
+                raise BackendError("bad key", status=401)
+            return super().generate(prompt, profile)
+
+    backend = Fatal(fails=5)
+    with pytest.raises(BackendError) as err:
+        sample(["p0", "p1"], get_profile("eval"), backend, jobs=2)
+    assert err.value.status == 401 and backend.requests == ["p0", "p0"]
+
+
+def test_ctrl_c_in_a_back_off_stops_without_taking_the_slot_back(
+        monkeypatch):
+    # Ctrl-C hits p0's back-off while the other runner holds the lent slot
+    # for p1, which fails 0.2 s later. A runner that waited to take its slot
+    # back would stop after that, and p1's error would be the one raised.
+    p1_asked = threading.Event()
+
+    class Slow(_Flaky):
+        def generate(self, prompt, profile):
+            if prompt == "p1":
+                p1_asked.set()
+                threading.Event().wait(0.2)
+                raise BackendError("p1 failed")
+            return super().generate(prompt, profile)
+
+    def interrupt(seconds):
+        p1_asked.wait(5)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sampler.time, "sleep", interrupt)
+    backend = Slow(fails=1)
+    with pytest.raises(KeyboardInterrupt):
+        sample([f"p{i}" for i in range(20)], get_profile("eval"), backend,
+               jobs=1)
+    assert p1_asked.is_set() and backend.requests == ["p0"]
 
 
 def test_http_client_errors_do_not_retry(server, monkeypatch):
     base, handler = server
     handler.script.append((401, {"error": "bad key"}))
-    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.01)
+    monkeypatch.setattr(sampler, "BACKOFF", 0.01)
     backend = HttpBackend(base, "m")
     with pytest.raises(BackendError) as err:
-        backend.generate("x", get_profile("eval"))
+        sample(["x"], get_profile("eval"), backend)
     assert err.value.status == 401
     assert backend.requests == 1
 
 
 def test_http_rejects_malformed_body(server):
     base, handler = server
-    handler.script.append((200, b"this is not json"))
+    handler.script += [(200, b"this is not json")] * 2
     backend = HttpBackend(base, "m")
     with pytest.raises(BackendError) as err:
         backend.generate("x", get_profile("eval"))
     assert "malformed response body" in str(err.value)
+    with pytest.raises(BackendError) as err:
+        sample(["x"], get_profile("eval"), backend)
+    assert "malformed response body" in str(err.value)
+    assert backend.requests == 2            # not retried
 
 
 def test_http_rejects_content_that_is_not_text(server):
@@ -535,7 +625,7 @@ def test_a_back_off_lends_its_slot_to_the_next_prompt(server, monkeypatch):
     base, handler = server
     handler.script += [(503, {}), (200, _choices("for b")),
                        (200, _choices("for a"))]
-    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.2)
+    monkeypatch.setattr(sampler, "BACKOFF", 0.2)
     out = sample(["a", "b"], get_profile("eval"), HttpBackend(base, "m"),
                  jobs=1)
     assert [payload["messages"][0]["content"]
@@ -555,7 +645,7 @@ def test_requests_in_flight_never_exceed_jobs(server, monkeypatch):
         return 200, _choices("re " + prompt)
 
     handler.reply, handler.delay = reply, 0.01
-    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.02)
+    monkeypatch.setattr(sampler, "BACKOFF", 0.02)
     backend = HttpBackend(base, "m")
     out = sample(prompts, get_profile("eval"), backend, jobs=2)
     assert out == [["re " + p] for p in prompts]
@@ -605,12 +695,12 @@ def test_http_transport_failure_is_a_retried_connection_error(monkeypatch,
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
     # nothing listens on port now
-    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.01)
+    monkeypatch.setattr(sampler, "BACKOFF", 0.01)
     backend = HttpBackend(f"http://127.0.0.1:{port}", "m", api_key=api_key)
     with pytest.raises(BackendError) as err:
-        backend.generate("x", get_profile("eval"))
+        sample(["x"], get_profile("eval"), backend)
     assert str(err.value).startswith("retries exhausted (connection error: ")
-    assert backend.requests == HttpBackend.MAX_RETRIES + 1
+    assert backend.requests == sampler.MAX_RETRIES + 1
 
 
 def test_http_rejects_an_api_key_that_is_no_header_value(server, tmp_path,
@@ -639,9 +729,9 @@ def test_http_rejects_an_api_key_that_is_no_header_value(server, tmp_path,
 def test_http_retries_a_broken_reply(server, monkeypatch, failure):
     base, handler = server
     handler.script += [failure, (200, _choices("ok"))]
-    monkeypatch.setattr(HttpBackend, "BACKOFF", 0.01)
+    monkeypatch.setattr(sampler, "BACKOFF", 0.01)
     backend = HttpBackend(base, "m")
-    assert backend.generate("x", get_profile("eval")) == ["ok"]
+    assert sample(["x"], get_profile("eval"), backend) == [["ok"]]
     assert backend.requests == 2 and len(handler.seen) == 2
 
 
