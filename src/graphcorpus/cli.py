@@ -12,7 +12,6 @@ import errno
 import json
 import os
 import sys
-from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from .config import PipelineConfig, apply_overrides, load_config
@@ -22,7 +21,6 @@ from .corpus import (PATHS_SCHEMA, PREDICTIONS_SCHEMA, SFT_SCHEMA,
                      write_problems)
 from .errors import GraphCorpusError, InvalidSpecError, RecordError
 from .evaluate import evaluate, format_report, run_eval
-from .generate import generate_corpus
 from .grader import audit_steps, judge
 from .graphs import canonical_key
 from .sampler import (Cache, HttpBackend, StubBackend, get_profile,
@@ -36,8 +34,8 @@ if TYPE_CHECKING:
 
 def _config_from(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(getattr(args, "config", None))
-    known = {f.name for f in fields(PipelineConfig)}
-    overrides = {k: getattr(args, k) for k in known if hasattr(args, k)}
+    overrides = {k: getattr(args, k) for k in PipelineConfig._fields
+                 if hasattr(args, k)}
     return apply_overrides(cfg, overrides)
 
 
@@ -74,6 +72,7 @@ def _load_paths(path: str, problems) -> dict[str, list[str]]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .generate import generate_corpus   # the only stage that solves
     cfg = _config_from(args)
     dedupe: set[str] = set()
     if args.dedupe_against:
@@ -161,7 +160,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     problems = read_problems(args.problems)
     sft = read_jsonl(args.sft, SFT_SCHEMA) if args.sft else None
-    stats = compute_stats(problems, sft)
+    try:
+        stats = compute_stats(problems, sft)
+    except RecordError as exc:  # reading checked every problem's task
+        raise RecordError(f"{args.sft}: {exc}") from None
     print(format_stats(stats))
     if args.out:
         with open_atomic(args.out) as fh:

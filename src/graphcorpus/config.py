@@ -8,8 +8,7 @@ The generation limits below are constants, not config keys.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from typing import ClassVar, get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from .errors import InvalidSpecError
 from .tasks import TASK_ORDER
@@ -22,10 +21,9 @@ HAMILTON_BUDGET = 100_000    # backtracking expansions before "unknown"
 HAMILTON_DP_LIMIT = 12       # largest graph solved by the exact bitmask DP
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     seed: int = 0
-    tasks: list[str] = field(default_factory=lambda: list(TASK_ORDER))
+    tasks: list[str] = TASK_ORDER     # shared: read it, never modify it
     split: str = "train"
     count: int | None = None          # None: DEFAULT_COUNTS[split]
     shots: int = 2
@@ -40,7 +38,7 @@ class PipelineConfig:
     api_key: str | None = None
     max_requests: int | None = None
     cache: str | None = None
-    rejection_attempts: ClassVar[int] = REJECTION_ATTEMPTS   # not a key
+    rejection_attempts = REJECTION_ATTEMPTS   # not annotated: not a key
 
     def resolved_count(self) -> int:
         if self.count is not None:
@@ -80,10 +78,13 @@ def has_type(value: object, hint: object) -> bool:
 
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
-    """Set known fields, rejecting unknown keys and splits, values of the
-    wrong type, a beta that is not positive and a cap below 1; skip Nones."""
-    known = {f.name: f.type for f in fields(PipelineConfig)}
+    """A copy of cfg with known fields set, rejecting unknown keys and
+    splits, values of the wrong type, a beta that is not positive and a cap
+    below 1; skip Nones."""
+    known = {k: t.__forward_arg__    # the annotation's source text
+             for k, t in PipelineConfig.__annotations__.items()}
     hints = get_type_hints(PipelineConfig)
+    changes = {}
     for key, value in overrides.items():
         if key not in known:
             raise InvalidSpecError(f"unknown config key: {key}")
@@ -101,5 +102,5 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
             raise InvalidSpecError("beta must be positive")
         if key == "cap" and value < 1:
             raise InvalidSpecError("cap must be at least 1")
-        setattr(cfg, key, value)
-    return cfg
+        changes[key] = value
+    return cfg._replace(**changes)

@@ -29,9 +29,8 @@ from .config import has_type
 from .errors import InvalidQueryError, InvalidSpecError, RecordError, SchemaError
 from .graphs import Graph, validate_graph
 from .selector import SELECTOR_VERSION, build_dpo_pair
-from .solvers import Answer
 from .tasks import require_kind
-from .textgen import Problem
+from .textgen import Answer, Problem
 from .grader import judge
 
 PROBLEMS_SCHEMA = "problems-v1"
@@ -329,7 +328,7 @@ def compute_stats(problems: list[Problem],
     for rid, task, g in [*((p.id, p.task, p.graph) for p in problems),
                          *((r.get("id"), r["task"], None) for r in sft_rows or [])]:
         if task not in per:
-            raise RecordError(f"{rid}: unknown task {task!r}")
+            raise RecordError(f"record {rid!r}: unknown task {task!r}")
         row = per[task]
         row["problems" if g else "paths"] += 1      # an SFT row is one path
         if g:

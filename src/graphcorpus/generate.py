@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
 
 from .config import MAX_ATTEMPTS, REJECTION_ATTEMPTS, TOKEN_BUDGET
 from .errors import InvalidSpecError, StageError
@@ -22,11 +21,11 @@ from .grader import is_hamilton_path
 from .graphs import (Graph, assign_edge_weights, assign_node_weights, bfs,
                      canonical_key, connected_components, generate_dag,
                      generate_er, union_find)
-from .solvers import (Answer, find_subgraph, hamilton_path, has_cycle,
-                      is_bipartite, is_connected, max_flow, max_triangle_sum,
-                      shortest_path, topo_sort)
+from .solvers import (find_subgraph, hamilton_path, has_cycle, is_bipartite,
+                      is_connected, max_flow, max_triangle_sum, shortest_path,
+                      topo_sort)
 from .tasks import NUM_TIERS, TASK_ORDER, Tier, build_tiers, get_task
-from .textgen import Problem, estimate_tokens, render_problem
+from .textgen import Answer, Problem, estimate_tokens, render_problem
 
 WEIGHT_LO, WEIGHT_HI = 1, 10
 PATTERN_MIN, PATTERN_MAX = 3, 6
@@ -46,13 +45,14 @@ def _spanning_forest(g: Graph, rng: random.Random) -> Graph:
     edges = list(g.edge_pairs)
     rng.shuffle(edges)
     keep = union_find(g.num_nodes, edges)[0]
-    return replace(g, edges=sorted(g.key(u, v) for u, v in keep))
+    return Graph(g.num_nodes, g.directed,
+                 sorted(g.key(u, v) for u, v in keep), g.node_weights)
 
 
 def _join(g: Graph, pairs) -> Graph:
     """Unweighted g plus each edge of pairs that it lacks."""
-    return replace(g, edges=sorted(
-        g.edge_key_set.union(g.key(u, v) for u, v in pairs)))
+    return Graph(g.num_nodes, g.directed, sorted(
+        g.edge_key_set.union(g.key(u, v) for u, v in pairs)), g.node_weights)
 
 
 def _add_triangle(g: Graph, rng: random.Random) -> Graph:
@@ -71,7 +71,7 @@ def _carve_split(g: Graph, rng: random.Random) -> tuple[Graph, list[int], list[i
     """Split the nodes in two and drop every crossing edge."""
     side = _random_side(g.num_nodes, rng)
     edges = [e for e in g.edges if (e[0] in side) == (e[1] in side)]
-    return (replace(g, edges=sorted(edges)),
+    return (Graph(g.num_nodes, g.directed, sorted(edges), g.node_weights),
             sorted(side), sorted(set(range(g.num_nodes)) - side))
 
 
@@ -79,7 +79,7 @@ def _plant_partition(g: Graph, rng: random.Random) -> Graph:
     """Keep only the edges that cross a seeded two-way node split."""
     side = _random_side(g.num_nodes, rng)
     edges = [e for e in g.edges if (e[0] in side) != (e[1] in side)]
-    return replace(g, edges=sorted(edges))
+    return Graph(g.num_nodes, g.directed, sorted(edges), g.node_weights)
 
 
 def _inject_odd_triangle(g: Graph, rng: random.Random) -> Graph:
@@ -178,7 +178,7 @@ def _gen_shortest(tier, desired, rng, transform):
         u, v = rng.sample(comp, 2)
     else:
         u, v = rng.sample(range(n), 2)
-        g = replace(g, edges=[g.key(u, v)])
+        g = Graph(n, False, [g.key(u, v)])
     g = assign_edge_weights(g, WEIGHT_LO, WEIGHT_HI, seed=_sub(rng))
     return g, {"u": u, "v": v}, shortest_path(g, u, v)
 
@@ -240,7 +240,7 @@ def _gen_subgraph(tier, desired, rng, transform):
     pattern = generate_er(k, PATTERN_DENSITY, directed=True, seed=_sub(rng))
     if not pattern.edges:
         a, b = rng.sample(range(k), 2)
-        pattern = replace(pattern, edges=[(a, b)])
+        pattern = Graph(k, True, [(a, b)])
     ans = find_subgraph(host, pattern)
     if ans.value == desired:
         return host, {"pattern": pattern}, ans

@@ -14,29 +14,24 @@ the graph and never changes a verdict.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .graphs import Graph
-from .solvers import Answer
 from .tasks import get_task
-from .textgen import Problem
+from .textgen import Answer, Problem
 
 
-@dataclass
-class ExtractionFailure:
+class ExtractionFailure(NamedTuple):
     reason: str
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     sentence: int
     kind: str        # missing-edge | unknown-node | wrong-weight
     detail: str
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     correct: bool
     extracted: Answer | ExtractionFailure
     reason: str | None = None

@@ -15,27 +15,29 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import GraphInvalidError, InvalidSpecError
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable graph value. Edges and node weights are stored as tuples;
-    the derived views below are computed on first use and kept, and
-    `dataclasses.replace` makes a new graph with fresh views."""
-
+class _GraphFields(NamedTuple):
     num_nodes: int
     directed: bool
-    edges: tuple[tuple, ...] = ()
-    node_weights: tuple[int, ...] | None = None
+    edges: tuple[tuple, ...]
+    node_weights: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if self.node_weights is not None:
-            object.__setattr__(self, "node_weights", tuple(self.node_weights))
+
+class Graph(_GraphFields):
+    """Immutable graph value. Edges and node weights are stored as tuples;
+    the derived views below are computed on first use and kept in the
+    instance dict, so a graph built from another's fields has fresh views."""
+
+    def __new__(cls, num_nodes: int, directed: bool, edges=(),
+                node_weights=None) -> Graph:
+        return super().__new__(cls, num_nodes, directed, tuple(edges),
+                               None if node_weights is None
+                               else tuple(node_weights))
 
     @cached_property
     def weighted(self) -> bool:

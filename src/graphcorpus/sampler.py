@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import random
 import re
 import threading
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .errors import BackendError, CacheError, InvalidSpecError, TransientError
@@ -31,14 +30,11 @@ from .grader import check_witness
 from .textgen import ALPACA_PREFIX, ZERO_SHOT_SUFFIX, Problem
 from .transcripts import make_transcript
 
-log = logging.getLogger(__name__)
-
 MAX_RETRIES = 4              # retries of a request that raised TransientError
 BACKOFF = 0.5                # seconds before the first retry, doubling
 
 
-@dataclass(frozen=True)
-class SampleProfile:
+class SampleProfile(NamedTuple):
     name: str
     n: int
     temperature: float
@@ -228,8 +224,10 @@ class Cache:
         with fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.endswith(b"\n"):
-                    log.warning("%s:%d: dropping a torn final line (%d bytes)",
-                                path, lineno, len(line))
+                    import logging      # deferred: only a torn line logs
+                    logging.getLogger(__name__).warning(
+                        "%s:%d: dropping a torn final line (%d bytes)",
+                        path, lineno, len(line))
                     torn = True
                     break
                 complete += len(line)

@@ -11,7 +11,8 @@ a fixed seed: all ties break on (similarity, text, index).
 The edit ratio's token Levenshtein distance comes from the bit-parallel
 algorithm of Myers (1999) in Hyyro's (2001) Levenshtein form. It returns
 exactly the distance of the textbook O(n*m) dynamic program, in
-O(ceil(m/w)*n) word operations.
+O(ceil(m/w)*n) word operations. It first strips the tokens the two
+sequences share at either end, which leaves a unit-cost distance unchanged.
 
 The numeric code is standard-library arithmetic that no summation order
 or BLAS kernel can round differently. A tf-idf vector maps each token to
@@ -63,6 +64,14 @@ def token_edit_distance(a: list[str], b: list[str]) -> int:
     sequence; each token of the shorter one advances one column. Python ints
     hold the bit vectors, so no length needs splitting into 64-bit blocks.
     """
+    n = min(len(a), len(b))
+    lo = hi = 0
+    while lo < n and a[lo] == b[lo]:
+        lo += 1
+    while hi < n - lo and a[-1 - hi] == b[-1 - hi]:
+        hi += 1
+    if lo or hi:
+        a, b = a[lo:len(a) - hi], b[lo:len(b) - hi]
     if len(a) < len(b):
         a, b = b, a
     peq: dict[str, int] = {}

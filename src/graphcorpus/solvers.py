@@ -12,19 +12,12 @@ node set that its last, failing search reaches from the source.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .config import HAMILTON_BUDGET, HAMILTON_DP_LIMIT
 from .errors import GraphKindError, InvalidQueryError
 from .graphs import Graph, bfs, path_to
 from .tasks import require_kind
-
-
-@dataclass
-class Answer:
-    kind: str                # yes_no | numeric | sequence | none_exists
-    value: object = None     # bool | int | list[int] | None
-    witness: object = None
+from .textgen import Answer
 
 
 def _check_node(g: Graph, node: int, label: str) -> None:

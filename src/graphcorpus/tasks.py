@@ -5,14 +5,13 @@ kind."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GraphKindError, InvalidSpecError
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class TaskInfo:
+class TaskInfo(NamedTuple):
     name: str
     difficulty: str          # easy | medium | hard
     directed: bool
@@ -94,8 +93,7 @@ def require_kind(g: Graph, name: str) -> TaskInfo:
     return info
 
 
-@dataclass(frozen=True)
-class Tier:
+class Tier(NamedTuple):
     lo: int
     hi: int
     p: float

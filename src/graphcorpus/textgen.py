@@ -1,4 +1,4 @@
-"""Problem type, text rendering, and prompt assembly.
+"""Problem and Answer records, text rendering, and prompt assembly.
 
 Each task renders its graph with the preamble, edge tuple style and
 question sentence of its `tasks.TaskInfo` entry (some tasks use "(u,v)",
@@ -8,17 +8,21 @@ some "(u->v)", weighted variants add ",k", triangle spaces its tuples).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import starmap
+from typing import NamedTuple
 
 from .errors import InvalidSpecError
 from .graphs import Graph
-from .solvers import Answer
 from .tasks import get_task
 
 
-@dataclass
-class Problem:
+class Answer(NamedTuple):
+    kind: str                # yes_no | numeric | sequence | none_exists
+    value: object = None     # bool | int | list[int] | None
+    witness: object = None
+
+
+class Problem(NamedTuple):
     id: str
     task: str
     graph: Graph
@@ -29,8 +33,7 @@ class Problem:
     text: str = ""
 
 
-@dataclass(frozen=True)
-class TaskTemplate:
+class TaskTemplate(NamedTuple):
     header: str
     lead_in: str
     exemplars: tuple[tuple[str, str], ...]   # (question, answer) pairs

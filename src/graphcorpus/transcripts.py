@@ -12,9 +12,8 @@ from __future__ import annotations
 import random
 
 from .errors import InvalidSpecError
-from .solvers import Answer
 from .tasks import get_task
-from .textgen import Problem, _letter
+from .textgen import Answer, Problem, _letter
 
 
 def _fillers(problem: Problem, rng: random.Random) -> list[str]:

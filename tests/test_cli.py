@@ -496,6 +496,7 @@ def test_stats_of_an_sft_row_of_no_known_task_exits_two(tmp_path, capsys,
     assert main(["stats", "--problems", str(problems), "--sft", str(sft)]) == 2
     err = capsys.readouterr().err
     assert f"{rows[0]['id']!r}" in err or f"{rows[0]['id']}: " in err
+    assert str(sft) in err
     assert message in err and "Traceback" not in err
 
 
@@ -596,10 +597,12 @@ def test_mistyped_config_value_exits_two(tmp_path, capsys, key, value):
 
 
 def test_config_values_of_field_type_are_accepted():
-    cfg = apply_overrides(PipelineConfig(), {
+    base = PipelineConfig()
+    cfg = apply_overrides(base, {
         "tasks": ["cycle", "flow"], "beta": 1, "stub_error_rate": 0.5,
         "count": 3, "profile": "initial"})
     assert (cfg.tasks, cfg.beta, cfg.count) == (["cycle", "flow"], 1, 3)
+    assert base == PipelineConfig()     # the input config is left as it was
     with pytest.raises(InvalidSpecError, match="tasks expects list"):
         apply_overrides(PipelineConfig(), {"tasks": ["cycle", 2]})
 

@@ -183,7 +183,7 @@ def test_strict_grading_rejects_bad_exemplar_walk():
     # as free prose outside the audit's claim grammar
     question, answer_text = TEMPLATES["hamilton"].exemplars[0]
     p = parse_problem(question)
-    p.answer = solve("hamilton", p.graph)
+    p = p._replace(answer=solve("hamilton", p.graph))
     assert p.answer.value is True
     extracted = extract_answer(answer_text, "hamilton")
     assert extracted.witness is not None
@@ -194,7 +194,7 @@ def test_strict_grading_rejects_bad_exemplar_walk():
 def test_second_hamilton_exemplar_is_clean():
     question, answer_text = TEMPLATES["hamilton"].exemplars[1]
     p = parse_problem(question)
-    p.answer = solve("hamilton", p.graph)
+    p = p._replace(answer=solve("hamilton", p.graph))
     assert judge(p, answer_text).correct
     assert audit_steps(p, answer_text) == []
 

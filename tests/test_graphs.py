@@ -1,5 +1,3 @@
-from dataclasses import FrozenInstanceError, replace
-
 import pytest
 
 from graphcorpus.errors import GraphInvalidError, InvalidSpecError
@@ -168,15 +166,15 @@ def test_key_orients_undirected_pairs_only():
 def test_graph_is_immutable_with_cached_views():
     g = Graph(4, False, [(0, 1, 2), (1, 2, 5)], node_weights=[1, 2, 3, 4])
     assert g.edges == ((0, 1, 2), (1, 2, 5)) and g.node_weights == (1, 2, 3, 4)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         g.num_nodes = 5
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         g.edges = ()
     for view in ("weighted", "edge_pairs", "edge_key_set", "weight_map",
                  "adjacency"):
         assert getattr(g, view) is getattr(g, view)
     assert g.adjacency == ((1,), (0, 2), (1,), ())
-    h = replace(g, edges=[(0, 3, 1)])
+    h = Graph(g.num_nodes, g.directed, [(0, 3, 1)], g.node_weights)
     assert h.edges == ((0, 3, 1),) and h.node_weights == g.node_weights
     assert h.edge_key_set == {(0, 3)} and g.edge_key_set == {(0, 1), (1, 2)}
     assert h.weight_map == {(0, 3): 1} and g.weight_map == {(0, 1): 2, (1, 2): 5}

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -84,7 +83,7 @@ def test_stub_recognizes_prompt_formats(problems):
     corpus = generate_corpus(None, 2, seed=4, split="test")
     # a problem text may span lines
     p = problems[0]
-    corpus.append(replace(p, text=p.text.replace(". ", ".\n", 1)))
+    corpus.append(p._replace(text=p.text.replace(". ", ".\n", 1)))
     assert "\n" in corpus[-1].text
     profile = SampleProfile("two", 2, 0.9)
     backend = StubBackend(corpus, seed=2)
@@ -756,11 +755,15 @@ def test_package_import_loads_neither_numpy_nor_requests():
     # only HttpBackend.generate needs an HTTP client and only the selector's
     # numeric code needs numpy; importing the package loads neither, and
     # networkx, a test-only dependency, never; sample starts its own
-    # threads, so no stage pays for concurrent.futures
+    # threads, so no stage pays for concurrent.futures. Records are
+    # NamedTuples, only a torn cache line logs and only generate solves, so
+    # no stage but generate loads dataclasses, logging or the solvers
     out = _fresh_python("import sys, graphcorpus, graphcorpus.cli; "
                         "print([m for m in ('numpy', 'requests', 'networkx', "
                         "'urllib.request', 'http.client', "
-                        "'concurrent.futures') if m in sys.modules])")
+                        "'concurrent.futures', 'dataclasses', 'inspect', "
+                        "'logging', 'graphcorpus.solvers', "
+                        "'graphcorpus.generate') if m in sys.modules])")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
     # the package root exports nothing, so importing it loads no module

@@ -69,6 +69,7 @@ def _random_tokens(rng, length, alphabet):
 
 def test_edit_distance_matches_dp_on_random_sequences():
     rng = random.Random(2024)
+    ends = random.Random(2025)
     for _ in range(200):
         alphabet = rng.randint(1, 12)
         ta = _random_tokens(rng, rng.randint(0, 200), alphabet)
@@ -86,6 +87,13 @@ def test_edit_distance_matches_dp_on_random_sequences():
         else:
             tb = _random_tokens(rng, rng.randint(0, 200), alphabet)
         _assert_same_distance(ta, tb)
+        # the same pair inside a shared head and tail, which the distance
+        # strips; ends has its own seed, so the pairs above stay as they were
+        head = _random_tokens(ends, ends.randint(0, 80), alphabet)
+        tail = _random_tokens(ends, ends.randint(0, 80), alphabet)
+        _assert_same_distance(head + ta + tail, head + tb + tail)
+        _assert_same_distance(head + ta, head + tb)
+        _assert_same_distance(ta + tail, tb + tail)
 
 
 def test_edit_distance_matches_dp_across_word_boundaries():
