@@ -15,10 +15,10 @@ import sys
 from typing import TYPE_CHECKING
 
 from .config import PipelineConfig, apply_overrides, load_config
-from .corpus import (PATHS_SCHEMA, PREDICTIONS_SCHEMA, SFT_SCHEMA,
-                     assemble_dpo, assemble_sft, compute_stats, format_stats,
-                     open_atomic, read_jsonl, read_problems, write_jsonl,
-                     write_problems)
+from .corpus import (AUDIT_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
+                     SFT_SCHEMA, assemble_dpo, assemble_sft, compute_stats,
+                     format_stats, open_atomic, read_jsonl, read_problems,
+                     write_jsonl, write_problems)
 from .errors import GraphCorpusError, InvalidSpecError, RecordError
 from .evaluate import evaluate, format_report, run_eval
 from .grader import audit_steps, judge
@@ -30,6 +30,7 @@ from .textgen import build_cot_prompt, wrap_instruction
 
 if TYPE_CHECKING:
     import argparse
+    from .textgen import Problem
 
 
 def _config_from(args: argparse.Namespace) -> PipelineConfig:
@@ -61,14 +62,22 @@ def _sampling(cfg: PipelineConfig, problems, profile: str) -> dict:
             "max_requests": cfg.max_requests}
 
 
-def _load_paths(path: str, problems) -> dict[str, list[str]]:
-    known = {p.id for p in problems}
-    out: dict[str, list[str]] = {}
+def _in_row_order(pairs) -> list[tuple]:
+    """(problem, texts) pairs by (task, id): the SFT and DPO row order."""
+    return sorted(pairs, key=lambda pair: (pair[0].task, pair[0].id))
+
+
+def _load_paths(path: str, problems: list[Problem]) -> list[tuple]:
+    """(problem, texts) pairs in row order: each problem the paths file
+    names, with the texts of all its records in file order. A record of no
+    known problem fails before any work."""
+    by_id = {p.id: p for p in problems}
+    texts: dict[str, list[str]] = {}
     for rec in read_jsonl(path, PATHS_SCHEMA):
-        if rec["id"] not in known:
+        if rec["id"] not in by_id:
             raise RecordError(f"{rec['id']}: paths reference no known problem")
-        out.setdefault(rec["id"], []).extend(rec["texts"])
-    return out
+        texts.setdefault(rec["id"], []).extend(rec["texts"])
+    return _in_row_order((by_id[pid], t) for pid, t in texts.items())
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -102,22 +111,19 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    problems = read_problems(args.problems)
-    by_id = {p.id: p for p in problems}
-    paths = _load_paths(args.paths, problems)
-    selected: dict[str, list[str]] = {}
+    pairs = _load_paths(args.paths, read_problems(args.problems))
+    rows = []
     dropped = 0
-    for pid, texts in paths.items():
-        correct = [t for t in texts if judge(by_id[pid], t).correct]
+    for problem, texts in pairs:
+        correct = [t for t in texts if judge(problem, t).correct]
         if not correct:
             dropped += 1
             continue
         picked = select_diverse(correct, cap=cfg.cap, seed=cfg.seed)
-        selected[pid] = [correct[i] for i in picked]
-    rows = assemble_sft(problems, selected)
+        rows += assemble_sft(problem, [correct[i] for i in picked])
     write_jsonl(args.out, rows)
-    print(f"wrote {len(rows)} training rows for {len(selected)} problems "
-          f"to {args.out} ({dropped} problems had no correct path)")
+    print(f"wrote {len(rows)} training rows for {len(pairs) - dropped} "
+          f"problems to {args.out} ({dropped} problems had no correct path)")
     return 0
 
 
@@ -125,15 +131,16 @@ def cmd_dpo(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     problems = read_problems(args.problems)
     if args.paths:
-        paths = _load_paths(args.paths, problems)
+        pairs = _load_paths(args.paths, problems)
     else:
         prompts = [wrap_instruction(p.text) for p in problems]
         texts = sample(prompts, **_sampling(cfg, problems, "dpo"))
-        paths = {p.id: texts[i] for i, p in enumerate(problems)}
-    rows = assemble_dpo(problems, paths, beta=cfg.beta)
+        pairs = _in_row_order(zip(problems, texts))
+    rows = [row for problem, texts in pairs
+            if (row := assemble_dpo(problem, texts, beta=cfg.beta))]
     write_jsonl(args.out, rows)
     print(f"wrote {len(rows)} preference pairs to {args.out} "
-          f"({len(paths) - len(rows)} problems skipped)")
+          f"({len(pairs) - len(rows)} problems skipped)")
     return 0
 
 
@@ -173,18 +180,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    problems = read_problems(args.problems)
-    by_id = {p.id: p for p in problems}
-    paths = _load_paths(args.paths, problems)
+    pairs = _load_paths(args.paths, read_problems(args.problems))
     rows = []
     audited = 0
-    for pid in sorted(paths):
-        for k, text in enumerate(paths[pid]):
+    for problem, texts in sorted(pairs, key=lambda pair: pair[0].id):
+        for k, text in enumerate(texts):
             audited += 1
-            for v in audit_steps(by_id[pid], text):
-                rows.append({"schema": "audit-v1", "id": pid, "path_index": k,
-                             "sentence": v.sentence, "kind": v.kind,
-                             "detail": v.detail})
+            for v in audit_steps(problem, text):
+                rows.append({"schema": AUDIT_SCHEMA, "id": problem.id,
+                             "path_index": k, "sentence": v.sentence,
+                             "kind": v.kind, "detail": v.detail})
     if args.out:
         write_jsonl(args.out, rows)
     else:

@@ -7,14 +7,16 @@ All files are JSONL with a leading "schema" field per record:
   sft-v1          instruction/output training rows
   dpo-v1          instruction/chosen/rejected preference rows
   predictions-v1  model outputs keyed by problem id
+  audit-v1        step violations of paths, keyed by problem id and path
 
 Subgraph is the one task whose problem record needs its own form (the
 pattern graph in the query, the witness mapping as pairs); only
 problem_to_record and record_to_problem know it.
 
-Assembly re-checks everything it writes: an SFT row whose output grades
-incorrect, or a DPO row whose sides grade the same way, is a RecordError,
-not a warning.
+Assembly builds the rows of one problem at a time; the caller joins paths
+to problems and orders the problems. It re-checks everything it writes: an
+SFT row whose output grades incorrect, or a DPO row whose sides grade the
+same way, is a RecordError, not a warning.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ PATHS_SCHEMA = "paths-v1"
 SFT_SCHEMA = "sft-v1"
 DPO_SCHEMA = "dpo-v1"
 PREDICTIONS_SCHEMA = "predictions-v1"
+AUDIT_SCHEMA = "audit-v1"
 
 # The fields each schema's readers use, and their types: read_jsonl rejects
 # a record that lacks one or holds the wrong type, never misreads it.
@@ -114,7 +117,8 @@ _VALUES = {"yes_no": ("a boolean", bool), "numeric": ("an integer", int),
 
 def record_to_problem(rec: dict) -> Problem:
     """Inverse of problem_to_record. An unknown task, an answer kind that is
-    not its task's or a value not of that kind is an InvalidSpecError; a
+    not its task's, a value not of that kind or a subgraph witness that is
+    not integer pairs, one per pattern node, is an InvalidSpecError; a
     query node the task's question names that is missing or not a node of
     the graph is an InvalidQueryError; a graph of another kind than its
     task's is a GraphKindError."""
@@ -138,7 +142,13 @@ def record_to_problem(rec: dict) -> Problem:
     if task == "subgraph":
         query = {"pattern": graph_from_dict(query["pattern"])}
         if isinstance(witness, list):
-            witness = {int(k): int(v) for k, v in witness}
+            if not (all(has_type(pair, list[int]) and len(pair) == 2
+                        for pair in witness)
+                    and len({k for k, _ in witness}) == len(witness)):
+                raise InvalidSpecError(
+                    f"subgraph witness {witness!r} is not [pattern, host] "
+                    "integer pairs, one per pattern node")
+            witness = dict(witness)
     return Problem(
         id=rec["id"],
         task=task,
@@ -178,14 +188,14 @@ def write_jsonl(path: str, records: Iterable[dict]) -> int:
     return count
 
 
-def _encodable(rec: dict) -> bool:
-    """False when a string holds a lone surrogate, which a JSON escape such
-    as "\\ud83d" alone decodes to and no UTF-8 file can hold."""
+def has_lone_surrogate(value: Any) -> bool:
+    """Whether a string in value holds a lone surrogate, which a JSON escape
+    such as "\\ud83d" alone decodes to and no UTF-8 file can hold."""
     try:
-        json.dumps(rec, ensure_ascii=False).encode("utf-8")
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError:
-        return False
-    return True
+        return True
+    return False
 
 
 def read_jsonl(path: str, schema: str | None = None) -> list[dict]:
@@ -197,7 +207,7 @@ def read_jsonl(path: str, schema: str | None = None) -> list[dict]:
                 if not line.strip():
                     continue
                 rec = json.loads(line)
-                if "\\u" in line and not _encodable(rec):
+                if "\\u" in line and has_lone_surrogate(rec):
                     raise ValueError("a string holds an unpaired surrogate "
                                      "escape, which UTF-8 cannot encode")
             except ValueError as exc:
@@ -247,72 +257,55 @@ def read_problems(path: str) -> list[Problem]:
 # Corpus assembly
 # ---------------------------------------------------------------------------
 
-def assemble_sft(problems: list[Problem],
-                 selected: dict[str, list[str]]) -> list[dict]:
-    """Build SFT rows from selected paths, re-grading every output."""
-    by_id = {p.id: p for p in problems}
+def assemble_sft(problem: Problem, texts: list[str]) -> list[dict]:
+    """SFT rows of one problem's selected paths, re-grading every output."""
     rows = []
-    for pid in selected:
-        if pid not in by_id:
-            raise RecordError(f"{pid}: selected paths reference no known problem")
-    for pid in sorted(selected, key=lambda x: (by_id[x].task, x)):
-        problem = by_id[pid]
-        for k, text in enumerate(selected[pid]):
-            verdict = judge(problem, text)
-            if not verdict.correct:
-                raise RecordError(
-                    f"{pid}: selected path {k} grades incorrect "
-                    f"({verdict.reason})")
-            rows.append({
-                "schema": SFT_SCHEMA,
-                "id": f"{pid}#{k}",
-                "task": problem.task,
-                "instruction": problem.text,
-                "output": text,
-                "meta": {"source_id": pid, "path_index": k,
-                         "selector": SELECTOR_VERSION},
-            })
+    for k, text in enumerate(texts):
+        verdict = judge(problem, text)
+        if not verdict.correct:
+            raise RecordError(
+                f"{problem.id}: selected path {k} grades incorrect "
+                f"({verdict.reason})")
+        rows.append({
+            "schema": SFT_SCHEMA,
+            "id": f"{problem.id}#{k}",
+            "task": problem.task,
+            "instruction": problem.text,
+            "output": text,
+            "meta": {"source_id": problem.id, "path_index": k,
+                     "selector": SELECTOR_VERSION},
+        })
     return rows
 
 
-def assemble_dpo(problems: list[Problem],
-                 paths: dict[str, list[str]], *,
-                 beta: float | None = None) -> list[dict]:
-    """Build DPO rows: grade each path, pair best correct with the hardest
-    wrong one, and skip problems where either side is empty. beta is carried
-    in meta for the training consumer and must be positive, as in
+def assemble_dpo(problem: Problem, texts: list[str], *,
+                 beta: float | None = None) -> dict | None:
+    """One problem's DPO row: grade each path and pair the best correct one
+    with the hardest wrong one; None when either side is empty. beta is
+    carried in meta for the training consumer and must be positive, as in
     `dpo_loss`."""
     if beta is not None and not beta > 0:
         raise InvalidSpecError("beta must be positive")
-    by_id = {p.id: p for p in problems}
-    rows = []
-    for pid in paths:
-        if pid not in by_id:
-            raise RecordError(f"{pid}: paths reference no known problem")
-    for pid in sorted(paths, key=lambda x: (by_id[x].task, x)):
-        problem = by_id[pid]
-        texts = paths[pid]
-        flags = [judge(problem, t).correct for t in texts]
-        pair = build_dpo_pair(texts, flags)
-        if pair is None:
-            continue
-        chosen, rejected = pair
-        if not flags[chosen] or flags[rejected]:
-            raise RecordError(f"{pid}: preference pair sides grade the same way")
-        meta = {"num_correct": sum(flags),
-                "num_incorrect": len(flags) - sum(flags)}
-        if beta is not None:
-            meta["beta"] = beta
-        rows.append({
-            "schema": DPO_SCHEMA,
-            "id": pid,
-            "task": problem.task,
-            "instruction": problem.text,
-            "chosen": texts[chosen],
-            "rejected": texts[rejected],
-            "meta": meta,
-        })
-    return rows
+    flags = [judge(problem, t).correct for t in texts]
+    pair = build_dpo_pair(texts, flags)
+    if pair is None:
+        return None
+    chosen, rejected = pair
+    if not flags[chosen] or flags[rejected]:
+        raise RecordError(
+            f"{problem.id}: preference pair sides grade the same way")
+    meta = {"num_correct": sum(flags), "num_incorrect": len(flags) - sum(flags)}
+    if beta is not None:
+        meta["beta"] = beta
+    return {
+        "schema": DPO_SCHEMA,
+        "id": problem.id,
+        "task": problem.task,
+        "instruction": problem.text,
+        "chosen": texts[chosen],
+        "rejected": texts[rejected],
+        "meta": meta,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def generate_corpus(tasks: list[str] | None, count: int, *, seed: int = 0,
                     dedupe_keys: set[str] | None = None) -> list[Problem]:
     """Generate count problems for each task; one shared dedupe key set.
     A task named twice is rejected: it would write each id twice."""
-    names = list(tasks) if tasks else list(TASK_ORDER)
+    names = list(TASK_ORDER if tasks is None else tasks)
     for i, name in enumerate(names):
         get_task(name)
         if name in names[:i]:

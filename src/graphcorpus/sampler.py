@@ -110,15 +110,9 @@ class StubBackend:
         return out
 
 
-# A JSON "\ud83d" escape with no partner decodes to a lone surrogate, which
-# no UTF-8 file can hold.
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
 def _mend_surrogates(text: str) -> str:
-    """text with each unpaired surrogate replaced by U+FFFD."""
-    if not _SURROGATE.search(text):
-        return text
+    """text with each unpaired surrogate, which a JSON "\\ud83d" escape with
+    no partner decodes to and no UTF-8 file can hold, replaced by U+FFFD."""
     return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le",
                                                             "replace")
 
@@ -245,10 +239,12 @@ class Cache:
                         and all(isinstance(t, str) for t in texts)):
                     raise CacheError(
                         f"{path}:{lineno}: texts is not a list of strings")
-                if b"\\u" in line and any(map(_SURROGATE.search, texts)):
-                    raise CacheError(f"{path}:{lineno}: a text holds an "
-                                     "unpaired surrogate escape, which UTF-8 "
-                                     "cannot encode")
+                if b"\\u" in line:
+                    from .corpus import has_lone_surrogate  # read_jsonl's rule
+                    if has_lone_surrogate(texts):
+                        raise CacheError(f"{path}:{lineno}: a text holds an "
+                                         "unpaired surrogate escape, which "
+                                         "UTF-8 cannot encode")
                 self._store[key] = texts      # last write wins
         if torn:
             os.truncate(path, complete)

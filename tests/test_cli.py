@@ -296,6 +296,34 @@ def test_audit_flags_fabricated_edge(problems_file, tmp_path, capsys):
     assert len(rows) == 1 and rows[0]["id"] == target.id
 
 
+def test_row_order_does_not_depend_on_the_paths_file(problems_file,
+                                                     tmp_path):
+    # records reversed, and one problem's texts split over a first and a
+    # last record, write the same bytes as the file annotate wrote
+    paths = tmp_path / "paths.jsonl"
+    assert main(["annotate", "--problems", str(problems_file), "--backend",
+                 "stub", "--stub-error-rate", "0.5", "--seed", "3",
+                 "--out", str(paths)]) == 0
+    recs = read_jsonl(str(paths), PATHS_SCHEMA)
+    for rec in recs:
+        rec["texts"].append("Node 0 is connected to node 999. ### Yes.")
+    write_jsonl(str(paths), recs)
+    first = recs[0]
+    shuffled = tmp_path / "shuffled.jsonl"
+    write_jsonl(str(shuffled), [dict(first, texts=first["texts"][:2]),
+                                *reversed(recs[1:]),
+                                dict(first, texts=first["texts"][2:])])
+    for stage, seed in (("select", ["--seed", "3"]), ("dpo", ["--seed", "3"]),
+                        ("audit", [])):
+        written = []
+        for source in (paths, shuffled):
+            out = tmp_path / f"{stage}-{source.stem}.jsonl"
+            assert main([stage, "--problems", str(problems_file), "--paths",
+                         str(source), *seed, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] and written[0] == written[1], stage
+
+
 def test_full_pipeline_chain(tmp_path):
     problems = tmp_path / "p.jsonl"
     paths = tmp_path / "a.jsonl"
@@ -448,13 +476,23 @@ def test_malformed_nested_problem_fields_exit_two(problems_file, tmp_path,
     ("cycle", lambda rec: rec["graph"].update(
         num_nodes=float(rec["graph"]["num_nodes"])),
      "TypeError: graph 'num_nodes' is not an integer"),
+    # int() read [0, 1.7] as 0 -> 1 and [true, true] as 1 -> 1, and a dict
+    # kept the last of two pairs of one pattern node
+    ("subgraph", lambda rec: rec["answer"]["witness"][0].__setitem__(1, 1.7),
+     "subgraph witness [[0, 1.7], "),
+    ("subgraph", lambda rec: rec["answer"]["witness"].__setitem__(
+        0, [True, True]), "subgraph witness [[True, True], "),
+    ("subgraph", lambda rec: rec["answer"]["witness"].__setitem__(
+        1, list(rec["answer"]["witness"][0])),
+     "integer pairs, one per pattern node"),
 ], ids=["unknown-task", "kind-not-the-tasks", "directed-cycle",
         "triangle-without-node-weights", "yes-no-value-a-string",
         "numeric-value-a-string", "numeric-value-a-bool",
         "sequence-value-not-all-integers", "query-node-missing",
         "query-node-out-of-range", "edge-endpoints-floats",
         "edge-weight-a-bool", "node-weight-a-bool", "directed-an-integer",
-        "num-nodes-a-float"])
+        "num-nodes-a-float", "witness-host-a-float", "witness-pair-bools",
+        "witness-pattern-node-twice"])
 def test_problem_of_no_known_task_kind_exits_two(tmp_path, capsys, task,
                                                  change, message):
     # a shortest record relabelled yes/no would pass its witness check, and
@@ -555,6 +593,19 @@ def test_unknown_task_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_task_list_exits_two(tmp_path, capsys, source):
+    # an empty list is no task, not every task (nine problems for --count 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tasks": []}))
+    argv = (["--tasks", ","] if source == "flag" else ["--config", str(cfg)])
+    rc = main(["generate", *argv, "--count", "1",
+               "--out", str(tmp_path / "x.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: tasks names no task\n"
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     # the generation limits are constants of config.py, not config keys,
     # and evaluate samples once, so repeats is no key either
@@ -630,7 +681,8 @@ def test_select_rejects_orphan_paths(problems_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("stage,work", [("select", "judge"),
-                                        ("audit", "audit_steps")])
+                                        ("audit", "audit_steps"),
+                                        ("dpo", "assemble_dpo")])
 def test_orphan_paths_fail_before_any_grading(problems_file, tmp_path, capsys,
                                               monkeypatch, stage, work):
     # the orphan comes after a known problem's paths, and is still found
@@ -644,7 +696,7 @@ def test_orphan_paths_fail_before_any_grading(problems_file, tmp_path, capsys,
         {"schema": PATHS_SCHEMA, "id": "ghost-7", "prompt_sha": "x",
          "texts": ["### Yes."]}])
     calls = []
-    monkeypatch.setattr(cli, work, lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
     rc = main([stage, "--problems", str(problems_file), "--paths", str(paths),
                "--out", str(tmp_path / "out.jsonl")])
     assert rc == 2

@@ -232,10 +232,14 @@ def _wrong_text(p):
     return "### No." if p.answer.value else "### Yes."
 
 
+def _dpo_rows(problems, paths, **kwargs):
+    return [row for p in problems if p.id in paths
+            and (row := assemble_dpo(p, paths[p.id], **kwargs))]
+
+
 def test_assemble_sft_rows(cycle_problems):
-    selected = {p.id: [_truth_text(p), _truth_text(p) + " indeed."]
-                for p in cycle_problems[:2]}
-    rows = assemble_sft(cycle_problems, selected)
+    rows = [row for p in cycle_problems[:2] for row in assemble_sft(
+        p, [_truth_text(p), _truth_text(p) + " indeed."])]
     assert len(rows) == 4
     assert [r["id"] for r in rows] == sorted(r["id"] for r in rows)
     first = rows[0]
@@ -246,12 +250,11 @@ def test_assemble_sft_rows(cycle_problems):
 
 
 def test_assemble_sft_rejects_bad_rows(cycle_problems):
-    with pytest.raises(RecordError) as err:
-        assemble_sft(cycle_problems, {"ghost": ["### Yes."]})
-    assert "ghost" in str(err.value)
+    # paths of no known problem fail when the paths file is read: see
+    # test_cli.py::test_orphan_paths_fail_before_any_grading
     p = cycle_problems[0]
     with pytest.raises(RecordError) as err:
-        assemble_sft(cycle_problems, {p.id: [_truth_text(p), _wrong_text(p)]})
+        assemble_sft(p, [_truth_text(p), _wrong_text(p)])
     assert p.id in str(err.value) and "path 1" in str(err.value)
 
 
@@ -263,20 +266,15 @@ def test_assemble_dpo_rows(cycle_problems):
         p1.id: [_truth_text(p1), _truth_text(p1)],      # no wrong side
         p2.id: [_wrong_text(p2)],                       # no right side
     }
-    rows = assemble_dpo(cycle_problems, paths, beta=0.25)
+    rows = _dpo_rows(cycle_problems, paths, beta=0.25)
     assert len(rows) == 1
     row = rows[0]
     assert row["schema"] == DPO_SCHEMA and row["id"] == p0.id
     assert row["chosen"].startswith("###")
     assert row["meta"] == {"num_correct": 2, "num_incorrect": 1,
                            "beta": 0.25}
-    no_beta = assemble_dpo(cycle_problems, paths)
+    no_beta = _dpo_rows(cycle_problems, paths)
     assert "beta" not in no_beta[0]["meta"]
-
-
-def test_assemble_dpo_rejects_unknown_problem(cycle_problems):
-    with pytest.raises(RecordError):
-        assemble_dpo(cycle_problems, {"ghost": ["### Yes."]})
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,7 @@ def test_generate_corpus_shares_keys_across_tasks():
 def test_generate_corpus_defaults_to_all_tasks():
     problems = generate_corpus(None, 1, seed=6, split="all")
     assert [p.task for p in problems] == TASK_ORDER
+    assert generate_corpus([], 1, seed=6, split="all") == []   # no task
 
 
 def test_token_budget_is_enforced(monkeypatch):
