@@ -19,7 +19,8 @@ from .corpus import (AUDIT_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
                      SFT_SCHEMA, assemble_dpo, assemble_sft, compute_stats,
                      format_stats, open_atomic, read_jsonl, read_problems,
                      write_jsonl, write_problems)
-from .errors import GraphCorpusError, InvalidSpecError, RecordError
+from .errors import (GraphCorpusError, InvalidSpecError, RecordError,
+                     SchemaError)
 from .evaluate import evaluate, format_report, run_eval
 from .grader import audit_steps, judge
 from .graphs import canonical_key
@@ -148,8 +149,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     problems = read_problems(args.problems)
     if args.predictions:
-        preds = {rec["id"]: rec["text"]
-                 for rec in read_jsonl(args.predictions, PREDICTIONS_SCHEMA)}
+        preds: dict[str, str] = {}
+        for rec in read_jsonl(args.predictions, PREDICTIONS_SCHEMA):
+            if rec["id"] in preds:      # one copy's text would be graded
+                raise SchemaError(f"{args.predictions}: record "
+                                  f"{rec['id']!r}: repeated id")
+            preds[rec["id"]] = rec["text"]
         report = evaluate(problems, preds)
     else:
         report = run_eval(problems, **_sampling(cfg, problems, "eval"))

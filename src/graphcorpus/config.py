@@ -63,11 +63,13 @@ def load_config(path: str | None) -> PipelineConfig:
 def has_type(value: object, hint: object) -> bool:
     """Whether value fits the annotation: a bool is not an int, an int is a
     float, and a union takes any of its members."""
+    if hint in (None, type(None)):      # None in a table, NoneType in a union
+        return value is None
     if hint is bool:
         return isinstance(value, bool)
     if hint is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint in (int, str):
+    if hint in (int, str, dict):
         return isinstance(value, hint) and not isinstance(value, bool)
     if get_origin(hint) is list:
         item, = get_args(hint)

@@ -42,14 +42,14 @@ DPO_SCHEMA = "dpo-v1"
 PREDICTIONS_SCHEMA = "predictions-v1"
 AUDIT_SCHEMA = "audit-v1"
 
-# The fields each schema's readers use, and their types: read_jsonl rejects
-# a record that lacks one or holds the wrong type, never misreads it.
-_FIELDS = {PROBLEMS_SCHEMA: {"id": str, "task": str, "graph": dict,
-                             "query": dict, "answer": dict, "text": str},
-           PATHS_SCHEMA: {"id": str, "texts": list},
-           SFT_SCHEMA: {"task": str},
-           PREDICTIONS_SCHEMA: {"id": str, "text": str}}
-_KINDS = {str: "a string", dict: "an object", list: "a list of strings"}
+# The fields each schema's readers use, their types and how errors name
+# them: read_jsonl rejects a record that lacks one or holds the wrong type.
+_STR, _OBJ = (str, "a string"), (dict, "an object")
+_FIELDS = {PROBLEMS_SCHEMA: {"id": _STR, "task": _STR, "graph": _OBJ,
+                             "query": _OBJ, "answer": _OBJ, "text": _STR},
+           PATHS_SCHEMA: {"id": _STR, "texts": (list[str], "a list of strings")},
+           SFT_SCHEMA: {"task": _STR},
+           PREDICTIONS_SCHEMA: {"id": _STR, "text": _STR}}
 
 
 def _plain(value: Any) -> Any:
@@ -117,11 +117,12 @@ _VALUES = {"yes_no": ("a boolean", bool), "numeric": ("an integer", int),
 
 def record_to_problem(rec: dict) -> Problem:
     """Inverse of problem_to_record. An unknown task, an answer kind that is
-    not its task's, a value not of that kind or a subgraph witness that is
-    not integer pairs, one per pattern node, is an InvalidSpecError; a
-    query node the task's question names that is missing or not a node of
-    the graph is an InvalidQueryError; a graph of another kind than its
-    task's is a GraphKindError."""
+    not its task's, a value not of that kind, a witness not of its task's
+    type or a subgraph witness with other than one [pattern, host] pair per
+    pattern node is an InvalidSpecError; a query node the task's question
+    names that is missing or not a node of the graph is an
+    InvalidQueryError; a graph of another kind than its task's is a
+    GraphKindError."""
     task = rec["task"]
     query, answer = dict(rec["query"]), rec["answer"]
     graph = graph_from_dict(rec["graph"])
@@ -139,12 +140,15 @@ def record_to_problem(rec: dict) -> Problem:
                 f"query node {name!r} is {query.get(name)!r}, not a node "
                 f"of the graph (0 to {graph.num_nodes - 1})")
     witness = answer.get("witness")
+    if not has_type(witness, info.witness):
+        raise InvalidSpecError(f"{task} witness {witness!r} is not "
+                               f"{info.witness}")
     if task == "subgraph":
         query = {"pattern": graph_from_dict(query["pattern"])}
-        if isinstance(witness, list):
-            if not (all(has_type(pair, list[int]) and len(pair) == 2
-                        for pair in witness)
-                    and len({k for k, _ in witness}) == len(witness)):
+        if witness is not None:
+            if not (all(len(pair) == 2 for pair in witness)
+                    and sorted(k for k, _ in witness)
+                    == list(range(query["pattern"].num_nodes))):
                 raise InvalidSpecError(
                     f"subgraph witness {witness!r} is not [pattern, host] "
                     "integer pairs, one per pattern node")
@@ -188,43 +192,45 @@ def write_jsonl(path: str, records: Iterable[dict]) -> int:
     return count
 
 
-def has_lone_surrogate(value: Any) -> bool:
-    """Whether a string in value holds a lone surrogate, which a JSON escape
-    such as "\\ud83d" alone decodes to and no UTF-8 file can hold."""
-    try:
-        json.dumps(value, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError:
-        return True
-    return False
+def parse_line(raw: bytes) -> dict | None:
+    """The record one JSONL line holds, or None for a blank line. A line
+    that is not UTF-8 or not JSON, or that holds no object, or whose strings
+    hold a lone surrogate (which a JSON escape such as "\\ud83d" alone
+    decodes to and no UTF-8 file can hold) raises ValueError."""
+    line = raw.decode("utf-8")      # a UnicodeDecodeError is a ValueError
+    if not line.strip():
+        return None
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError("record is not an object")
+    if "\\u" in line:
+        try:
+            json.dumps(rec, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("a string holds an unpaired surrogate escape, "
+                             "which UTF-8 cannot encode") from None
+    return rec
 
 
 def read_jsonl(path: str, schema: str | None = None) -> list[dict]:
     out = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            try:            # a UnicodeDecodeError is a ValueError too
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                if "\\u" in line and has_lone_surrogate(rec):
-                    raise ValueError("a string holds an unpaired surrogate "
-                                     "escape, which UTF-8 cannot encode")
+            try:
+                rec = parse_line(raw)
             except ValueError as exc:
                 raise SchemaError(f"{path}: {exc}", line=lineno) from exc
-            if not isinstance(rec, dict):
-                raise SchemaError(f"{path}: record is not an object", line=lineno)
+            if rec is None:
+                continue
             if schema is not None and rec.get("schema") != schema:
                 raise SchemaError(
                     f"{path}: expected schema {schema!r}, got "
                     f"{rec.get('schema')!r}", line=lineno)
-            for name, kind in _FIELDS.get(schema, {}).items():
-                value = rec.get(name)
-                if not isinstance(value, kind) or (kind is list and not all(
-                        isinstance(x, str) for x in value)):
+            for name, (hint, what) in _FIELDS.get(schema, {}).items():
+                if not has_type(rec.get(name), hint):
                     raise SchemaError(
                         f"{path}: record {rec.get('id')!r}: {name!r} is "
-                        f"missing or not {_KINDS[kind]}", line=lineno)
+                        f"missing or not {what}", line=lineno)
             out.append(rec)
     return out
 

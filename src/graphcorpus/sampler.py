@@ -7,10 +7,10 @@ BackendError for any other; `HttpBackend` sends one request per call to an
 OpenAI-compatible chat endpoint through the standard library's
 `urllib.request`. Each backend names itself in `identity`. `sample` keeps at
 most `jobs` requests in flight: `jobs` worker threads and the calling thread
-pull prompts from one queue, each holding one of `jobs` request slots while
-it asks. It retries a TransientError after a back-off that lends its slot to
-the next prompt. `sample` sizes every reply to the profile's n and keeps an
-append-only JSONL cache so no prompt is paid for twice.
+pull prompts from one queue, each holding one of `jobs` request slots only
+while a request is out, not in a back-off before a retry, and none sent
+after the first error. `sample` sizes every reply to the profile's n and
+keeps an append-only JSONL cache so no prompt is paid for twice.
 """
 
 from __future__ import annotations
@@ -202,10 +202,13 @@ class Cache:
     Every put writes one whole line, so a final line without its newline
     was cut short by a killed process: loading drops it with a warning and
     truncates the file back to the last newline, so the next put starts a
-    fresh line. An unreadable line anywhere else raises CacheError.
+    fresh line. Any other line that breaks `corpus.parse_line`'s rules for
+    stage files, or holds no key or texts, raises CacheError.
     """
 
     def __init__(self, path: str):
+        from .config import has_type     # loaded with the stage modules
+        from .corpus import parse_line
         self.path = path
         self._store: dict[tuple, list[str]] = {}
         self._lock = threading.Lock()
@@ -225,27 +228,20 @@ class Cache:
                     torn = True
                     break
                 complete += len(line)
-                if not line.strip():
-                    continue
                 try:
-                    rec = json.loads(line)
+                    rec = parse_line(line)
+                    if rec is None:
+                        continue
                     key = (rec["prompt_sha"], rec["profile"],
                            *(rec.get(f) for f in _KEY_FIELDS[2:]))
                     hash(key)         # a list or object key field is unhashable
-                    texts = rec["texts"]
-                except (ValueError, KeyError, TypeError):
-                    raise CacheError(f"{path}:{lineno}: unreadable cache line")
-                if not (isinstance(texts, list)
-                        and all(isinstance(t, str) for t in texts)):
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CacheError(
+                        f"{path}:{lineno}: unreadable cache line: {exc}") from exc
+                if not has_type(rec.get("texts"), list[str]):
                     raise CacheError(
                         f"{path}:{lineno}: texts is not a list of strings")
-                if b"\\u" in line:
-                    from .corpus import has_lone_surrogate  # read_jsonl's rule
-                    if has_lone_surrogate(texts):
-                        raise CacheError(f"{path}:{lineno}: a text holds an "
-                                         "unpaired surrogate escape, which "
-                                         "UTF-8 cannot encode")
-                self._store[key] = texts      # last write wins
+                self._store[key] = rec["texts"]      # last write wins
         if torn:
             os.truncate(path, complete)
 
@@ -283,11 +279,11 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
     and not cached, so the next run asks for that prompt again.
 
     A TransientError is retried up to MAX_RETRIES times, after a back-off of
-    BACKOFF seconds that doubles each time. At most `jobs` requests are in
-    flight. One more runner than that pulls prompts, so a prompt waiting out
-    a back-off lends its slot to the next one. The first error (or Ctrl-C)
-    stops every runner from taking another prompt or retrying one, and is
-    raised here once the requests in flight end.
+    BACKOFF seconds that doubles each time. A runner holds one of `jobs`
+    request slots only while its request is out, never in a back-off, and
+    one more runner than slots pulls prompts, so the next prompt is asked
+    while one waits out a back-off. No request starts after the first error
+    (or Ctrl-C), which is raised here once the requests in flight end.
     """
     if profile.n < 1:
         raise InvalidSpecError("profile.n must be at least 1")
@@ -312,40 +308,38 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
     take = threading.Lock()
     failed: list[BaseException] = []
 
+    def ask(i: int) -> list[str] | None:
+        """The texts of prompts[i], or None once a runner has failed; a
+        failure is recorded before its slot is freed."""
+        for attempt in range(MAX_RETRIES + 1):
+            with slots:                     # held only while a request is out
+                if failed:
+                    return None
+                try:
+                    try:
+                        return backend.generate(prompts[i], profile)[: profile.n]
+                    except TransientError as exc:
+                        if attempt == MAX_RETRIES:
+                            raise BackendError(f"retries exhausted ({exc})") from exc
+                except BaseException as exc:    # Ctrl-C too
+                    failed.append(exc)
+                    return None
+            time.sleep(BACKOFF * 2 ** attempt)  # the slot is free meanwhile
+
     def run() -> None:
-        held = False                    # whether this runner holds a slot
         try:
             while True:
-                slots.acquire()
-                held = True
                 with take:
-                    i = None if failed else next(todo, None)
-                if i is None:
+                    i = next(todo, None)
+                if i is None or (texts := ask(i)) is None:
                     return
-                for attempt in range(MAX_RETRIES + 1):
-                    try:
-                        texts = backend.generate(prompts[i], profile)[: profile.n]
-                        break
-                    except TransientError as exc:
-                        if attempt == MAX_RETRIES or failed:   # or stop now
-                            raise BackendError(f"retries exhausted ({exc})") from exc
-                    slots.release()         # lend the slot for the back-off
-                    held = False            # an interrupted sleep leaves it lent
-                    time.sleep(BACKOFF * 2 ** attempt)
-                    slots.acquire()
-                    held = True
                 if cache is not None and len(texts) == profile.n:
                     cache.put(shas[i], profile, texts, backend.identity)
                 results[i] = texts + [""] * (profile.n - len(texts))
-                slots.release()
-                held = False
-        except BaseException as exc:    # Ctrl-C too: every runner stops
+        except BaseException as exc:    # Ctrl-C in a back-off, a failed put
             failed.append(exc)
-        finally:
-            if held:
-                slots.release()
 
-    # the calling thread is the spare runner that takes a lent slot
+    # the calling thread is the spare runner, so Ctrl-C lands in a runner
     workers = [threading.Thread(target=run)
                for _ in range(min(jobs, len(misses) - 1))]
     for w in workers:

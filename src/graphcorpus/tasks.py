@@ -18,6 +18,7 @@ class TaskInfo(NamedTuple):
     node_weighted: bool
     node_range: tuple[int, int]
     answer_kind: str         # yes_no | numeric | sequence
+    witness: object          # the stored witness's type, for config.has_type
     edge_style: str          # str.format of an edge: {0}, {1} ends, {2} weight
     question: str            # closing sentence; {u} {v} {s} {t} are query nodes
     # the graph sentence before the question: {last} node id, {edges} clause,
@@ -26,30 +27,31 @@ class TaskInfo(NamedTuple):
 
 
 _TASKS = [
-    TaskInfo("cycle", "easy", False, False, (2, 100), "yes_no",
+    TaskInfo("cycle", "easy", False, False, (2, 100), "yes_no", list[int] | None,
              "({0},{1})", "Is there a cycle in this graph?"),
-    TaskInfo("connect", "easy", False, False, (2, 100), "yes_no",
+    TaskInfo("connect", "easy", False, False, (2, 100), "yes_no", list[int] | None,
              "({0},{1})", "Is there a path between node {u} and node {v}?"),
     TaskInfo("bipartite", "easy", True, False, (2, 100), "yes_no",
-             "({0}->{1})", "Is this graph bipartite?"),
-    TaskInfo("topology", "easy", True, False, (2, 50), "sequence",
+             list[list[int]] | list[int], "({0}->{1})",
+             "Is this graph bipartite?"),
+    TaskInfo("topology", "easy", True, False, (2, 50), "sequence", None,
              "({0}->{1})", "Give one topology sorting path of this graph."),
-    TaskInfo("shortest", "medium", False, False, (2, 100), "numeric",
+    TaskInfo("shortest", "medium", False, False, (2, 100), "numeric", list[int],
              "({0},{1},{2})",
              "Give the weight of the shortest path from node {u} to node {v}.",
              "In an undirected graph, the nodes are numbered from 0 to {last}, "
              "and {edges}."),
-    TaskInfo("triangle", "medium", False, True, (2, 25), "numeric",
+    TaskInfo("triangle", "medium", False, True, (2, 25), "numeric", list[int],
              "({0}, {1})",
              "What is the maximum sum of the weights of three interconnected nodes?",
              "The nodes are numbered from 0 to {last}, weights of nodes are: "
              "{weights}, and {edges}."),
-    TaskInfo("flow", "medium", True, False, (2, 50), "numeric",
+    TaskInfo("flow", "medium", True, False, (2, 50), "numeric", list[int],
              "({0}->{1},{2})", "What is the maximum flow from node {s} to node {t}?"),
-    TaskInfo("hamilton", "hard", False, False, (2, 50), "yes_no",
+    TaskInfo("hamilton", "hard", False, False, (2, 50), "yes_no", list[int] | None,
              "({0},{1})", "Is there a Hamiltonian path in this graph?"),
     TaskInfo("subgraph", "hard", True, False, (2, 30), "yes_no",
-             "({0}->{1})",
+             list[list[int]] | None, "({0}->{1})",
              "Is subgraph G' present within graph G as a direct substructure?",
              "The nodes of graph G are numbered from 0 to {last}, and {edges}. "
              "The nodes of subgraph G' are numbered from a to {pattern_last}, "

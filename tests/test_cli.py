@@ -197,6 +197,22 @@ def test_evaluate_predictions_report(problems_file, tmp_path, capsys):
     assert "overall" in capsys.readouterr().out
 
 
+def test_repeated_prediction_id_exits_two(problems_file, tmp_path, capsys):
+    # the last of two predictions for one problem was graded, with exit 0
+    first = read_problems(str(problems_file))[0]
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(str(preds), [
+        {"schema": PREDICTIONS_SCHEMA, "id": first.id, "text": text}
+        for text in ("### Yes.", "### No.")])
+    out = tmp_path / "report"
+    rc = main(["evaluate", "--problems", str(problems_file),
+               "--predictions", str(preds), "--out", str(out)])
+    assert rc == 2
+    assert (f"error: {preds}: record {first.id!r}: repeated id"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_evaluate_stub_backend(problems_file, tmp_path):
     out = tmp_path / "report"
     rc = main(["evaluate", "--problems", str(problems_file),
@@ -485,6 +501,18 @@ def test_malformed_nested_problem_fields_exit_two(problems_file, tmp_path,
     ("subgraph", lambda rec: rec["answer"]["witness"].__setitem__(
         1, list(rec["answer"]["witness"][0])),
      "integer pairs, one per pattern node"),
+    # such witnesses loaded, and only annotate's witness check stopped them
+    ("cycle", lambda rec: rec["answer"]["witness"].__setitem__(
+        slice(0, 2), [0.5, True]), "cycle witness [0.5, True, "),
+    ("shortest", lambda rec: rec["answer"].update(
+        witness=[str(x) for x in rec["answer"]["witness"]]),
+     "shortest witness ['"),
+    ("bipartite", lambda rec: rec["answer"]["witness"][1].__setitem__(0, 3.0),
+     "bipartite witness [[0, 1, 2, 5], [3.0, 4]] is not "),
+    ("subgraph", lambda rec: rec["answer"].update(witness={"0": 1}),
+     "subgraph witness {'0': 1} is not "),
+    ("subgraph", lambda rec: rec["answer"]["witness"].pop(),
+     "integer pairs, one per pattern node"),
 ], ids=["unknown-task", "kind-not-the-tasks", "directed-cycle",
         "triangle-without-node-weights", "yes-no-value-a-string",
         "numeric-value-a-string", "numeric-value-a-bool",
@@ -492,7 +520,9 @@ def test_malformed_nested_problem_fields_exit_two(problems_file, tmp_path,
         "query-node-out-of-range", "edge-endpoints-floats",
         "edge-weight-a-bool", "node-weight-a-bool", "directed-an-integer",
         "num-nodes-a-float", "witness-host-a-float", "witness-pair-bools",
-        "witness-pattern-node-twice"])
+        "witness-pattern-node-twice", "cycle-witness-float-and-bool",
+        "shortest-witness-strings", "bipartite-side-a-float",
+        "subgraph-witness-an-object", "subgraph-witness-short-of-a-node"])
 def test_problem_of_no_known_task_kind_exits_two(tmp_path, capsys, task,
                                                  change, message):
     # a shortest record relabelled yes/no would pass its witness check, and

@@ -14,8 +14,9 @@ import pytest
 import graphcorpus
 from graphcorpus import sampler
 from graphcorpus.cli import main
+from graphcorpus.corpus import read_jsonl
 from graphcorpus.errors import (BackendError, CacheError, InvalidSpecError,
-                                TransientError)
+                                SchemaError, TransientError)
 from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.grader import judge
 from graphcorpus.sampler import (PROFILES, Cache, HttpBackend, SampleProfile,
@@ -189,6 +190,32 @@ def test_cache_rejects_a_lone_surrogate_escape(tmp_path):
     with pytest.raises(CacheError) as err:
         Cache(str(path))
     assert f"{path}:2: " in str(err.value) and "surrogate" in str(err.value)
+
+
+@pytest.mark.parametrize("bad,reason", [
+    (b"\xff\n", "can't decode byte 0xff"),
+    (b"not json at all\n", "Expecting value"),
+    (b'["prompt_sha", "profile", "texts"]\n', "record is not an object"),
+    (rb'{"prompt_sha": "b", "profile": "p3", "texts": ["x \ud83d"]}' + b"\n",
+     "unpaired surrogate"),
+], ids=["not-utf8", "not-json", "json-list", "lone-surrogate"])
+def test_stage_files_and_the_cache_read_lines_alike(tmp_path, bad, reason):
+    # a blank line is skipped by both; the next one fails both alike
+    path = tmp_path / "lines.jsonl"
+    Cache(str(path)).put("a", P3, ["x", "y", "z"], STUB)
+    with open(path, "ab") as fh:
+        fh.write(b"  \n")
+    assert len(read_jsonl(str(path))) == 1
+    assert Cache(str(path)).lookup("a", P3, STUB) == ["x", "y", "z"]
+    with open(path, "ab") as fh:
+        fh.write(bad)
+    with pytest.raises(SchemaError) as schema_err:
+        read_jsonl(str(path))
+    with pytest.raises(CacheError) as cache_err:
+        Cache(str(path))
+    assert str(schema_err.value).startswith(f"line 3: {path}: ")
+    assert str(cache_err.value).startswith(f"{path}:3: unreadable cache line")
+    assert reason in str(schema_err.value) and reason in str(cache_err.value)
 
 
 def test_cache_drops_torn_final_line(tmp_path, caplog):
@@ -506,7 +533,7 @@ def test_sample_retries_a_transient_error_after_a_doubling_back_off(
 
 
 def test_a_fatal_error_ends_the_retries_of_other_prompts():
-    # p0 retries until p1's error, not through all its back-offs (7.5 s)
+    # p0 sends no retry after p1's error, let alone all its back-offs (7.5 s)
     class Fatal(_Flaky):
         def generate(self, prompt, profile):
             if prompt == "p1":
@@ -517,7 +544,22 @@ def test_a_fatal_error_ends_the_retries_of_other_prompts():
     backend = Fatal(fails=5)
     with pytest.raises(BackendError) as err:
         sample(["p0", "p1"], get_profile("eval"), backend, jobs=2)
-    assert err.value.status == 401 and backend.requests == ["p0", "p0"]
+    assert err.value.status == 401 and backend.requests == ["p0"]
+
+
+def test_no_request_starts_after_the_first_error():
+    # one slot, and every request fails after 0.1 s: the runner waiting for
+    # the slot sees the first error and asks nothing
+    class Fails(_Flaky):
+        def generate(self, prompt, profile):
+            super().generate(prompt, profile)
+            threading.Event().wait(0.1)
+            raise BackendError("bad key", status=401)
+
+    backend = Fails(fails=0)
+    with pytest.raises(BackendError) as err:
+        sample(["p0", "p1", "p2"], get_profile("eval"), backend, jobs=1)
+    assert err.value.status == 401 and len(backend.requests) == 1
 
 
 def test_ctrl_c_in_a_back_off_stops_without_taking_the_slot_back(
