@@ -25,7 +25,7 @@ import json
 import os
 from contextlib import contextmanager
 from string import Formatter
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .config import has_type
 from .errors import InvalidQueryError, InvalidSpecError, RecordError, SchemaError
@@ -43,7 +43,7 @@ PREDICTIONS_SCHEMA = "predictions-v1"
 AUDIT_SCHEMA = "audit-v1"
 
 # The fields each schema's readers use, their types and how errors name
-# them: read_jsonl rejects a record that lacks one or holds the wrong type.
+# them: iter_jsonl rejects a record that lacks one or holds the wrong type.
 _STR, _OBJ = (str, "a string"), (dict, "an object")
 _FIELDS = {PROBLEMS_SCHEMA: {"id": _STR, "task": _STR, "graph": _OBJ,
                              "query": _OBJ, "answer": _OBJ, "text": _STR},
@@ -212,8 +212,10 @@ def parse_line(raw: bytes) -> dict | None:
     return rec
 
 
-def read_jsonl(path: str, schema: str | None = None) -> list[dict]:
-    out = []
+def iter_jsonl(path: str, schema: str | None = None) -> Iterator[dict]:
+    """The records of a JSONL file, one line at a time. A line that does not
+    parse, a record of another schema or a field of `_FIELDS` that is
+    missing or mistyped is a SchemaError naming the file and the line."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
@@ -231,8 +233,12 @@ def read_jsonl(path: str, schema: str | None = None) -> list[dict]:
                     raise SchemaError(
                         f"{path}: record {rec.get('id')!r}: {name!r} is "
                         f"missing or not {what}", line=lineno)
-            out.append(rec)
-    return out
+            yield rec
+
+
+def read_jsonl(path: str, schema: str | None = None) -> list[dict]:
+    """All of `iter_jsonl`'s records, as a list a caller may walk twice."""
+    return list(iter_jsonl(path, schema))
 
 
 def write_problems(path: str, problems: Iterable[Problem]) -> int:
@@ -240,22 +246,22 @@ def write_problems(path: str, problems: Iterable[Problem]) -> int:
 
 
 def read_problems(path: str) -> list[Problem]:
-    """Problems of a problems-v1 file; a record whose nested fields do not
-    convert (graph without edges, answer without kind, ...) or whose id an
-    earlier record has is a SchemaError naming the file and the record."""
-    records = read_jsonl(path, PROBLEMS_SCHEMA)
+    """Problems of a problems-v1 file, each converted as its line is read,
+    so the file's records are never all held at once. A record whose nested
+    fields do not convert (graph without edges, answer without kind, ...),
+    or whose id an earlier record has, is a SchemaError naming the file and
+    the record; the read stops at that record."""
     problems: list[Problem] = []
-    try:
-        for rec in records:
-            problems.append(record_to_problem(rec))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: record {rec['id']!r}: "
-                          f"{type(exc).__name__}: {exc}") from exc
     seen: set[str] = set()
-    for p in problems:
-        if p.id in seen:
-            raise SchemaError(f"{path}: record {p.id!r}: repeated id")
-        seen.add(p.id)
+    for rec in iter_jsonl(path, PROBLEMS_SCHEMA):
+        try:
+            problems.append(record_to_problem(rec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: record {rec['id']!r}: "
+                              f"{type(exc).__name__}: {exc}") from exc
+        if rec["id"] in seen:
+            raise SchemaError(f"{path}: record {rec['id']!r}: repeated id")
+        seen.add(rec["id"])
     return problems
 
 

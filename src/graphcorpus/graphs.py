@@ -3,7 +3,10 @@
 Edges are tuples (u, v) or (u, v, weight); undirected edges are stored with
 u < v, and `Graph.key` gives any pair its stored form. A Graph is
 immutable, so its derived views (edge pairs, the edge key set, the weight
-map, adjacency) are computed once per instance and shared. `bfs` is the
+map, adjacency) are computed once per instance and shared. The views reuse
+the edge tuples: an unweighted graph's edge pairs are its edges, and the
+key set and weight map hold those pairs, building a new one only for a
+pair not in `key` form. `bfs` is the
 one breadth-first search (connectivity, bipartite colouring, augmenting
 paths, reachability), `path_to` reads a path off its tree, and
 `union_find` is the one union-find.
@@ -29,13 +32,16 @@ class _GraphFields(NamedTuple):
 
 
 class Graph(_GraphFields):
-    """Immutable graph value. Edges and node weights are stored as tuples;
-    the derived views below are computed on first use and kept in the
-    instance dict, so a graph built from another's fields has fresh views."""
+    """Immutable graph value. Edges and node weights are stored as tuples
+    (an edge given as a tuple is kept as that object); the derived views
+    below are computed on first use, kept in the instance dict and built
+    from the edge tuples, so a graph built from another's fields has fresh
+    views over shared edges."""
 
     def __new__(cls, num_nodes: int, directed: bool, edges=(),
                 node_weights=None) -> Graph:
-        return super().__new__(cls, num_nodes, directed, tuple(edges),
+        return super().__new__(cls, num_nodes, directed,
+                               tuple(map(tuple, edges)),
                                None if node_weights is None
                                else tuple(node_weights))
 
@@ -45,7 +51,10 @@ class Graph(_GraphFields):
 
     @cached_property
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Edge endpoints without weights, in storage order."""
+        """Edge endpoints without weights, in storage order: `edges` itself
+        when unweighted."""
+        if not self.weighted:
+            return self.edges
         return tuple((e[0], e[1]) for e in self.edges)
 
     def key(self, u: int, v: int) -> tuple[int, int]:
@@ -55,20 +64,26 @@ class Graph(_GraphFields):
             return (u, v)
         return (v, u)
 
+    def _keyed(self, pair: tuple[int, int]) -> tuple[int, int]:
+        """pair itself when it is in `key` form, else its `key`."""
+        u, v = pair
+        return pair if self.directed or u < v else (v, u)
+
     @cached_property
     def edge_key_set(self) -> frozenset[tuple[int, int]]:
-        """Endpoint pairs, each in its `key` form."""
-        return frozenset(self.key(u, v) for u, v in self.edge_pairs)
+        """Endpoint pairs, each in its `key` form: the `edge_pairs` tuples
+        themselves wherever they are in that form."""
+        return frozenset(map(self._keyed, self.edge_pairs))
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.key(u, v) in self.edge_key_set
 
     @cached_property
     def weight_map(self) -> dict[tuple[int, int], int]:
-        """`key` pair -> weight (1 when unweighted). Shared by every caller:
-        read it, never modify it."""
-        return {self.key(e[0], e[1]): e[2] if len(e) == 3 else 1
-                for e in self.edges}
+        """`key` pair -> weight (1 when unweighted), keyed like
+        `edge_key_set`. Shared by every caller: read it, never modify it."""
+        return {self._keyed(p): e[2] if len(e) == 3 else 1
+                for p, e in zip(self.edge_pairs, self.edges)}
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -13,6 +15,7 @@ from graphcorpus.errors import RecordError, SchemaError
 from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.graphs import Graph
 from graphcorpus.solvers import Answer
+from graphcorpus.tasks import TASK_ORDER
 from graphcorpus.textgen import Problem, render_problem
 
 from oracles import solve
@@ -162,6 +165,46 @@ def test_read_problems_rejects_malformed_nested_fields(tmp_path):
             read_problems(str(path))
         assert str(err.value).startswith(f"{path}: record {rec['id']!r}: ")
         assert message in str(err.value)
+
+
+def test_read_problems_reports_the_first_bad_record(tmp_path):
+    recs = [problem_to_record(p)
+            for p in generate_task("cycle", 3, seed=5, split="io")]
+    no_kind = dict(recs[1], answer={k: v for k, v in recs[1]["answer"].items()
+                                    if k != "kind"})
+    path = tmp_path / "bad.jsonl"
+    # a record that does not convert stops the read before a later line
+    # that is not JSON is parsed
+    path.write_text(json.dumps(recs[0]) + "\n" + json.dumps(no_kind)
+                    + "\nnot json\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        read_problems(str(path))
+    assert str(err.value) == (f"{path}: record {recs[1]['id']!r}: "
+                              "KeyError: 'kind'")
+    # a repeated id stops the read at its second record, before a later
+    # record that does not convert
+    path.write_text("".join(json.dumps(r) + "\n"
+                            for r in (recs[0], recs[1], recs[0], no_kind)),
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        read_problems(str(path))
+    assert str(err.value) == f"{path}: record {recs[0]['id']!r}: repeated id"
+
+
+def test_read_problems_never_holds_every_raw_record(tmp_path):
+    path = str(tmp_path / "problems.jsonl")
+    write_problems(path, generate_corpus(TASK_ORDER, 5, seed=5, split="test"))
+    read_problems(path)         # first-use allocations are not the read's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        problems = read_problems(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(problems) == 45
+    # the whole file's records held at once would peak near twice the keep
+    assert peak <= 1.3 * kept
 
 
 def test_write_jsonl_failing_part_way_keeps_the_old_file(tmp_path):

@@ -181,6 +181,35 @@ def test_graph_is_immutable_with_cached_views():
     assert h.adjacency == ((3,), (), (), (0,))
 
 
+def test_views_reuse_the_edge_tuples():
+    def objects(pairs):
+        return {id(pair) for pair in pairs}
+
+    for g in (generate_er(12, 0.4, seed=3),
+              generate_er(12, 0.4, directed=True, seed=3),
+              generate_dag(12, 0.4, seed=3)):
+        validate_graph(g)
+        assert g.edge_pairs is g.edges
+        assert objects(g.edge_key_set) <= objects(g.edges)
+        assert objects(g.weight_map) <= objects(g.edges)
+    weighted = assign_edge_weights(generate_er(12, 0.4, seed=3), 1, 9, seed=3)
+    validate_graph(weighted)
+    assert objects(weighted.edge_key_set) <= objects(weighted.edge_pairs)
+    assert objects(weighted.weight_map) <= objects(weighted.edge_pairs)
+    edge = (0, 1)
+    assert Graph(2, False, [edge]).edges[0] is edge
+    assert Graph(2, False, [[0, 1]]).edges == ((0, 1),)
+
+
+def test_views_of_an_unvalidated_graph_keep_their_meaning():
+    # generate's transforms build graphs without validating them
+    g = Graph(3, False, [(2, 0)])
+    assert g.edge_pairs == ((2, 0),)
+    assert g.has_edge(0, 2) and g.has_edge(2, 0)
+    assert g.edge_key_set == {(0, 2)} and g.weight_map == {(0, 2): 1}
+    assert Graph(3, False, [(2, 0, 5)]).weight_map == {(0, 2): 5}
+
+
 def test_bfs_follows_edge_direction():
     g = Graph(5, True, [(0, 1), (1, 2), (3, 1)])
     assert bfs(g.adjacency, 0) == {0: 0, 1: 0, 2: 1}
