@@ -82,7 +82,7 @@ def has_type(value: object, hint: object) -> bool:
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
     """A copy of cfg with known fields set, rejecting unknown keys and
     splits, values of the wrong type, an empty task list, a beta that is not
-    positive and a cap below 1; skip Nones."""
+    positive and finite, and a cap below 1; skip Nones."""
     known = {k: t.__forward_arg__    # the annotation's source text
              for k, t in PipelineConfig.__annotations__.items()}
     hints = get_type_hints(PipelineConfig)
@@ -102,8 +102,8 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
                                    f"got {value!r}")
         if key == "tasks" and not value:
             raise InvalidSpecError("tasks names no task")
-        if key == "beta" and not value > 0:
-            raise InvalidSpecError("beta must be positive")
+        if key == "beta" and not 0 < value < float("inf"):
+            raise InvalidSpecError("beta must be positive and finite")
         if key == "cap" and value < 1:
             raise InvalidSpecError("cap must be at least 1")
         changes[key] = value

@@ -294,10 +294,10 @@ def assemble_dpo(problem: Problem, texts: list[str], *,
                  beta: float | None = None) -> dict | None:
     """One problem's DPO row: grade each path and pair the best correct one
     with the hardest wrong one; None when either side is empty. beta is
-    carried in meta for the training consumer and must be positive, as in
-    `dpo_loss`."""
-    if beta is not None and not beta > 0:
-        raise InvalidSpecError("beta must be positive")
+    carried in meta for the training consumer and must be positive and
+    finite, so that the row stays JSON."""
+    if beta is not None and not 0 < beta < float("inf"):
+        raise InvalidSpecError("beta must be positive and finite")
     flags = [judge(problem, t).correct for t in texts]
     pair = build_dpo_pair(texts, flags)
     if pair is None:

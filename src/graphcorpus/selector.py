@@ -1,4 +1,4 @@
-"""Reasoning-path selection and the DPO preference objective.
+"""Reasoning-path selection.
 
 Path selection tokenizes each text once per call: `features` turns the
 texts into records (tokens, token set, tf-idf vector, hashed embedding),
@@ -305,38 +305,3 @@ def build_dpo_pair(texts: list[str],
     chosen = good[anchor_local]
     rejected_local = select_dispreferred([texts[i] for i in bad], texts[chosen])
     return chosen, bad[rejected_local]
-
-
-# ---------------------------------------------------------------------------
-# DPO objective
-# ---------------------------------------------------------------------------
-
-def _softplus(x: float) -> float:
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def dpo_loss(policy_chosen: float, policy_rejected: float,
-             ref_chosen: float, ref_rejected: float, beta: float) -> float:
-    """-log sigmoid(beta * ((pc - pr) - (rc - rr))), numerically stable."""
-    if beta <= 0:
-        raise InvalidSpecError("beta must be positive")
-    z = beta * ((policy_chosen - policy_rejected) - (ref_chosen - ref_rejected))
-    return _softplus(-z)
-
-
-def dpo_loss_grad(policy_chosen: float, policy_rejected: float,
-                  ref_chosen: float, ref_rejected: float,
-                  beta: float) -> tuple[float, float, float, float]:
-    """Partial derivatives of dpo_loss in argument order."""
-    if beta <= 0:
-        raise InvalidSpecError("beta must be positive")
-    z = beta * ((policy_chosen - policy_rejected) - (ref_chosen - ref_rejected))
-    s = _sigmoid(-z)
-    return (-beta * s, beta * s, beta * s, -beta * s)

@@ -3,9 +3,11 @@
 Every oracle here answers by exhaustive enumeration and shares no code
 with the production solvers. They are deliberately slow and refuse graphs
 beyond small size limits (OracleLimitError) so a typo in a test cannot
-silently turn into an hour-long run. `solve` is the one exception: it
+silently turn into an hour-long run. There are two exceptions. `solve`
 dispatches a task to the package's exact solver, for tests that need a
-problem's true answer.
+problem's true answer. `dpo_loss` and `dpo_loss_grad` are the reference
+DPO objective (Rafailov et al., 2023), in closed form, for the tests of its
+identities: the package writes preference pairs but trains nothing.
 """
 
 from __future__ import annotations
@@ -320,3 +322,38 @@ def solve(task: str, g: Graph, query: dict | None = None) -> Answer | None:
     """Dispatch to the task's exact solver; query fields depend on the task."""
     get_task(task)
     return SOLVE[task](g, query or {})
+
+
+# ---------------------------------------------------------------------------
+# DPO objective
+# ---------------------------------------------------------------------------
+
+def _softplus(x: float) -> float:
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def _sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def dpo_loss(policy_chosen: float, policy_rejected: float,
+             ref_chosen: float, ref_rejected: float, beta: float) -> float:
+    """-log sigmoid(beta * ((pc - pr) - (rc - rr))), numerically stable."""
+    if beta <= 0:
+        raise InvalidSpecError("beta must be positive")
+    z = beta * ((policy_chosen - policy_rejected) - (ref_chosen - ref_rejected))
+    return _softplus(-z)
+
+
+def dpo_loss_grad(policy_chosen: float, policy_rejected: float,
+                  ref_chosen: float, ref_rejected: float,
+                  beta: float) -> tuple[float, float, float, float]:
+    """Partial derivatives of dpo_loss in argument order."""
+    if beta <= 0:
+        raise InvalidSpecError("beta must be positive")
+    z = beta * ((policy_chosen - policy_rejected) - (ref_chosen - ref_rejected))
+    s = _sigmoid(-z)
+    return (-beta * s, beta * s, beta * s, -beta * s)

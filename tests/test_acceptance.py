@@ -24,8 +24,7 @@ from graphcorpus.generate import generate_corpus
 from graphcorpus.grader import is_hamilton_path, judge
 from graphcorpus.graphs import (assign_edge_weights, assign_node_weights,
                                 canonical_key, generate_dag, generate_er)
-from graphcorpus.selector import (METRICS, dpo_loss, dpo_loss_grad,
-                                  features, select_diverse,
+from graphcorpus.selector import (METRICS, features, select_diverse,
                                   select_dispreferred, similarity)
 from graphcorpus.solvers import (find_subgraph, hamilton_path, has_cycle,
                                  is_bipartite, is_connected, max_flow,
@@ -34,8 +33,8 @@ from graphcorpus.tasks import TASK_ORDER, TASKS
 from graphcorpus.textgen import TEMPLATES, Problem
 from graphcorpus.transcripts import make_transcript
 
-from oracles import (oracle_bipartite, oracle_connect,
-                     oracle_cycle, oracle_flow, oracle_hamilton,
+from oracles import (dpo_loss, dpo_loss_grad, oracle_bipartite,
+                     oracle_connect, oracle_cycle, oracle_flow, oracle_hamilton,
                      oracle_shortest, oracle_subgraph,
                      oracle_topo_orders, oracle_triangle, solve)
 from textparse import parse_problem

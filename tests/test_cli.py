@@ -140,7 +140,7 @@ def test_dpo_reuses_paths(problems_file, tmp_path, capsys):
     assert "preference pairs" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("beta", ["-1", "0", "nan"])
+@pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf"])
 def test_dpo_rejects_beta_that_is_not_positive(problems_file, tmp_path,
                                                capsys, beta):
     # the check comes before sampling, so no completion is paid for

@@ -11,7 +11,7 @@ from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
                                 format_stats, problem_to_record, read_jsonl,
                                 read_problems, record_to_problem, write_jsonl,
                                 write_problems)
-from graphcorpus.errors import RecordError, SchemaError
+from graphcorpus.errors import InvalidSpecError, RecordError, SchemaError
 from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.graphs import Graph
 from graphcorpus.solvers import Answer
@@ -318,6 +318,15 @@ def test_assemble_dpo_rows(cycle_problems):
                            "beta": 0.25}
     no_beta = _dpo_rows(cycle_problems, paths)
     assert "beta" not in no_beta[0]["meta"]
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+def test_assemble_dpo_rejects_beta_that_is_not_positive_and_finite(
+        cycle_problems, beta):
+    # an infinite beta would be written as the bare token Infinity, not JSON
+    p = cycle_problems[0]
+    with pytest.raises(InvalidSpecError, match="^beta must be positive"):
+        assemble_dpo(p, [_truth_text(p), _wrong_text(p)], beta=beta)
 
 
 # ---------------------------------------------------------------------------

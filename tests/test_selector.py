@@ -9,14 +9,14 @@ from graphcorpus.grader import judge
 from graphcorpus.sampler import StubBackend, get_profile
 from graphcorpus import selector
 from graphcorpus.selector import (EMBED_DIM, METRICS, _kmeans_medoids,
-                                  build_dpo_pair, dpo_loss, dpo_loss_grad,
-                                  features, select_dispreferred,
+                                  build_dpo_pair, features,
+                                  select_dispreferred,
                                   select_diverse, similarity,
                                   token_edit_distance, tokenize)
 from graphcorpus.tasks import TASK_ORDER
 from graphcorpus.textgen import wrap_instruction
 
-from oracles import oracle_kmeans_medoids
+from oracles import dpo_loss, dpo_loss_grad, oracle_kmeans_medoids
 
 
 def test_tokenize_lowercases_and_splits():
