@@ -291,13 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a file --out in a missing directory fails before the stage works;
-        # evaluate's --out is a directory the stage creates
-        out_dir = os.path.dirname(getattr(args, "out", None) or "")
-        if (args.command != "evaluate" and out_dir
-                and not os.path.isdir(out_dir)):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
-                                    args.out)
+        # an --out the stage could not write fails before it works or pays
+        # a backend; evaluate's --out is a directory the stage creates
+        out = getattr(args, "out", None) or ""
+        code = 0
+        if args.command == "evaluate":
+            if os.path.exists(out) and not os.path.isdir(out):
+                code = errno.EEXIST
+        elif os.path.isdir(out):
+            code = errno.EISDIR
+        elif not os.path.isdir(os.path.dirname(out) or "."):
+            code = errno.ENOENT
+        if code:
+            raise OSError(code, os.strerror(code), out)
         return args.func(args)
     except (GraphCorpusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

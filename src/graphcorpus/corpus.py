@@ -212,10 +212,10 @@ def parse_line(raw: bytes) -> dict | None:
     return rec
 
 
-def iter_jsonl(path: str, schema: str | None = None) -> Iterator[dict]:
-    """The records of a JSONL file, one line at a time. A line that does not
-    parse, a record of another schema or a field of `_FIELDS` that is
-    missing or mistyped is a SchemaError naming the file and the line."""
+def iter_jsonl(path: str, schema: str) -> Iterator[dict]:
+    """The records of a JSONL file of one schema, one line at a time. A line
+    that does not parse, a record of another schema or a field of `_FIELDS`
+    that is missing or mistyped is a SchemaError naming the file and line."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
@@ -224,7 +224,7 @@ def iter_jsonl(path: str, schema: str | None = None) -> Iterator[dict]:
                 raise SchemaError(f"{path}: {exc}", line=lineno) from exc
             if rec is None:
                 continue
-            if schema is not None and rec.get("schema") != schema:
+            if rec.get("schema") != schema:
                 raise SchemaError(
                     f"{path}: expected schema {schema!r}, got "
                     f"{rec.get('schema')!r}", line=lineno)
@@ -236,7 +236,7 @@ def iter_jsonl(path: str, schema: str | None = None) -> Iterator[dict]:
             yield rec
 
 
-def read_jsonl(path: str, schema: str | None = None) -> list[dict]:
+def read_jsonl(path: str, schema: str) -> list[dict]:
     """All of `iter_jsonl`'s records, as a list a caller may walk twice."""
     return list(iter_jsonl(path, schema))
 
@@ -291,12 +291,12 @@ def assemble_sft(problem: Problem, texts: list[str]) -> list[dict]:
 
 
 def assemble_dpo(problem: Problem, texts: list[str], *,
-                 beta: float | None = None) -> dict | None:
+                 beta: float) -> dict | None:
     """One problem's DPO row: grade each path and pair the best correct one
-    with the hardest wrong one; None when either side is empty. beta is
-    carried in meta for the training consumer and must be positive and
+    with the hardest wrong one; None when either side is empty. Every row
+    records beta in meta for the training consumer; it must be positive and
     finite, so that the row stays JSON."""
-    if beta is not None and not 0 < beta < float("inf"):
+    if not 0 < beta < float("inf"):
         raise InvalidSpecError("beta must be positive and finite")
     flags = [judge(problem, t).correct for t in texts]
     pair = build_dpo_pair(texts, flags)
@@ -306,9 +306,6 @@ def assemble_dpo(problem: Problem, texts: list[str], *,
     if not flags[chosen] or flags[rejected]:
         raise RecordError(
             f"{problem.id}: preference pair sides grade the same way")
-    meta = {"num_correct": sum(flags), "num_incorrect": len(flags) - sum(flags)}
-    if beta is not None:
-        meta["beta"] = beta
     return {
         "schema": DPO_SCHEMA,
         "id": problem.id,
@@ -316,7 +313,8 @@ def assemble_dpo(problem: Problem, texts: list[str], *,
         "instruction": problem.text,
         "chosen": texts[chosen],
         "rejected": texts[rejected],
-        "meta": meta,
+        "meta": {"num_correct": sum(flags),
+                 "num_incorrect": len(flags) - sum(flags), "beta": beta},
     }
 
 
@@ -325,7 +323,7 @@ def assemble_dpo(problem: Problem, texts: list[str], *,
 # ---------------------------------------------------------------------------
 
 def compute_stats(problems: list[Problem],
-                  sft_rows: list[dict] | None = None) -> dict:
+                  sft_rows: list[dict] | None) -> dict:
     from .tasks import TASK_ORDER
     per: dict[str, dict] = {
         t: {"problems": 0, "nodes": 0, "edges": 0, "paths": 0}

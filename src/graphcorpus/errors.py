@@ -42,13 +42,12 @@ class RecordError(GraphCorpusError, ValueError):
 
 
 class SchemaError(GraphCorpusError, ValueError):
-    """A JSONL line is malformed; carries the 1-based line number."""
+    """A JSONL line is malformed; the message names its 1-based line."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class StageError(GraphCorpusError, RuntimeError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import RecordError
 from .grader import ExtractionFailure, judge
-from .sampler import SampleProfile, get_profile, sample
+from .sampler import SampleProfile, sample
 from .tasks import DIFFICULTY_GROUPS, TASK_ORDER
 from .textgen import Problem, wrap_instruction
 
@@ -56,17 +56,16 @@ def evaluate(problems: list[Problem], predictions: dict[str, str]) -> dict:
             "missing_predictions": sum(r["missing"] for r in per.values())}
 
 
-def run_eval(problems: list[Problem], backend, *,
-             profile: SampleProfile | None = None, jobs: int = 1,
-             cache=None, max_requests: int | None = None) -> dict:
+def run_eval(problems: list[Problem], backend, *, profile: SampleProfile,
+             jobs: int, cache, max_requests: int | None) -> dict:
     """Sample one answer per problem from the backend and grade it.
 
     The report has the shape of evaluate()'s; max_requests caps backend
     calls as in sample(), checked before the first one goes out.
     """
     prompts = [wrap_instruction(p.text) for p in problems]
-    texts = sample(prompts, profile or get_profile("eval"), backend,
-                   cache=cache, jobs=jobs, max_requests=max_requests)
+    texts = sample(prompts, profile, backend, cache=cache, jobs=jobs,
+                   max_requests=max_requests)
     return evaluate(problems, {p.id: t[0] for p, t in zip(problems, texts)})
 
 

@@ -24,7 +24,7 @@ from .graphs import (Graph, assign_edge_weights, assign_node_weights, bfs,
 from .solvers import (find_subgraph, hamilton_path, has_cycle, is_bipartite,
                       is_connected, max_flow, max_triangle_sum, shortest_path,
                       topo_sort)
-from .tasks import NUM_TIERS, TASK_ORDER, Tier, build_tiers, get_task
+from .tasks import NUM_TIERS, Tier, build_tiers, get_task
 from .textgen import Answer, Problem, estimate_tokens, render_problem
 
 WEIGHT_LO, WEIGHT_HI = 1, 10
@@ -283,16 +283,15 @@ def attempt_seed(seed: int, split: str, task: str, slot: int, attempt: int) -> i
     return int.from_bytes(digest[:8], "big")
 
 
-def generate_task(task: str, count: int, *, seed: int = 0, split: str = "train",
-                  seen: set[str] | None = None) -> list[Problem]:
-    """Generate count problems for one task, labels balanced, graphs unique."""
+def generate_task(task: str, count: int, *, seed: int, split: str,
+                  seen: set[str]) -> list[Problem]:
+    """Generate count problems for one task, labels balanced, graphs unique:
+    a graph whose key is in seen is redrawn, and kept keys join seen."""
     info = get_task(task)
     if count < 0:
         raise InvalidSpecError("count must not be negative")
     tiers = build_tiers(info)
     build = _BUILDERS[task]
-    if seen is None:
-        seen = set()
     problems = []
     for slot in range(count):
         tier = tiers[slot % NUM_TIERS]
@@ -327,19 +326,17 @@ def generate_task(task: str, count: int, *, seed: int = 0, split: str = "train",
     return problems
 
 
-def generate_corpus(tasks: list[str] | None, count: int, *, seed: int = 0,
-                    split: str = "train",
-                    dedupe_keys: set[str] | None = None) -> list[Problem]:
+def generate_corpus(tasks: list[str], count: int, *, seed: int, split: str,
+                    dedupe_keys: set[str]) -> list[Problem]:
     """Generate count problems for each task; one shared dedupe key set.
     A task named twice is rejected: it would write each id twice."""
-    names = list(TASK_ORDER if tasks is None else tasks)
+    names = list(tasks)
     for i, name in enumerate(names):
         get_task(name)
         if name in names[:i]:
             raise InvalidSpecError(f"task {name} is named twice")
-    seen = dedupe_keys if dedupe_keys is not None else set()
     out: list[Problem] = []
     for name in names:
         out.extend(generate_task(name, count, seed=seed, split=split,
-                                 seen=seen))
+                                 seen=dedupe_keys))
     return out

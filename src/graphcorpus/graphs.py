@@ -38,7 +38,7 @@ class Graph(_GraphFields):
     from the edge tuples, so a graph built from another's fields has fresh
     views over shared edges."""
 
-    def __new__(cls, num_nodes: int, directed: bool, edges=(),
+    def __new__(cls, num_nodes: int, directed: bool, edges,
                 node_weights=None) -> Graph:
         return super().__new__(cls, num_nodes, directed,
                                tuple(map(tuple, edges)),
@@ -178,7 +178,7 @@ def _check_er_params(num_nodes: int, p: float) -> None:
         raise InvalidSpecError(f"edge probability must be in [0,1], got {p}")
 
 
-def generate_er(num_nodes: int, p: float, *, directed: bool = False, seed: int = 0) -> Graph:
+def generate_er(num_nodes: int, p: float, *, directed: bool = False, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) with one Bernoulli draw per node pair.
 
     Undirected: pairs (u, v) with u < v in lexicographic order. Directed:
@@ -200,7 +200,7 @@ def generate_er(num_nodes: int, p: float, *, directed: bool = False, seed: int =
     return Graph(num_nodes=num_nodes, directed=directed, edges=edges)
 
 
-def generate_dag(num_nodes: int, p: float, *, seed: int = 0) -> Graph:
+def generate_dag(num_nodes: int, p: float, *, seed: int) -> Graph:
     """Random DAG: ER draws oriented along a hidden random node order.
 
     Each unordered pair {u, v} gets an edge with probability p, directed from
@@ -220,7 +220,7 @@ def generate_dag(num_nodes: int, p: float, *, seed: int = 0) -> Graph:
     return Graph(num_nodes=num_nodes, directed=True, edges=edges)
 
 
-def assign_edge_weights(g: Graph, lo: int, hi: int, *, seed: int = 0) -> Graph:
+def assign_edge_weights(g: Graph, lo: int, hi: int, *, seed: int) -> Graph:
     """Copy of g with integer weights uniform in [lo, hi], one draw per edge
     in storage order."""
     if not (1 <= lo <= hi):
@@ -230,7 +230,7 @@ def assign_edge_weights(g: Graph, lo: int, hi: int, *, seed: int = 0) -> Graph:
     return Graph(g.num_nodes, g.directed, edges, g.node_weights or None)
 
 
-def assign_node_weights(g: Graph, lo: int, hi: int, *, seed: int = 0) -> Graph:
+def assign_node_weights(g: Graph, lo: int, hi: int, *, seed: int) -> Graph:
     """Copy of g with node weights uniform in [lo, hi], one draw per node."""
     if not (1 <= lo <= hi):
         raise InvalidSpecError(f"weight range [{lo},{hi}] must satisfy 1 <= lo <= hi")

@@ -5,12 +5,14 @@ offline from the ground truth (deterministic per prompt and sample index)
 for the prompts `wrap_instruction` and `build_cot_prompt` build, and raises
 BackendError for any other; `HttpBackend` sends one request per call to an
 OpenAI-compatible chat endpoint through the standard library's
-`urllib.request`. Each backend names itself in `identity`. `sample` keeps at
-most `jobs` requests in flight: `jobs` worker threads and the calling thread
-pull prompts from one queue, each holding one of `jobs` request slots only
-while a request is out, not in a back-off before a retry, and none sent
-after the first error. `sample` sizes every reply to the profile's n and
-keeps an append-only JSONL cache so no prompt is paid for twice.
+`urllib.request`. Each backend names itself in `identity` and keeps no
+count of its requests; a caller that wants one wraps the backend. The
+stage passes every setting. `sample` keeps at most `jobs` requests in
+flight: `jobs` worker threads and the calling thread pull prompts from one
+queue, each holding one of `jobs` request slots only while a request is
+out, not in a back-off before a retry, and none sent after the first
+error. `sample` sizes every reply to the profile's n and keeps an
+append-only JSONL cache so no prompt is paid for twice.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ class StubBackend:
     reproducible across processes.
     """
 
-    def __init__(self, problems: list[Problem], *, error_rate: float = 0.0,
-                 seed: int = 0):
+    def __init__(self, problems: list[Problem], *, error_rate: float,
+                 seed: int):
         if not 0.0 <= error_rate <= 1.0:
             raise InvalidSpecError("error_rate must be within [0, 1]")
         for p in problems:      # before any path is written from a bad answer
@@ -89,16 +91,12 @@ class StubBackend:
         self.seed = seed
         self.identity = f"stub error_rate={float(error_rate)!r} seed={seed!r}"
         self._by_text = {p.text: p for p in problems}
-        self.requests = 0
-        self._count_lock = threading.Lock()
 
     def generate(self, prompt: str, profile: SampleProfile) -> list[str]:
         m = _PROMPT.fullmatch(prompt)
         problem = self._by_text.get(m.group(1)) if m else None
         if problem is None:
             raise BackendError("stub backend knows no problem for this prompt")
-        with self._count_lock:
-            self.requests += 1
         sha = prompt_sha(prompt)
         out = []
         for i in range(profile.n):
@@ -124,7 +122,7 @@ class HttpBackend:
     RETRY_STATUSES = frozenset({429, 500, 502, 503, 504})
     TIMEOUT = 120.0          # seconds per request
 
-    def __init__(self, base_url: str, model: str, *, api_key: str | None = None):
+    def __init__(self, base_url: str, model: str, *, api_key: str | None):
         try:
             parts = urlsplit(base_url)    # raises on an unclosed "[" host
         except ValueError:
@@ -139,8 +137,6 @@ class HttpBackend:
         self.model = model
         self.identity = f"http url={self.url} model={model}"   # no API key
         self.api_key = api_key
-        self.requests = 0
-        self._count_lock = threading.Lock()
 
     def generate(self, prompt: str, profile: SampleProfile) -> list[str]:
         import http.client          # deferred: only HTTP stages pay for these
@@ -159,8 +155,6 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
         request = urllib.request.Request(self.url, json.dumps(payload).encode(),
                                          headers)
-        with self._count_lock:
-            self.requests += 1
         # IncompleteRead (a body cut short) and a bad header are no OSError
         try:
             try:
@@ -215,6 +209,8 @@ class Cache:
         try:
             fh = open(path, "rb")
         except FileNotFoundError:
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise       # no put could create it: fail before any request
             return
         complete = 0                  # bytes up to the last newline
         torn = False
@@ -268,8 +264,8 @@ class Cache:
 
 
 def sample(prompts: list[str], profile: SampleProfile, backend, *,
-           cache: Cache | None = None, jobs: int = 1,
-           max_requests: int | None = None) -> list[list[str]]:
+           cache: Cache | None, jobs: int,
+           max_requests: int | None) -> list[list[str]]:
     """Collect profile.n completions per prompt, using the cache when it can
     (cache lines are keyed on `backend.identity`).
 

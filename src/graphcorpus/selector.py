@@ -49,6 +49,8 @@ from .errors import InvalidSpecError
 METRICS = ("edit", "jaccard", "tfidf", "embedding")
 EMBED_DIM = 256          # buckets of the hashed embedding
 SELECTOR_VERSION = 2     # SFT rows record it; bump when select_diverse changes
+KMEANS_CLUSTERS = 5      # select_diverse's k-means; not the cap, so a smaller
+                         # cap picks a prefix of what a larger one picks
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -239,7 +241,7 @@ def _anchor_index(texts: list[str]) -> int:
     return order[0]
 
 
-def select_diverse(texts: list[str], *, cap: int = 5, seed: int = 0) -> list[int]:
+def select_diverse(texts: list[str], *, cap: int, seed: int) -> list[int]:
     """Pick up to cap diverse paths from one problem's correct samples.
 
     The longest path anchors the set. Each metric nominates the candidate
@@ -261,7 +263,8 @@ def select_diverse(texts: list[str], *, cap: int = 5, seed: int = 0) -> list[int
                 similarity(feats[i], feats[anchor], metric), texts[i], i))
             nominations.append(best)
         nominations.extend(_kmeans_medoids(
-            [f.embedding for f in feats], min(5, len(texts)), seed))
+            [f.embedding for f in feats], min(KMEANS_CLUSTERS, len(texts)),
+            seed))
     picked: list[int] = []
     seen_text: set[str] = set()
     for i in [anchor] + nominations:

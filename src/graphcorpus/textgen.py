@@ -55,11 +55,10 @@ def _edge_section(style: str, edges: tuple, letters: bool = False) -> str:
     return "the edges are: " + " ".join(starmap(style.format, edges))
 
 
-def render_problem(task: str, g: Graph, query: dict | None = None) -> str:
+def render_problem(task: str, g: Graph, query: dict) -> str:
     """The task's graph preamble plus its question sentence; node weights
     and a pattern graph are rendered only where the graph has them."""
     info = get_task(task)
-    query = query or {}
     nw, pattern = g.node_weights, query.get("pattern")
     return f"{info.preamble} {info.question}".format(
         last=g.num_nodes - 1,
@@ -509,7 +508,7 @@ TEMPLATES: dict[str, TaskTemplate] = {
 ZERO_SHOT_SUFFIX = "Let's think step by step"
 
 
-def build_cot_prompt(task: str, text: str, shots: int = 2) -> str:
+def build_cot_prompt(task: str, text: str, shots: int) -> str:
     """Chain-of-thought prompt from the task's entry in TEMPLATES: header,
     optional exemplars, the problem.
 

@@ -137,13 +137,12 @@ def _incorrect_body(problem: Problem, ans: Answer, rng: random.Random) -> str:
     return f"Summing along the best route found gives {wrong}. ### {wrong}."
 
 
-def make_transcript(problem: Problem, *, correct: bool = True,
-                    rng: random.Random | None = None) -> str:
+def make_transcript(problem: Problem, *, correct: bool,
+                    rng: random.Random) -> str:
     """A reasoning text for the problem that grades correct (or not)."""
     ans = problem.answer
     if ans is None:
         raise InvalidSpecError(f"problem {problem.id} has no ground-truth answer")
-    rng = rng or random.Random(0)
     openers = [
         "Let's work through the graph step by step.",
         "We reason over the structure of the graph.",

@@ -3,17 +3,20 @@
 Every oracle here answers by exhaustive enumeration and shares no code
 with the production solvers. They are deliberately slow and refuse graphs
 beyond small size limits (OracleLimitError) so a typo in a test cannot
-silently turn into an hour-long run. There are two exceptions. `solve`
+silently turn into an hour-long run. There are three exceptions. `solve`
 dispatches a task to the package's exact solver, for tests that need a
 problem's true answer. `dpo_loss` and `dpo_loss_grad` are the reference
 DPO objective (Rafailov et al., 2023), in closed form, for the tests of its
 identities: the package writes preference pairs but trains nothing.
+`CountingBackend` wraps a sampling backend and counts the requests it
+passes on, for tests of what a stage pays for: the backends keep no count.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
 from itertools import combinations, permutations
 
 from graphcorpus.errors import GraphCorpusError, InvalidSpecError
@@ -357,3 +360,19 @@ def dpo_loss_grad(policy_chosen: float, policy_rejected: float,
     z = beta * ((policy_chosen - policy_rejected) - (ref_chosen - ref_rejected))
     s = _sigmoid(-z)
     return (-beta * s, beta * s, beta * s, -beta * s)
+
+
+class CountingBackend:
+    """A sampling backend that passes each request on to backend and counts
+    it; thread-safe, since `sample` calls it from several threads."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.identity = backend.identity
+        self.requests = 0
+        self._lock = threading.Lock()
+
+    def generate(self, prompt, profile):
+        with self._lock:
+            self.requests += 1
+        return self.backend.generate(prompt, profile)

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from graphcorpus.cli import main as cli_main
+from graphcorpus.config import PipelineConfig
 from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, problem_to_record,
                                 read_jsonl, read_problems, write_problems)
 from graphcorpus.evaluate import evaluate
@@ -39,6 +40,9 @@ from oracles import (dpo_loss, dpo_loss_grad, oracle_bipartite,
                      oracle_topo_orders, oracle_triangle, solve)
 from textparse import parse_problem
 
+# the defaults a stage runs with
+STAGE = PipelineConfig()
+
 RUNS = 200          # oracle comparisons per task
 DENSITIES = (0.15, 0.3, 0.5)
 
@@ -52,7 +56,8 @@ def _verdict(num: int, name: str, failures: list[str]) -> None:
 @pytest.fixture(scope="module")
 def default_test_corpus():
     t0 = time.monotonic()
-    corpus = generate_corpus(list(TASK_ORDER), 400, seed=0, split="test")
+    corpus = generate_corpus(list(TASK_ORDER), 400, seed=0, split="test",
+                             dedupe_keys=set())
     return corpus, time.monotonic() - t0
 
 
@@ -273,10 +278,10 @@ def test_criterion_5_selector_equivalence():
             if texts[nom] not in seen:
                 seen.add(texts[nom])
                 expected.append(nom)
-        picked = select_diverse(texts, seed=seed)
+        picked = select_diverse(texts, seed=seed, cap=STAGE.cap)
         if picked[:len(expected)] != expected:
             failures.append(f"diverse set {seed}: {picked} vs {expected}")
-        if picked != select_diverse(texts, seed=seed):
+        if picked != select_diverse(texts, seed=seed, cap=STAGE.cap):
             failures.append(f"diverse set {seed}: not deterministic")
 
         target = _word_salad(rng)
@@ -356,7 +361,7 @@ def test_criterion_6_end_to_end_offline(tmp_path, monkeypatch):
         failures.append(f"ground-truth eval below 100% for {low}")
 
     binary = [t for t in TASK_ORDER if TASKS[t].answer_kind == "yes_no"]
-    flipped = {p.id: make_transcript(p, correct=False)
+    flipped = {p.id: make_transcript(p, correct=False, rng=random.Random(0))
                for p in problems if p.task in binary}
     scored = evaluate([p for p in problems if p.task in binary], flipped)
     high = [t for t, row in scored["tasks"].items()

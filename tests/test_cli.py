@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 
 import pytest
@@ -15,6 +16,11 @@ from graphcorpus.graphs import canonical_key
 from graphcorpus.sampler import StubBackend, get_profile, sample
 from graphcorpus.textgen import wrap_instruction
 from graphcorpus.transcripts import make_transcript
+
+from oracles import CountingBackend
+
+# the defaults a stage runs with
+STAGE = PipelineConfig()
 
 
 @pytest.fixture()
@@ -185,7 +191,8 @@ def test_evaluate_predictions_report(problems_file, tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     write_jsonl(str(preds), [
         {"schema": PREDICTIONS_SCHEMA, "id": p.id,
-         "text": make_transcript(p, correct=True)} for p in problems])
+         "text": make_transcript(p, correct=True,
+                                 rng=random.Random(0))} for p in problems])
     out = tmp_path / "report"
     rc = main(["evaluate", "--problems", str(problems_file),
                "--predictions", str(preds), "--out", str(out)])
@@ -228,7 +235,8 @@ def test_sampled_report_is_a_predictions_report(problems_file, tmp_path):
     problems = read_problems(str(problems_file))
     backend = StubBackend(problems, error_rate=0.4, seed=3)
     texts = sample([wrap_instruction(p.text) for p in problems],
-                   get_profile("eval"), backend)
+                   get_profile("eval"), backend, cache=None, jobs=STAGE.jobs,
+                   max_requests=None)
     preds = tmp_path / "preds.jsonl"
     write_jsonl(str(preds), [
         {"schema": PREDICTIONS_SCHEMA, "id": p.id, "text": t[0]}
@@ -259,7 +267,7 @@ def test_evaluate_obeys_max_requests(problems_file, tmp_path, capsys,
     make = cli._make_backend
 
     def recorded(cfg, ps):
-        backends.append(make(cfg, ps))
+        backends.append(CountingBackend(make(cfg, ps)))
         return backends[-1]
 
     monkeypatch.setattr(cli, "_make_backend", recorded)
@@ -289,7 +297,8 @@ def test_audit_reports_clean_paths(problems_file, tmp_path, capsys):
     paths = tmp_path / "paths.jsonl"
     write_jsonl(str(paths), [
         {"schema": PATHS_SCHEMA, "id": p.id, "prompt_sha": "x",
-         "texts": [make_transcript(p, correct=True)]} for p in problems])
+         "texts": [make_transcript(p, correct=True,
+                                   rng=random.Random(0))]} for p in problems])
     rc = main(["audit", "--problems", str(problems_file),
                "--paths", str(paths)])
     assert rc == 0
@@ -745,6 +754,37 @@ def test_missing_out_directory_fails_before_sampling(problems_file, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'nodir/x.jsonl'" in err, err
     assert ".tmp" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["annotate", "--out", "{tmp}/folder"], "Is a directory"),
+    (["evaluate", "--out", "{tmp}/file"], "File exists"),
+    (["annotate", "--cache", "{tmp}/nodir/c.jsonl",
+      "--out", "{tmp}/paths.jsonl"], "No such file"),
+], ids=["file-out-is-a-directory", "evaluate-out-is-a-file",
+        "cache-in-a-missing-directory"])
+def test_unwritable_outputs_fail_before_any_request(
+        problems_file, tmp_path, capsys, monkeypatch, argv, message):
+    from graphcorpus import cli
+    backends = []
+    make = cli._make_backend
+
+    def recorded(cfg, ps):
+        backends.append(CountingBackend(make(cfg, ps)))
+        return backends[-1]
+
+    monkeypatch.setattr(cli, "_make_backend", recorded)
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    rc = main([argv[0], "--problems", str(problems_file), "--backend", "stub",
+               *argv[1:]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert sum(b.requests for b in backends) == 0
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_http_backend_requires_url(problems_file, tmp_path, capsys):

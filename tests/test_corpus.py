@@ -97,7 +97,6 @@ def test_jsonl_read_write_identity(tmp_path):
     records = [{"schema": "t-v1", "id": f"r{i}", "payload": [i, {"k": i}]}
                for i in range(5)]
     assert write_jsonl(path, records) == 5
-    assert read_jsonl(path) == records
     assert read_jsonl(path, "t-v1") == records
 
 
@@ -105,13 +104,13 @@ def test_jsonl_errors_carry_line_numbers(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"schema": "t-v1"}\nnot json\n', encoding="utf-8")
     with pytest.raises(SchemaError) as err:
-        read_jsonl(str(bad))
+        read_jsonl(str(bad), "t-v1")
     assert "line 2" in str(err.value)
 
     array = tmp_path / "arr.jsonl"
     array.write_text('[1, 2, 3]\n', encoding="utf-8")
     with pytest.raises(SchemaError) as err:
-        read_jsonl(str(array))
+        read_jsonl(str(array), "t-v1")
     assert "not an object" in str(err.value)
 
     wrong = tmp_path / "wrong.jsonl"
@@ -123,7 +122,8 @@ def test_jsonl_errors_carry_line_numbers(tmp_path):
 
 
 def test_jsonl_rejects_missing_or_mistyped_fields(tmp_path):
-    problem = problem_to_record(generate_task("cycle", 1, seed=5, split="io")[0])
+    problem = problem_to_record(generate_task("cycle", 1, seed=5, split="io",
+                                              seen=set())[0])
     no_query = {k: v for k, v in problem.items() if k != "query"}
     paths = {"schema": PATHS_SCHEMA, "id": "p0", "texts": ["a"]}
     prediction = {"schema": PREDICTIONS_SCHEMA, "id": "p0", "text": "a"}
@@ -149,7 +149,8 @@ def test_jsonl_rejects_missing_or_mistyped_fields(tmp_path):
 
 
 def test_read_problems_rejects_malformed_nested_fields(tmp_path):
-    rec = problem_to_record(generate_task("cycle", 1, seed=5, split="io")[0])
+    rec = problem_to_record(generate_task("cycle", 1, seed=5, split="io",
+                                          seen=set())[0])
     no_edges = dict(rec, graph={k: v for k, v in rec["graph"].items()
                                 if k != "edges"})
     no_kind = dict(rec, answer={k: v for k, v in rec["answer"].items()
@@ -169,7 +170,7 @@ def test_read_problems_rejects_malformed_nested_fields(tmp_path):
 
 def test_read_problems_reports_the_first_bad_record(tmp_path):
     recs = [problem_to_record(p)
-            for p in generate_task("cycle", 3, seed=5, split="io")]
+            for p in generate_task("cycle", 3, seed=5, split="io", seen=set())]
     no_kind = dict(recs[1], answer={k: v for k, v in recs[1]["answer"].items()
                                     if k != "kind"})
     path = tmp_path / "bad.jsonl"
@@ -193,7 +194,8 @@ def test_read_problems_reports_the_first_bad_record(tmp_path):
 
 def test_read_problems_never_holds_every_raw_record(tmp_path):
     path = str(tmp_path / "problems.jsonl")
-    write_problems(path, generate_corpus(TASK_ORDER, 5, seed=5, split="test"))
+    write_problems(path, generate_corpus(TASK_ORDER, 5, seed=5, split="test",
+                                         dedupe_keys=set()))
     read_problems(path)         # first-use allocations are not the read's
     gc.collect()
     tracemalloc.start()
@@ -224,7 +226,7 @@ def test_write_jsonl_failing_part_way_keeps_the_old_file(tmp_path):
 
 def test_problems_file_round_trip(tmp_path):
     problems = generate_corpus(["cycle", "shortest", "subgraph"], 4, seed=5,
-                               split="io")
+                               split="io", dedupe_keys=set())
     path = str(tmp_path / "problems.jsonl")
     assert write_problems(path, problems) == 12
     loaded = read_problems(path)
@@ -264,7 +266,7 @@ def test_signature_separates_task_query_and_pattern():
 
 @pytest.fixture()
 def cycle_problems():
-    return generate_task("cycle", 4, seed=2, split="asm")
+    return generate_task("cycle", 4, seed=2, split="asm", seen=set())
 
 
 def _truth_text(p):
@@ -316,8 +318,6 @@ def test_assemble_dpo_rows(cycle_problems):
     assert row["chosen"].startswith("###")
     assert row["meta"] == {"num_correct": 2, "num_incorrect": 1,
                            "beta": 0.25}
-    no_beta = _dpo_rows(cycle_problems, paths)
-    assert "beta" not in no_beta[0]["meta"]
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
@@ -352,12 +352,12 @@ def test_compute_stats_rejects_unknown_task():
     p = Problem("x", "maze", Graph(2, False, []), {},
                 answer=Answer("yes_no", True), text="t")
     with pytest.raises(RecordError):
-        compute_stats([p])
+        compute_stats([p], sft_rows=None)
 
 
 def test_format_stats_table():
     problems = [_make("cycle", Graph(3, False, [(0, 1)]), pid="a")]
-    table = format_stats(compute_stats(problems))
+    table = format_stats(compute_stats(problems, sft_rows=None))
     lines = table.splitlines()
     assert lines[0].split() == ["task", "problems", "avg", "nodes",
                                 "avg", "edges", "paths"]

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from graphcorpus import generate, grader, textgen, transcripts
+from graphcorpus.config import PipelineConfig
 from graphcorpus.corpus import problem_to_record
 from graphcorpus.errors import InvalidSpecError, StageError
 from graphcorpus.generate import (attempt_seed, generate_corpus,
@@ -20,6 +21,9 @@ import textparse
 import oracles
 from oracles import NODE_LIMIT, OracleLimitError, oracle_solve, solve
 from textparse import parse_problem
+
+# the defaults a stage runs with
+STAGE = PipelineConfig()
 
 BINARY = [t for t in TASK_ORDER if TASKS[t].answer_kind == "yes_no"]
 
@@ -82,16 +86,16 @@ def test_attempt_seed_is_a_pure_function():
 
 
 def test_generation_is_deterministic():
-    a = generate_task("shortest", 6, seed=9, split="det")
-    b = generate_task("shortest", 6, seed=9, split="det")
-    c = generate_task("shortest", 6, seed=10, split="det")
+    a = generate_task("shortest", 6, seed=9, split="det", seen=set())
+    b = generate_task("shortest", 6, seed=9, split="det", seen=set())
+    c = generate_task("shortest", 6, seed=10, split="det", seen=set())
     assert [problem_to_record(p) for p in a] == [problem_to_record(p) for p in b]
     assert [problem_to_record(p) for p in a] != [problem_to_record(p) for p in c]
 
 
 @pytest.mark.parametrize("task", BINARY)
 def test_binary_labels_alternate(task):
-    problems = generate_task(task, 10, seed=3, split="bal")
+    problems = generate_task(task, 10, seed=3, split="bal", seen=set())
     labels = [p.answer.value for p in problems]
     assert labels == [True, False] * 5
 
@@ -99,7 +103,7 @@ def test_binary_labels_alternate(task):
 @pytest.mark.parametrize("task", TASK_ORDER)
 def test_generated_problems_are_well_formed(task):
     info = TASKS[task]
-    problems = generate_task(task, 10, seed=1, split="shape")
+    problems = generate_task(task, 10, seed=1, split="shape", seen=set())
     assert [p.id for p in problems] == [f"{task}-shape-{i}" for i in range(10)]
     tiers = build_tiers(info)
     for slot, p in enumerate(problems):
@@ -120,7 +124,7 @@ def test_generated_problems_are_well_formed(task):
 @pytest.mark.parametrize("task", TASK_ORDER)
 def test_stored_answers_are_true(task):
     rng = random.Random(0)
-    for p in generate_task(task, 10, seed=4, split="truth"):
+    for p in generate_task(task, 10, seed=4, split="truth", seen=set()):
         # a transcript written from the stored answer must grade correct
         assert judge(p, make_transcript(p, correct=True, rng=rng)).correct, p.id
         if TASKS[task].answer_kind == "yes_no":
@@ -144,7 +148,7 @@ def test_stored_answers_are_true(task):
 
 
 def test_graphs_are_unique_and_dedupe_is_shared():
-    first = generate_task("cycle", 8, seed=0, split="dd")
+    first = generate_task("cycle", 8, seed=0, split="dd", seen=set())
     keys = {canonical_key(p.graph) for p in first}
     assert len(keys) == 8
     second = generate_task("cycle", 8, seed=0, split="dd", seen=set(keys))
@@ -152,7 +156,8 @@ def test_graphs_are_unique_and_dedupe_is_shared():
 
 
 def test_generate_corpus_shares_keys_across_tasks():
-    problems = generate_corpus(["cycle", "hamilton"], 6, seed=2, split="mix")
+    problems = generate_corpus(["cycle", "hamilton"], 6, seed=2, split="mix",
+                               dedupe_keys=set())
     assert len(problems) == 12
     keys = [canonical_key(p.graph) for p in problems]
     assert len(set(keys)) == 12
@@ -166,9 +171,11 @@ def test_generate_corpus_shares_keys_across_tasks():
 
 
 def test_generate_corpus_defaults_to_all_tasks():
-    problems = generate_corpus(None, 1, seed=6, split="all")
+    problems = generate_corpus(STAGE.tasks, 1, seed=6, split="all",
+                               dedupe_keys=set())
     assert [p.task for p in problems] == TASK_ORDER
-    assert generate_corpus([], 1, seed=6, split="all") == []   # no task
+    assert generate_corpus([], 1, seed=6, split="all",
+                           dedupe_keys=set()) == []   # no task
 
 
 def test_token_budget_is_enforced(monkeypatch):
@@ -176,19 +183,20 @@ def test_token_budget_is_enforced(monkeypatch):
     from graphcorpus import generate
     from graphcorpus.textgen import estimate_tokens
     monkeypatch.setattr(generate, "TOKEN_BUDGET", 60)
-    problems = generate_task("cycle", 1, seed=5, split="tok")
+    problems = generate_task("cycle", 1, seed=5, split="tok", seen=set())
     assert all(estimate_tokens(p.text) <= 60 for p in problems)
     monkeypatch.setattr(generate, "TOKEN_BUDGET", 5)
     monkeypatch.setattr(generate, "MAX_ATTEMPTS", 30)
     with pytest.raises(StageError) as err:
-        generate_task("cycle", 1, seed=5, split="tok")
+        generate_task("cycle", 1, seed=5, split="tok", seen=set())
     assert "cycle slot 0" in str(err.value)
     assert "in 30 attempts" in str(err.value)
 
 
 def test_count_validation():
-    assert generate_task("cycle", 0, seed=0) == []
+    assert generate_task("cycle", 0, seed=0, split=STAGE.split,
+                         seen=set()) == []
     with pytest.raises(InvalidSpecError):
-        generate_task("cycle", -1, seed=0)
+        generate_task("cycle", -1, seed=0, split=STAGE.split, seen=set())
     with pytest.raises(InvalidSpecError):
-        generate_task("sudoku", 1, seed=0)
+        generate_task("sudoku", 1, seed=0, split=STAGE.split, seen=set())

@@ -148,7 +148,7 @@ def test_grade_empty_or_malformed_witness_is_a_verdict():
     foreign = grade(p, Answer("numeric", 5, witness=[0, 7, 2]))
     assert not foreign.correct and "not optimal" in foreign.reason
     for task in TASK_ORDER:
-        for q in generate_task(task, 2, seed=4, split="witness"):
+        for q in generate_task(task, 2, seed=4, split="witness", seen=set()):
             for bad in ([], [0]):
                 claim = Answer(q.answer.kind, q.answer.value, witness=bad)
                 assert isinstance(grade(q, claim), Verdict), (q.id, bad)
@@ -320,7 +320,7 @@ def test_check_witness_bipartite_odd_cycle_ignores_direction():
 def test_check_witness_of_the_wrong_shape_is_false_not_an_error(task):
     # stored answers are read from files: wherever the answer carries a
     # witness (for topology, the order), a malformed one fails the check
-    for q in generate_task(task, 4, seed=4, split="witness"):
+    for q in generate_task(task, 4, seed=4, split="witness", seen=set()):
         assert check_witness(q, q.answer), q.id
         ans = q.answer
         carries = ans.witness is not None or ans.kind == "sequence"

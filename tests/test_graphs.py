@@ -83,11 +83,11 @@ def test_er_extreme_densities():
 
 def test_er_rejects_bad_params():
     with pytest.raises(InvalidSpecError):
-        generate_er(0, 0.5)
+        generate_er(0, 0.5, seed=0)
     with pytest.raises(InvalidSpecError):
-        generate_er(5, -0.1)
+        generate_er(5, -0.1, seed=0)
     with pytest.raises(InvalidSpecError):
-        generate_er(5, 1.5)
+        generate_er(5, 1.5, seed=0)
 
 
 def test_dag_has_valid_order():
@@ -125,9 +125,9 @@ def test_node_weights_in_range():
 def test_weight_bounds_validated():
     g = generate_er(4, 1.0, seed=0)
     with pytest.raises(InvalidSpecError):
-        assign_edge_weights(g, 0, 10)
+        assign_edge_weights(g, 0, 10, seed=0)
     with pytest.raises(InvalidSpecError):
-        assign_edge_weights(g, 5, 4)
+        assign_edge_weights(g, 5, 4, seed=0)
 
 
 def test_connected_components():

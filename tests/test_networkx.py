@@ -16,18 +16,23 @@ import pytest
 from networkx.algorithms.flow import preflow_push
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
+from graphcorpus.config import PipelineConfig
 from graphcorpus.generate import generate_corpus
 from graphcorpus.grader import check_witness
 from graphcorpus.tasks import TASK_ORDER
 
 from oracles import HAMILTON_DP_LIMIT, oracle_hamilton_dp
 
+# the defaults a stage runs with
+STAGE = PipelineConfig()
+
 PER_TASK = 10
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    return generate_corpus(None, PER_TASK, split="test", seed=11)
+    return generate_corpus(STAGE.tasks, PER_TASK, split="test", seed=11,
+                           dedupe_keys=set())
 
 
 def _nx(g):
@@ -132,7 +137,7 @@ def test_hamilton_answers_match_subset_dp_up_to_its_limit():
     # a wider sample than the fixture, so that "no" answers the
     # backtracking search produced (over 12 nodes) are checked by the DP
     problems = [p for p in generate_corpus(["hamilton"], 40, split="test",
-                                           seed=11)
+                                           seed=11, dedupe_keys=set())
                 if p.graph.num_nodes <= HAMILTON_DP_LIMIT]
     assert any(not p.answer.value and p.graph.num_nodes > 12
                for p in problems)

@@ -2,9 +2,12 @@
 
 The package holds only what some stage runs: a top-level name that no
 module of `src/graphcorpus/` uses is test-only code and belongs under
-`tests/`. The benchmark under `perfbench/` imports names from the package
-and reads fields of `PipelineConfig()`; a rename that breaks it must fail
-here, not only when the benchmark runs.
+`tests/`. So is a parameter default that every caller in `src/` overrides
+(the stage's settings live in `PipelineConfig`, so a copy in a function
+serves only tests) and an attribute stored on `self` that nothing in
+`src/` reads. The benchmark under `perfbench/` imports names from the
+package and reads fields of `PipelineConfig()`; a rename that breaks it
+must fail here, not only when the benchmark runs.
 """
 
 import ast
@@ -57,6 +60,79 @@ def test_every_top_level_name_in_src_is_used_in_src():
     unused = [f"{name[:-3]}.{n}" for name, tree in trees.items()
               for n in _top_level_names(tree) if n not in used]
     assert unused == []
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> tuple[list[str],
+                                                           list[str]]:
+    """The parameters a call can pass by position (past self or cls for a
+    method), and the parameters with a default."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args][method:]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+    return positional, defaulted
+
+
+def _bare_name_callees(trees) -> dict[str, list[tuple]]:
+    """name -> (file, function, is_method) of what a call by that bare name
+    runs: a function, or the __init__ or __new__ of a class. Methods called
+    on an object are left out, since `rng.sample` is no call of
+    `sampler.sample`."""
+    callees: dict[str, list[tuple]] = {}
+    for file, tree in trees.items():
+        methods = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        methods.add(item)
+                        if item.name in ("__init__", "__new__"):
+                            callees.setdefault(node.name, []).append(
+                                (file, item, True))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node not in methods:
+                callees.setdefault(node.name, []).append((file, node, False))
+    return callees
+
+
+def test_every_parameter_default_is_used_by_some_call_in_src():
+    trees = _trees(SRC)
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.setdefault(node.func.id, []).append(node)
+    unused = []
+    for name, callees in _bare_name_callees(trees).items():
+        for file, fn, method in callees:
+            positional, defaulted = _defaulted(fn, method)
+            if not defaulted or name not in calls:
+                continue            # no default, or src never calls it
+            left_out = set()
+            for call in calls[name]:
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg is None for k in call.keywords)):
+                    continue        # *args or **kwargs pass every parameter
+                passed = {k.arg for k in call.keywords}
+                left_out |= set(defaulted) - passed - set(
+                    positional[:len(call.args)])
+            unused += [f"{file[:-3]}.{name}({p})" for p in defaulted
+                       if p not in left_out]
+    assert unused == []
+
+
+def test_every_attribute_stored_on_self_in_src_is_read_in_src():
+    stored, read = set(), set()
+    for tree in _trees(SRC).values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                stored.add(node.attr)
+    assert sorted(stored - read) == []
 
 
 def _package_imports() -> list[tuple[str, str, str]]:

@@ -14,19 +14,25 @@ import pytest
 import graphcorpus
 from graphcorpus import sampler
 from graphcorpus.cli import main
-from graphcorpus.corpus import read_jsonl
+from graphcorpus.config import PipelineConfig
+from graphcorpus.corpus import parse_line
 from graphcorpus.errors import (BackendError, CacheError, InvalidSpecError,
-                                SchemaError, TransientError)
+                                TransientError)
 from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.grader import judge
 from graphcorpus.sampler import (PROFILES, Cache, HttpBackend, SampleProfile,
                                  StubBackend, get_profile, prompt_sha, sample)
 from graphcorpus.textgen import build_cot_prompt, wrap_instruction
 
+from oracles import CountingBackend
+
+# the defaults a stage runs with
+STAGE = PipelineConfig()
+
 
 @pytest.fixture(scope="module")
 def problems():
-    return generate_task("cycle", 6, seed=11, split="sampler")
+    return generate_task("cycle", 6, seed=11, split="sampler", seen=set())
 
 
 def test_profile_table():
@@ -43,9 +49,12 @@ def test_profile_table():
 def test_stub_is_deterministic(problems):
     profile = get_profile("initial")
     prompt = wrap_instruction(problems[0].text)
-    a = StubBackend(problems, seed=5).generate(prompt, profile)
-    b = StubBackend(problems, seed=5).generate(prompt, profile)
-    c = StubBackend(problems, seed=6).generate(prompt, profile)
+    a = StubBackend(problems, seed=5,
+                    error_rate=STAGE.stub_error_rate).generate(prompt, profile)
+    b = StubBackend(problems, seed=5,
+                    error_rate=STAGE.stub_error_rate).generate(prompt, profile)
+    c = StubBackend(problems, seed=6,
+                    error_rate=STAGE.stub_error_rate).generate(prompt, profile)
     assert a == b
     assert len(a) == 3
     assert a != c
@@ -75,19 +84,20 @@ def test_stub_error_rate_mixes(problems):
 
 def test_stub_rejects_bad_error_rate(problems):
     with pytest.raises(InvalidSpecError):
-        StubBackend(problems, error_rate=1.5)
+        StubBackend(problems, error_rate=1.5, seed=STAGE.seed)
 
 
 def test_stub_recognizes_prompt_formats(problems):
     # every prompt the stages build: annotate's chain-of-thought prompts at
     # any shot count, and dpo's and evaluate's instruction prompts
-    corpus = generate_corpus(None, 2, seed=4, split="test")
+    corpus = generate_corpus(STAGE.tasks, 2, seed=4, split="test",
+                             dedupe_keys=set())
     # a problem text may span lines
     p = problems[0]
     corpus.append(p._replace(text=p.text.replace(". ", ".\n", 1)))
     assert "\n" in corpus[-1].text
     profile = SampleProfile("two", 2, 0.9)
-    backend = StubBackend(corpus, seed=2)
+    backend = StubBackend(corpus, seed=2, error_rate=STAGE.stub_error_rate)
     for p in corpus:
         for prompt in (wrap_instruction(p.text),
                        *(build_cot_prompt(p.task, p.text, shots=k)
@@ -100,13 +110,13 @@ def test_stub_recognizes_prompt_formats(problems):
 def test_stub_rejects_unknown_prompt(problems):
     # a prompt no stage builds names no problem, even one holding its text
     p = problems[0]
-    backend = StubBackend(problems)
+    backend = StubBackend(problems, error_rate=STAGE.stub_error_rate,
+                          seed=STAGE.seed)
     for prompt in ("what is the capital of France?",
                    p.text,
                    f"Please answer carefully.\n\n{p.text}\n\nThanks!"):
         with pytest.raises(BackendError):
             backend.generate(prompt, get_profile("eval"))
-    assert backend.requests == 0
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +215,17 @@ def test_stage_files_and_the_cache_read_lines_alike(tmp_path, bad, reason):
     Cache(str(path)).put("a", P3, ["x", "y", "z"], STUB)
     with open(path, "ab") as fh:
         fh.write(b"  \n")
-    assert len(read_jsonl(str(path))) == 1
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert [parse_line(line) is None for line in lines] == [False, True]
     assert Cache(str(path)).lookup("a", P3, STUB) == ["x", "y", "z"]
     with open(path, "ab") as fh:
         fh.write(bad)
-    with pytest.raises(SchemaError) as schema_err:
-        read_jsonl(str(path))
+    with pytest.raises(ValueError) as line_err:
+        parse_line(bad)
     with pytest.raises(CacheError) as cache_err:
         Cache(str(path))
-    assert str(schema_err.value).startswith(f"line 3: {path}: ")
     assert str(cache_err.value).startswith(f"{path}:3: unreadable cache line")
-    assert reason in str(schema_err.value) and reason in str(cache_err.value)
+    assert reason in str(line_err.value) and reason in str(cache_err.value)
 
 
 def test_cache_drops_torn_final_line(tmp_path, caplog):
@@ -252,16 +262,19 @@ def test_cache_never_replays_another_backends_completions(tmp_path, problems):
     prompts = [wrap_instruction(p.text) for p in problems]
     path = str(tmp_path / "c.jsonl")
     clean = StubBackend(problems, error_rate=0.0, seed=1)
-    first = sample(prompts, profile, clean, cache=Cache(path))
-    dirty = StubBackend(problems, error_rate=1.0, seed=2)
-    second = sample(prompts, profile, dirty, cache=Cache(path))
+    first = sample(prompts, profile, clean, cache=Cache(path), jobs=STAGE.jobs,
+                   max_requests=None)
+    dirty = CountingBackend(StubBackend(problems, error_rate=1.0, seed=2))
+    second = sample(prompts, profile, dirty, cache=Cache(path),
+                    jobs=STAGE.jobs, max_requests=None)
     assert dirty.requests == len(prompts)         # one request per prompt
     assert second != first
     assert not any(judge(p, t).correct for p, ts in zip(problems, second)
                    for t in ts)
     # each backend now hits its own lines
-    again = StubBackend(problems, error_rate=1.0, seed=2)
-    assert sample(prompts, profile, again, cache=Cache(path)) == second
+    again = CountingBackend(StubBackend(problems, error_rate=1.0, seed=2))
+    assert sample(prompts, profile, again, cache=Cache(path), jobs=STAGE.jobs,
+                  max_requests=None) == second
     assert again.requests == 0
 
 
@@ -285,9 +298,12 @@ def test_http_identity_names_url_and_model_not_key():
     a = HttpBackend("http://host:1/", "m1", api_key="sekrit")
     assert "http://host:1" in a.identity and "m1" in a.identity
     assert "sekrit" not in a.identity
-    assert a.identity == HttpBackend("http://host:1", "m1").identity
-    assert a.identity != HttpBackend("http://host:1", "m2").identity
-    assert a.identity != HttpBackend("http://host:2", "m1").identity
+    assert a.identity == HttpBackend("http://host:1", "m1",
+                                     api_key=None).identity
+    assert a.identity != HttpBackend("http://host:1", "m2",
+                                     api_key=None).identity
+    assert a.identity != HttpBackend("http://host:2", "m1",
+                                     api_key=None).identity
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +312,10 @@ def test_http_identity_names_url_and_model_not_key():
 
 def test_sample_orders_results_per_prompt(problems):
     profile = SampleProfile("two", 2, 0.9)
-    backend = StubBackend(problems, seed=9)
+    backend = StubBackend(problems, seed=9, error_rate=STAGE.stub_error_rate)
     prompts = [wrap_instruction(p.text) for p in problems]
-    out = sample(prompts, profile, backend)
+    out = sample(prompts, profile, backend, cache=None, jobs=STAGE.jobs,
+                 max_requests=None)
     assert len(out) == len(problems)
     for p, texts in zip(problems, out):
         assert len(texts) == 2
@@ -308,29 +325,37 @@ def test_sample_orders_results_per_prompt(problems):
 def test_sample_uses_cache(tmp_path, problems):
     profile = get_profile("initial")
     prompts = [wrap_instruction(p.text) for p in problems]
-    backend = StubBackend(problems, seed=4)
+    backend = CountingBackend(StubBackend(
+        problems, error_rate=STAGE.stub_error_rate, seed=4))
     cache = Cache(str(tmp_path / "c.jsonl"))
-    first = sample(prompts, profile, backend, cache=cache)
+    first = sample(prompts, profile, backend, cache=cache, jobs=STAGE.jobs,
+                   max_requests=None)
     assert backend.requests == len(prompts)
-    again = sample(prompts, profile, backend, cache=cache)
+    again = sample(prompts, profile, backend, cache=cache, jobs=STAGE.jobs,
+                   max_requests=None)
     assert backend.requests == len(prompts)      # all hits, no new calls
     assert again == first
     cold = Cache(str(tmp_path / "c.jsonl"))
-    assert sample(prompts, profile, backend, cache=cold) == first
+    assert sample(prompts, profile, backend, cache=cold, jobs=STAGE.jobs,
+                  max_requests=None) == first
     assert backend.requests == len(prompts)
 
 
 def test_sample_budget_checked_up_front(tmp_path, problems):
     profile = get_profile("eval")
     prompts = [wrap_instruction(p.text) for p in problems]
-    backend = StubBackend(problems)
+    backend = CountingBackend(StubBackend(
+        problems, error_rate=STAGE.stub_error_rate, seed=STAGE.seed))
     with pytest.raises(BackendError):
-        sample(prompts, profile, backend, max_requests=len(prompts) - 1)
+        sample(prompts, profile, backend, max_requests=len(prompts) - 1,
+               cache=None, jobs=STAGE.jobs)
     assert backend.requests == 0                 # failed before any call
     cache = Cache(str(tmp_path / "c.jsonl"))
-    sample(prompts[:2], profile, backend, cache=cache)
+    sample(prompts[:2], profile, backend, cache=cache, jobs=STAGE.jobs,
+           max_requests=None)
     # cached prompts are free under the budget
-    out = sample(prompts[:3], profile, backend, cache=cache, max_requests=1)
+    out = sample(prompts[:3], profile, backend, cache=cache, max_requests=1,
+                 jobs=STAGE.jobs)
     assert len(out) == 3
 
 
@@ -345,9 +370,12 @@ def test_sample_trims_a_long_reply_before_caching(tmp_path, problems):
     profile = SampleProfile("two", 2, 0.9)
     prompts = [wrap_instruction(p.text) for p in problems]
     path = str(tmp_path / "c.jsonl")
-    backend = Wordy(problems, seed=8)
-    cold = sample(prompts, profile, backend, cache=Cache(path))
-    warm = sample(prompts, profile, backend, cache=Cache(path))
+    backend = CountingBackend(
+        Wordy(problems, error_rate=STAGE.stub_error_rate, seed=8))
+    cold = sample(prompts, profile, backend, cache=Cache(path),
+                  jobs=STAGE.jobs, max_requests=None)
+    warm = sample(prompts, profile, backend, cache=Cache(path),
+                  jobs=STAGE.jobs, max_requests=None)
     assert backend.requests == len(prompts)      # the warm run sent none
     assert all(len(texts) == 2 for texts in cold)
     assert warm == cold
@@ -358,8 +386,11 @@ def test_sample_trims_a_long_reply_before_caching(tmp_path, problems):
 def test_sample_parallel_matches_serial(problems):
     profile = SampleProfile("two", 2, 0.9)
     prompts = [wrap_instruction(p.text) for p in problems]
-    serial = sample(prompts, profile, StubBackend(problems, seed=3))
-    threaded = sample(prompts, profile, StubBackend(problems, seed=3), jobs=4)
+    backend = StubBackend(problems, error_rate=STAGE.stub_error_rate, seed=3)
+    serial = sample(prompts, profile, backend, cache=None, jobs=1,
+                    max_requests=None)
+    threaded = sample(prompts, profile, backend, cache=None, jobs=4,
+                      max_requests=None)
     assert serial == threaded
 
 
@@ -376,20 +407,25 @@ def _contended(fn):
 
 def test_stub_request_count_is_exact_under_threads(problems):
     prompts = [wrap_instruction(p.text) for p in problems] * 50
-    backend = StubBackend(problems, seed=2)
+    backend = CountingBackend(StubBackend(
+        problems, error_rate=STAGE.stub_error_rate, seed=2))
     out = _contended(lambda: sample(prompts, get_profile("eval"), backend,
-                                    jobs=8))
+                                    jobs=8, cache=None, max_requests=None))
     assert len(out) == len(prompts)
     assert backend.requests == len(prompts)     # one per cache miss
 
 
 def test_sample_validates_inputs(problems):
-    backend = StubBackend(problems)
-    assert sample([], get_profile("eval"), backend) == []
+    backend = StubBackend(problems, error_rate=STAGE.stub_error_rate,
+                          seed=STAGE.seed)
+    assert sample([], get_profile("eval"), backend, cache=None,
+                  jobs=STAGE.jobs, max_requests=None) == []
     with pytest.raises(InvalidSpecError):
-        sample(["x"], SampleProfile("none", 0, 0.0), backend)
+        sample(["x"], SampleProfile("none", 0, 0.0), backend, cache=None,
+               jobs=STAGE.jobs, max_requests=None)
     with pytest.raises(InvalidSpecError):
-        sample(["x"], get_profile("eval"), backend, jobs=0)
+        sample(["x"], get_profile("eval"), backend, jobs=0, cache=None,
+               max_requests=None)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +509,9 @@ def test_http_retries_transient_errors(server, monkeypatch):
     handler.script += [(500, {"err": "boom"}), (429, {"err": "slow down"}),
                        (200, _choices("ok"))]
     monkeypatch.setattr(sampler, "BACKOFF", 0.01)
-    backend = HttpBackend(base, "m")
-    assert sample(["x"], get_profile("eval"), backend) == [["ok"]]
+    backend = CountingBackend(HttpBackend(base, "m", api_key=None))
+    assert sample(["x"], get_profile("eval"), backend, cache=None,
+                  jobs=STAGE.jobs, max_requests=None) == [["ok"]]
     assert backend.requests == 3
 
 
@@ -483,9 +520,10 @@ def test_http_gives_up_after_retries(server, monkeypatch):
     handler.script += [(503, {})] * 3
     monkeypatch.setattr(sampler, "MAX_RETRIES", 2)
     monkeypatch.setattr(sampler, "BACKOFF", 0.01)
-    backend = HttpBackend(base, "m")
+    backend = HttpBackend(base, "m", api_key=None)
     with pytest.raises(BackendError) as err:
-        sample(["x"], get_profile("eval"), backend)
+        sample(["x"], get_profile("eval"), backend, cache=None,
+               jobs=STAGE.jobs, max_requests=None)
     assert "retries exhausted" in str(err.value)
     assert "503" in str(err.value)
 
@@ -494,7 +532,7 @@ def test_http_generate_sends_one_request(server):
     # the retry is sample's: a 503 is a transient error after one request
     base, handler = server
     handler.script += [(503, {}), (200, _choices("never asked"))]
-    backend = HttpBackend(base, "m")
+    backend = CountingBackend(HttpBackend(base, "m", api_key=None))
     with pytest.raises(TransientError) as err:
         backend.generate("x", get_profile("eval"))
     assert err.value.status == 503 and str(err.value) == "status 503"
@@ -522,12 +560,14 @@ def test_sample_retries_a_transient_error_after_a_doubling_back_off(
     slept = []
     monkeypatch.setattr(sampler.time, "sleep", slept.append)
     backend = _Flaky(fails=2)
-    assert sample(["x"], get_profile("eval"), backend) == [["re x"]]
+    assert sample(["x"], get_profile("eval"), backend, cache=None,
+                  jobs=STAGE.jobs, max_requests=None) == [["re x"]]
     assert backend.requests == ["x"] * 3 and slept == [0.5, 1.0]
     slept.clear()
     backend = _Flaky(fails=5)
     with pytest.raises(BackendError) as err:
-        sample(["x"], get_profile("eval"), backend)
+        sample(["x"], get_profile("eval"), backend, cache=None,
+               jobs=STAGE.jobs, max_requests=None)
     assert str(err.value) == "retries exhausted (status 503)"
     assert len(backend.requests) == 5 and slept == [0.5, 1.0, 2.0, 4.0]
 
@@ -543,7 +583,8 @@ def test_a_fatal_error_ends_the_retries_of_other_prompts():
 
     backend = Fatal(fails=5)
     with pytest.raises(BackendError) as err:
-        sample(["p0", "p1"], get_profile("eval"), backend, jobs=2)
+        sample(["p0", "p1"], get_profile("eval"), backend, jobs=2, cache=None,
+               max_requests=None)
     assert err.value.status == 401 and backend.requests == ["p0"]
 
 
@@ -558,7 +599,8 @@ def test_no_request_starts_after_the_first_error():
 
     backend = Fails(fails=0)
     with pytest.raises(BackendError) as err:
-        sample(["p0", "p1", "p2"], get_profile("eval"), backend, jobs=1)
+        sample(["p0", "p1", "p2"], get_profile("eval"), backend, jobs=1,
+               cache=None, max_requests=None)
     assert err.value.status == 401 and len(backend.requests) == 1
 
 
@@ -585,7 +627,7 @@ def test_ctrl_c_in_a_back_off_stops_without_taking_the_slot_back(
     backend = Slow(fails=1)
     with pytest.raises(KeyboardInterrupt):
         sample([f"p{i}" for i in range(20)], get_profile("eval"), backend,
-               jobs=1)
+               jobs=1, cache=None, max_requests=None)
     assert p1_asked.is_set() and backend.requests == ["p0"]
 
 
@@ -593,9 +635,10 @@ def test_http_client_errors_do_not_retry(server, monkeypatch):
     base, handler = server
     handler.script.append((401, {"error": "bad key"}))
     monkeypatch.setattr(sampler, "BACKOFF", 0.01)
-    backend = HttpBackend(base, "m")
+    backend = CountingBackend(HttpBackend(base, "m", api_key=None))
     with pytest.raises(BackendError) as err:
-        sample(["x"], get_profile("eval"), backend)
+        sample(["x"], get_profile("eval"), backend, cache=None,
+               jobs=STAGE.jobs, max_requests=None)
     assert err.value.status == 401
     assert backend.requests == 1
 
@@ -603,12 +646,13 @@ def test_http_client_errors_do_not_retry(server, monkeypatch):
 def test_http_rejects_malformed_body(server):
     base, handler = server
     handler.script += [(200, b"this is not json")] * 2
-    backend = HttpBackend(base, "m")
+    backend = CountingBackend(HttpBackend(base, "m", api_key=None))
     with pytest.raises(BackendError) as err:
         backend.generate("x", get_profile("eval"))
     assert "malformed response body" in str(err.value)
     with pytest.raises(BackendError) as err:
-        sample(["x"], get_profile("eval"), backend)
+        sample(["x"], get_profile("eval"), backend, cache=None,
+               jobs=STAGE.jobs, max_requests=None)
     assert "malformed response body" in str(err.value)
     assert backend.requests == 2            # not retried
 
@@ -618,7 +662,7 @@ def test_http_rejects_content_that_is_not_text(server):
     base, handler = server
     handler.script += [(200, _choices(None, "b")), (200, _choices("a", 7)),
                        (200, _choices(["a"]))]
-    backend = HttpBackend(base, "m")
+    backend = HttpBackend(base, "m", api_key=None)
     assert backend.generate("x", SampleProfile("two", 2, 0.7)) == ["", "b"]
     for _ in range(2):
         with pytest.raises(BackendError) as err:
@@ -629,8 +673,9 @@ def test_http_rejects_content_that_is_not_text(server):
 def test_http_pads_missing_choices(server):
     base, handler = server
     handler.script.append((200, _choices("only one")))
-    backend = HttpBackend(base, "m")
-    out = sample(["x"], SampleProfile("three", 3, 0.9), backend)
+    backend = HttpBackend(base, "m", api_key=None)
+    out = sample(["x"], SampleProfile("three", 3, 0.9), backend, cache=None,
+                 jobs=STAGE.jobs, max_requests=None)
     assert out == [["only one", "", ""]]
 
 
@@ -641,9 +686,12 @@ def test_short_reply_is_requested_again(tmp_path, server):
                        (200, _choices("a", "b", "c"))]
     profile = SampleProfile("three", 3, 0.9)
     path = str(tmp_path / "cache.jsonl")
-    first = sample(["x"], profile, HttpBackend(base, "m"), cache=Cache(path))
-    second = sample(["x"], profile, HttpBackend(base, "m"), cache=Cache(path))
-    third = sample(["x"], profile, HttpBackend(base, "m"), cache=Cache(path))
+    first = sample(["x"], profile, HttpBackend(base, "m", api_key=None),
+                   cache=Cache(path), jobs=STAGE.jobs, max_requests=None)
+    second = sample(["x"], profile, HttpBackend(base, "m", api_key=None),
+                    cache=Cache(path), jobs=STAGE.jobs, max_requests=None)
+    third = sample(["x"], profile, HttpBackend(base, "m", api_key=None),
+                   cache=Cache(path), jobs=STAGE.jobs, max_requests=None)
     assert first == [["only one", "", ""]]
     assert second == third == [["a", "b", "c"]]
     assert len(handler.seen) == 2
@@ -654,9 +702,9 @@ def test_http_request_count_is_exact_under_threads(server, monkeypatch):
     prompts = [f"prompt {i}" for i in range(64)]
     handler.script += [(200, _choices("ok"))] * len(prompts)
     monkeypatch.setattr(HttpBackend, "TIMEOUT", 10)
-    backend = HttpBackend(base, "m")
+    backend = CountingBackend(HttpBackend(base, "m", api_key=None))
     out = _contended(lambda: sample(prompts, get_profile("eval"), backend,
-                                    jobs=8))
+                                    jobs=8, cache=None, max_requests=None))
     assert out == [["ok"]] * len(prompts)
     assert backend.requests == len(prompts)     # one per cache miss
 
@@ -667,8 +715,9 @@ def test_a_back_off_lends_its_slot_to_the_next_prompt(server, monkeypatch):
     handler.script += [(503, {}), (200, _choices("for b")),
                        (200, _choices("for a"))]
     monkeypatch.setattr(sampler, "BACKOFF", 0.2)
-    out = sample(["a", "b"], get_profile("eval"), HttpBackend(base, "m"),
-                 jobs=1)
+    out = sample(["a", "b"], get_profile("eval"), HttpBackend(base, "m",
+                                                              api_key=None),
+                 jobs=1, cache=None, max_requests=None)
     assert [payload["messages"][0]["content"]
             for _, payload in handler.seen] == ["a", "b", "a"]
     assert out == [["for a"], ["for b"]]
@@ -687,8 +736,9 @@ def test_requests_in_flight_never_exceed_jobs(server, monkeypatch):
 
     handler.reply, handler.delay = reply, 0.01
     monkeypatch.setattr(sampler, "BACKOFF", 0.02)
-    backend = HttpBackend(base, "m")
-    out = sample(prompts, get_profile("eval"), backend, jobs=2)
+    backend = CountingBackend(HttpBackend(base, "m", api_key=None))
+    out = sample(prompts, get_profile("eval"), backend, jobs=2, cache=None,
+                 max_requests=None)
     assert out == [["re " + p] for p in prompts]
     assert handler.peak == 2
     assert backend.requests == len(handler.seen) == 48
@@ -702,7 +752,9 @@ def test_a_fatal_error_stops_every_runner(server):
                                     else (200, _choices("ok")))
     handler.delay = 0.005
     with pytest.raises(BackendError) as err:
-        sample(prompts, get_profile("eval"), HttpBackend(base, "m"), jobs=2)
+        sample(prompts, get_profile("eval"), HttpBackend(base, "m",
+                                                         api_key=None), jobs=2,
+               cache=None, max_requests=None)
     assert err.value.status == 401
     assert len(handler.seen) < 10
 
@@ -737,9 +789,11 @@ def test_http_transport_failure_is_a_retried_connection_error(monkeypatch,
         port = sock.getsockname()[1]
     # nothing listens on port now
     monkeypatch.setattr(sampler, "BACKOFF", 0.01)
-    backend = HttpBackend(f"http://127.0.0.1:{port}", "m", api_key=api_key)
+    backend = CountingBackend(HttpBackend(f"http://127.0.0.1:{port}", "m",
+                                          api_key=api_key))
     with pytest.raises(BackendError) as err:
-        sample(["x"], get_profile("eval"), backend)
+        sample(["x"], get_profile("eval"), backend, cache=None,
+               jobs=STAGE.jobs, max_requests=None)
     assert str(err.value).startswith("retries exhausted (connection error: ")
     assert backend.requests == sampler.MAX_RETRIES + 1
 
@@ -771,8 +825,9 @@ def test_http_retries_a_broken_reply(server, monkeypatch, failure):
     base, handler = server
     handler.script += [failure, (200, _choices("ok"))]
     monkeypatch.setattr(sampler, "BACKOFF", 0.01)
-    backend = HttpBackend(base, "m")
-    assert sample(["x"], get_profile("eval"), backend) == [["ok"]]
+    backend = CountingBackend(HttpBackend(base, "m", api_key=None))
+    assert sample(["x"], get_profile("eval"), backend, cache=None,
+                  jobs=STAGE.jobs, max_requests=None) == [["ok"]]
     assert backend.requests == 2 and len(handler.seen) == 2
 
 
@@ -780,7 +835,7 @@ def test_http_retries_a_broken_reply(server, monkeypatch, failure):
                                  "ftp://host", "http://", "http://[::1", ""])
 def test_http_rejects_a_base_url_that_is_not_http_host(url):
     with pytest.raises(InvalidSpecError) as err:
-        HttpBackend(url, "m")
+        HttpBackend(url, "m", api_key=None)
     assert repr(url) in str(err.value)
 
 

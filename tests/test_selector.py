@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from graphcorpus.config import PipelineConfig
 from graphcorpus.errors import InvalidSpecError
 from graphcorpus.generate import generate_task
 from graphcorpus.grader import judge
@@ -17,6 +18,9 @@ from graphcorpus.tasks import TASK_ORDER
 from graphcorpus.textgen import wrap_instruction
 
 from oracles import dpo_loss, dpo_loss_grad, oracle_kmeans_medoids
+
+# the defaults a stage runs with
+STAGE = PipelineConfig()
 
 
 def test_tokenize_lowercases_and_splits():
@@ -232,7 +236,7 @@ def test_each_text_is_tokenized_once_per_selection(monkeypatch):
     texts = [_word_salad(rng, rng.randint(4, 16)) for _ in range(9)]
     anchor = _word_salad(rng)
     calls = _count_tokenize(monkeypatch)
-    select_diverse(texts)
+    select_diverse(texts, cap=STAGE.cap, seed=STAGE.seed)
     assert len(calls) == len(texts)
     calls.clear()
     select_dispreferred(texts, anchor)
@@ -274,7 +278,7 @@ def stub_path_sets():
     profile = get_profile("augment")
     sets = []
     for task in TASK_ORDER:
-        problems = generate_task(task, 2, seed=5, split="selector")
+        problems = generate_task(task, 2, seed=5, split="selector", seen=set())
         backend = StubBackend(problems, error_rate=0.4, seed=1)
         for p in problems:
             sets.append((p, backend.generate(wrap_instruction(p.text), profile)))
@@ -291,7 +295,7 @@ def _assert_diverse_matches_brute_force(texts, seed):
         if texts[i] not in seen:
             seen.add(texts[i])
             expected.append(i)
-    picked = select_diverse(texts, seed=seed)
+    picked = select_diverse(texts, seed=seed, cap=STAGE.cap)
     assert picked[: len(expected)] == expected, f"seed {seed}"
     assert len(picked) <= 5
     assert len({texts[i] for i in picked}) == len(picked)
@@ -310,32 +314,35 @@ def test_select_diverse_matches_brute_force_prefix(stub_path_sets):
 def test_select_diverse_is_deterministic():
     rng = random.Random(7)
     texts = [_word_salad(rng) for _ in range(8)]
-    assert select_diverse(texts, seed=3) == select_diverse(texts, seed=3)
+    assert select_diverse(texts, cap=STAGE.cap, seed=3) == select_diverse(
+        texts, cap=STAGE.cap, seed=3)
 
 
 def test_select_diverse_anchor_is_longest():
     texts = ["bb", "aaa a", "c"]
-    picked = select_diverse(texts)
+    picked = select_diverse(texts, cap=STAGE.cap, seed=STAGE.seed)
     assert picked[0] == 1
     # length tie breaks to the lexicographically smaller text
-    assert select_diverse(["zz", "aa"])[0] == 1
+    assert select_diverse(["zz", "aa"], cap=STAGE.cap, seed=STAGE.seed)[0] == 1
 
 
 def test_select_diverse_edge_cases():
-    assert select_diverse([]) == []
-    assert select_diverse(["only"]) == [0]
-    dupes = select_diverse(["same text"] * 6)
+    assert select_diverse([], cap=STAGE.cap, seed=STAGE.seed) == []
+    assert select_diverse(["only"], cap=STAGE.cap, seed=STAGE.seed) == [0]
+    dupes = select_diverse(["same text"] * 6, cap=STAGE.cap, seed=STAGE.seed)
     assert len(dupes) == 1
-    assert select_diverse(["a b c", "d e f", "g h i"], cap=1) == \
-        select_diverse(["a b c", "d e f", "g h i"])[:1]
+    assert select_diverse(["a b c", "d e f", "g h i"], cap=1,
+                          seed=STAGE.seed) == \
+        select_diverse(["a b c", "d e f", "g h i"], cap=STAGE.cap,
+                       seed=STAGE.seed)[:1]
     with pytest.raises(InvalidSpecError):
-        select_diverse(["x"], cap=0)
+        select_diverse(["x"], cap=0, seed=STAGE.seed)
 
 
 def test_select_diverse_caps_at_five():
     rng = random.Random(13)
     texts = [_word_salad(rng, 10 + i) for i in range(20)]
-    assert len(select_diverse(texts)) <= 5
+    assert len(select_diverse(texts, cap=STAGE.cap, seed=STAGE.seed)) <= 5
 
 
 # ---------------------------------------------------------------------------

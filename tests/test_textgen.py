@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from graphcorpus.config import PipelineConfig
 from graphcorpus.errors import InvalidSpecError
 from graphcorpus.grader import extract_answer, is_topo_order
 from graphcorpus.graphs import Graph
@@ -13,23 +14,26 @@ from graphcorpus.textgen import (ALPACA_PREFIX, TEMPLATES, ZERO_SHOT_SUFFIX,
 from oracles import solve
 from textparse import ParseError, parse_problem
 
+# the defaults a stage runs with
+STAGE = PipelineConfig()
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # the same fixed problems the golden prompts were built from
 GOLDEN_CASES = {
     "cycle": (Graph(5, False, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
-              None),
+              {}),
     "connect": (Graph(5, False, [(0, 1), (1, 2), (3, 4)]), {"u": 0, "v": 2}),
-    "bipartite": (Graph(4, True, [(0, 2), (1, 2), (1, 3)]), None),
+    "bipartite": (Graph(4, True, [(0, 2), (1, 2), (1, 3)]), {}),
     "topology": (Graph(5, True, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]),
-                 None),
+                 {}),
     "shortest": (Graph(4, False, [(0, 1, 3), (1, 2, 1), (0, 2, 5),
                                   (2, 3, 2)]), {"u": 0, "v": 3}),
     "triangle": (Graph(4, False, [(0, 1), (0, 2), (1, 2), (2, 3)],
-                       node_weights=[4, 7, 1, 9]), None),
+                       node_weights=[4, 7, 1, 9]), {}),
     "flow": (Graph(4, True, [(0, 1, 4), (1, 2, 3), (0, 2, 2), (2, 3, 5)]),
              {"s": 0, "t": 3}),
-    "hamilton": (Graph(4, False, [(0, 1), (1, 2), (2, 3)]), None),
+    "hamilton": (Graph(4, False, [(0, 1), (1, 2), (2, 3)]), {}),
     "subgraph": (Graph(4, True, [(0, 1), (1, 2), (2, 3), (0, 2)]),
                  {"pattern": Graph(3, True, [(0, 1), (1, 2)])}),
 }
@@ -38,7 +42,8 @@ GOLDEN_CASES = {
 @pytest.mark.parametrize("task", sorted(GOLDEN_CASES))
 def test_two_shot_prompts_match_golden(task):
     g, query = GOLDEN_CASES[task]
-    prompt = build_cot_prompt(task, render_problem(task, g, query))
+    prompt = build_cot_prompt(task, render_problem(task, g, query),
+                              shots=STAGE.shots)
     assert prompt == (GOLDEN / f"{task}_2shot.txt").read_text("utf-8")
 
 
@@ -94,7 +99,7 @@ def test_parse_inverts_render(task):
 
 def test_render_edgeless_graph_round_trips():
     g = Graph(3, False, [])
-    text = render_problem("cycle", g)
+    text = render_problem("cycle", g, query={})
     assert "no edges" in text
     assert parse_problem(text).graph == g
 
@@ -165,4 +170,4 @@ def test_parse_error_carries_offset():
 
 def test_render_rejects_unknown_task():
     with pytest.raises(InvalidSpecError):
-        render_problem("coloring", Graph(2, False, [(0, 1)]))
+        render_problem("coloring", Graph(2, False, [(0, 1)]), query={})
