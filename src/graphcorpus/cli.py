@@ -292,12 +292,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # an --out the stage could not write fails before it works or pays
-        # a backend; evaluate's --out is a directory the stage creates
+        # a backend; evaluate's --out is a directory the stage creates, so
+        # the nearest path at or above it that exists must be a directory
         out = getattr(args, "out", None) or ""
         code = 0
         if args.command == "evaluate":
-            if os.path.exists(out) and not os.path.isdir(out):
-                code = errno.EEXIST
+            top = os.path.abspath(out)
+            while not os.path.exists(top):
+                top = os.path.dirname(top)
+            if not os.path.isdir(top):
+                code = errno.EEXIST if os.path.exists(out) else errno.ENOTDIR
         elif os.path.isdir(out):
             code = errno.EISDIR
         elif not os.path.isdir(os.path.dirname(out) or "."):

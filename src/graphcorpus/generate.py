@@ -52,7 +52,7 @@ def _spanning_forest(g: Graph, rng: random.Random) -> Graph:
 def _join(g: Graph, pairs) -> Graph:
     """Unweighted g plus each edge of pairs that it lacks."""
     return Graph(g.num_nodes, g.directed, sorted(
-        g.edge_key_set.union(g.key(u, v) for u, v in pairs)), g.node_weights)
+        {*g.weight_map, *(g.key(u, v) for u, v in pairs)}), g.node_weights)
 
 
 def _add_triangle(g: Graph, rng: random.Random) -> Graph:
@@ -252,7 +252,7 @@ def _gen_subgraph(tier, desired, rng, transform):
         return (host, {"pattern": pattern}, ans) if ans.value else None
     # make the pattern stricter until the host no longer contains it
     for _ in range(k * (k - 1)):
-        present = pattern.edge_key_set
+        present = pattern.weight_map
         absent = [(a, b) for a in range(k) for b in range(k)
                   if a != b and (a, b) not in present]
         if not absent:

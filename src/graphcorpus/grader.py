@@ -256,9 +256,9 @@ _CLAIM_PROSE = re.compile(r"node (\d+) is connected to node (\d+)", re.IGNORECAS
 _CHAIN_NODE = re.compile(r"\d+")
 
 
-def _linked(u: int, v: int, keys: frozenset[tuple[int, int]]) -> bool:
+def _linked(u: int, v: int, edges: dict[tuple[int, int], int]) -> bool:
     """Adjacency in either orientation; loose claims ignore direction."""
-    return (u, v) in keys or (v, u) in keys
+    return (u, v) in edges or (v, u) in edges
 
 
 def audit_steps(problem: Problem, reasoning: str) -> list[Violation]:
@@ -270,8 +270,7 @@ def audit_steps(problem: Problem, reasoning: str) -> list[Violation]:
     node b" are checked as adjacency, ignoring direction. Advisory only.
     """
     g = problem.graph
-    keys = g.edge_key_set
-    weights = g.weight_map
+    edges = g.weight_map
     n = g.num_nodes
     out: list[Violation] = []
     for s_idx, sm in enumerate(_SENTENCE.finditer(reasoning)):
@@ -285,23 +284,23 @@ def audit_steps(problem: Problem, reasoning: str) -> list[Violation]:
                 continue
             key = g.key(u, v)
             if sep == "->" and g.directed:
-                exists = key in keys
+                exists = key in edges
             else:
-                exists = _linked(u, v, keys)
+                exists = _linked(u, v, edges)
             if not exists:
                 out.append(Violation(s_idx, "missing-edge",
                                      f"claimed edge ({u},{v}) is not in the graph"))
-            elif w is not None and g.weighted and key in weights \
-                    and weights[key] != int(w):
+            elif w is not None and g.weighted and key in edges \
+                    and edges[key] != int(w):
                 out.append(Violation(s_idx, "wrong-weight",
-                                     f"edge ({u},{v}) has weight {weights[key]}, not {w}"))
+                                     f"edge ({u},{v}) has weight {edges[key]}, not {w}"))
         for m in _CLAIM_CHAIN.finditer(sentence):
             nodes = [int(x) for x in _CHAIN_NODE.findall(m.group(0))]
             for a, b in zip(nodes, nodes[1:]):
                 if a >= n or b >= n:
                     out.append(Violation(s_idx, "unknown-node",
                                          f"chain step {a}->{b} uses a node outside the graph"))
-                elif not _linked(a, b, keys):
+                elif not _linked(a, b, edges):
                     out.append(Violation(s_idx, "missing-edge",
                                          f"chain step {a}->{b} is not an edge"))
         for m in _CLAIM_PROSE.finditer(sentence):
@@ -309,7 +308,7 @@ def audit_steps(problem: Problem, reasoning: str) -> list[Violation]:
             if u >= n or v >= n:
                 out.append(Violation(s_idx, "unknown-node",
                                      f"claim about node {max(u, v)} outside the graph"))
-            elif not _linked(u, v, keys):
+            elif not _linked(u, v, edges):
                 out.append(Violation(s_idx, "missing-edge",
                                      f"node {u} and node {v} are not adjacent"))
     return out

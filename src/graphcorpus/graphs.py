@@ -2,11 +2,12 @@
 
 Edges are tuples (u, v) or (u, v, weight); undirected edges are stored with
 u < v, and `Graph.key` gives any pair its stored form. A Graph is
-immutable, so its derived views (edge pairs, the edge key set, the weight
-map, adjacency) are computed once per instance and shared. The views reuse
-the edge tuples: an unweighted graph's edge pairs are its edges, and the
-key set and weight map hold those pairs, building a new one only for a
-pair not in `key` form. `bfs` is the
+immutable, so its derived views (edge pairs, the weight map, adjacency) are
+computed once per instance and shared. The weight map is the one edge
+table: every keyed lookup of an edge, for membership or weight, reads it.
+The views reuse the edge tuples: an unweighted graph's edge pairs are its
+edges, and the weight map's keys are those pairs, building a new one only
+for a pair not in `key` form. `bfs` is the
 one breadth-first search (connectivity, bipartite colouring, augmenting
 paths, reachability), `path_to` reads a path off its tree, and
 `union_find` is the one union-find.
@@ -69,19 +70,17 @@ class Graph(_GraphFields):
         u, v = pair
         return pair if self.directed or u < v else (v, u)
 
-    @cached_property
-    def edge_key_set(self) -> frozenset[tuple[int, int]]:
-        """Endpoint pairs, each in its `key` form: the `edge_pairs` tuples
-        themselves wherever they are in that form."""
-        return frozenset(map(self._keyed, self.edge_pairs))
-
     def has_edge(self, u: int, v: int) -> bool:
-        return self.key(u, v) in self.edge_key_set
+        return self.key(u, v) in self.weight_map
 
     @cached_property
     def weight_map(self) -> dict[tuple[int, int], int]:
-        """`key` pair -> weight (1 when unweighted), keyed like
-        `edge_key_set`. Shared by every caller: read it, never modify it."""
+        """The one edge table: each endpoint pair in its `key` form (the
+        `edge_pairs` tuple itself wherever it has that form) -> the edge's
+        weight, 1 when unweighted. Shared by every caller: read it, never
+        modify it."""
+        if not self.weighted:
+            return dict.fromkeys(map(self._keyed, self.edge_pairs), 1)
         return {self._keyed(p): e[2] if len(e) == 3 else 1
                 for p, e in zip(self.edge_pairs, self.edges)}
 

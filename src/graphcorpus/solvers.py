@@ -167,7 +167,7 @@ def max_triangle_sum(g: Graph) -> Answer:
     neighbor_sets = [set(a) for a in g.adjacency]
     best_sum = -1
     best_triple: tuple[int, int, int] | None = None
-    for a, b in sorted(g.edge_key_set):
+    for a, b in sorted(g.weight_map):
         for c in sorted(neighbor_sets[a] & neighbor_sets[b]):
             total = nw[a] + nw[b] + nw[c]
             triple = tuple(sorted((a, b, c)))
@@ -320,7 +320,7 @@ def find_subgraph(g: Graph, pattern: Graph) -> Answer:
     for a, b in pattern.edge_pairs:
         p_out[a].add(b)
         p_in[b].add(a)
-    host_edges = g.edge_key_set
+    host_edges = g.weight_map
     h_out = [0] * g.num_nodes
     h_in = [0] * g.num_nodes
     for a, b in host_edges:

@@ -759,10 +759,11 @@ def test_missing_out_directory_fails_before_sampling(problems_file, tmp_path,
 @pytest.mark.parametrize("argv,message", [
     (["annotate", "--out", "{tmp}/folder"], "Is a directory"),
     (["evaluate", "--out", "{tmp}/file"], "File exists"),
+    (["evaluate", "--out", "{tmp}/file/report"], "Not a directory"),
     (["annotate", "--cache", "{tmp}/nodir/c.jsonl",
       "--out", "{tmp}/paths.jsonl"], "No such file"),
 ], ids=["file-out-is-a-directory", "evaluate-out-is-a-file",
-        "cache-in-a-missing-directory"])
+        "evaluate-out-below-a-file", "cache-in-a-missing-directory"])
 def test_unwritable_outputs_fail_before_any_request(
         problems_file, tmp_path, capsys, monkeypatch, argv, message):
     from graphcorpus import cli

@@ -1,11 +1,13 @@
 import pytest
 
 from graphcorpus.errors import GraphInvalidError, InvalidSpecError
+from graphcorpus.grader import audit_steps, path_weight
 from graphcorpus.graphs import (Graph, assign_edge_weights,
                                 assign_node_weights, bfs, canonical_key,
                                 connected_components, generate_dag,
                                 generate_er, path_to, union_find,
                                 validate_graph)
+from graphcorpus.textgen import Problem
 
 from oracles import oracle_topo_orders
 
@@ -160,7 +162,7 @@ def test_key_orients_undirected_pairs_only():
     directed = Graph(3, True, [(2, 0)])
     assert directed.key(2, 0) == (2, 0) and directed.key(0, 2) == (0, 2)
     assert directed.has_edge(2, 0) and not directed.has_edge(0, 2)
-    assert directed.edge_key_set == {(2, 0)}
+    assert directed.weight_map == {(2, 0): 1}
 
 
 def test_graph_is_immutable_with_cached_views():
@@ -170,13 +172,11 @@ def test_graph_is_immutable_with_cached_views():
         g.num_nodes = 5
     with pytest.raises(AttributeError):
         g.edges = ()
-    for view in ("weighted", "edge_pairs", "edge_key_set", "weight_map",
-                 "adjacency"):
+    for view in ("weighted", "edge_pairs", "weight_map", "adjacency"):
         assert getattr(g, view) is getattr(g, view)
     assert g.adjacency == ((1,), (0, 2), (1,), ())
     h = Graph(g.num_nodes, g.directed, [(0, 3, 1)], g.node_weights)
     assert h.edges == ((0, 3, 1),) and h.node_weights == g.node_weights
-    assert h.edge_key_set == {(0, 3)} and g.edge_key_set == {(0, 1), (1, 2)}
     assert h.weight_map == {(0, 3): 1} and g.weight_map == {(0, 1): 2, (1, 2): 5}
     assert h.adjacency == ((3,), (), (), (0,))
 
@@ -190,11 +190,9 @@ def test_views_reuse_the_edge_tuples():
               generate_dag(12, 0.4, seed=3)):
         validate_graph(g)
         assert g.edge_pairs is g.edges
-        assert objects(g.edge_key_set) <= objects(g.edges)
         assert objects(g.weight_map) <= objects(g.edges)
     weighted = assign_edge_weights(generate_er(12, 0.4, seed=3), 1, 9, seed=3)
     validate_graph(weighted)
-    assert objects(weighted.edge_key_set) <= objects(weighted.edge_pairs)
     assert objects(weighted.weight_map) <= objects(weighted.edge_pairs)
     edge = (0, 1)
     assert Graph(2, False, [edge]).edges[0] is edge
@@ -206,8 +204,28 @@ def test_views_of_an_unvalidated_graph_keep_their_meaning():
     g = Graph(3, False, [(2, 0)])
     assert g.edge_pairs == ((2, 0),)
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
-    assert g.edge_key_set == {(0, 2)} and g.weight_map == {(0, 2): 1}
+    assert g.weight_map == {(0, 2): 1}
     assert Graph(3, False, [(2, 0, 5)]).weight_map == {(0, 2): 5}
+
+
+def test_weight_map_is_the_one_keyed_edge_table():
+    graphs = [generate_er(12, 0.4, seed=3),
+              generate_er(12, 0.4, directed=True, seed=3),
+              generate_dag(12, 0.4, seed=3),
+              assign_edge_weights(generate_er(12, 0.4, seed=3), 1, 9, seed=3),
+              Graph(3, False, [(2, 0)])]     # unvalidated: stored reversed
+    for g in graphs:
+        for u in range(g.num_nodes):
+            for v in range(g.num_nodes):
+                assert g.has_edge(u, v) == (g.key(u, v) in g.weight_map)
+        u, v = g.edge_pairs[0]
+        w = g.weight_map[g.key(u, v)]
+        assert path_weight(g, [u, v]) == w
+        assert audit_steps(Problem("t", "cycle", g, {}),
+                           f"Edge ({u},{v},{w}) is there.") == []
+        tables = [name for name, view in vars(g).items()
+                  if isinstance(view, (set, frozenset, dict))]
+        assert tables == ["weight_map"]
 
 
 def test_bfs_follows_edge_direction():

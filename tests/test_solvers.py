@@ -164,7 +164,7 @@ def test_bipartite_even_cycle_yes():
     assert ans.value is True
     side0, side1 = ans.witness
     assert sorted(side0 + side1) == [0, 1, 2, 3]
-    edges = g.edge_key_set
+    edges = g.weight_map
     assert not any((a, b) in edges or (b, a) in edges
                    for side in (side0, side1)
                    for a in side for b in side if a < b)
