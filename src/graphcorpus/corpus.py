@@ -31,7 +31,7 @@ from .config import has_type
 from .errors import InvalidQueryError, InvalidSpecError, RecordError, SchemaError
 from .graphs import Graph, validate_graph
 from .selector import SELECTOR_VERSION, build_dpo_pair
-from .tasks import require_kind
+from .tasks import TaskInfo, get_task, require_kind
 from .textgen import Answer, Problem
 from .grader import judge
 
@@ -86,11 +86,29 @@ def graph_from_dict(d: dict) -> Graph:
     return g
 
 
+# The type each answer kind's value must have.
+_VALUES = {"yes_no": ("a boolean", bool), "numeric": ("an integer", int),
+           "sequence": ("a list of integers", list[int])}
+
+
+def _check_answer(info: TaskInfo, kind: str, value: Any) -> None:
+    """Written and read answers alike: the task's kind, a value of it."""
+    if kind != info.answer_kind:
+        raise InvalidSpecError(f"answer kind {kind!r} is not "
+                               f"{info.name}'s {info.answer_kind!r}")
+    what, hint = _VALUES[kind]
+    if not has_type(value, hint):
+        raise InvalidSpecError(f"answer value {value!r} is not {what}")
+
+
 def problem_to_record(p: Problem) -> dict:
     """The problems-v1 record: a subgraph query's pattern is written as a
-    graph dict and its witness mapping as sorted [pattern, host] pairs."""
+    graph dict and its witness mapping as sorted [pattern, host] pairs. An
+    answer `record_to_problem` refuses (such as none_exists) is refused."""
     if p.answer is None:
         raise RecordError(f"{p.id}: problem has no ground truth answer")
+    value = _plain(p.answer.value)
+    _check_answer(get_task(p.task), p.answer.kind, value)
     query, witness = dict(p.query), _plain(p.answer.witness)
     if p.task == "subgraph":
         query = {"pattern": graph_to_dict(query["pattern"])}
@@ -102,17 +120,11 @@ def problem_to_record(p: Problem) -> dict:
         "task": p.task,
         "graph": graph_to_dict(p.graph),
         "query": query,
-        "answer": {"kind": p.answer.kind, "value": _plain(p.answer.value),
-                   "witness": witness},
+        "answer": {"kind": p.answer.kind, "value": value, "witness": witness},
         "tier": dict(p.tier) if p.tier else None,
         "seed": p.seed,
         "text": p.text,
     }
-
-
-# The type each answer kind's value must have.
-_VALUES = {"yes_no": ("a boolean", bool), "numeric": ("an integer", int),
-           "sequence": ("a list of integers", list[int])}
 
 
 def record_to_problem(rec: dict) -> Problem:
@@ -127,12 +139,7 @@ def record_to_problem(rec: dict) -> Problem:
     query, answer = dict(rec["query"]), rec["answer"]
     graph = graph_from_dict(rec["graph"])
     info = require_kind(graph, task)
-    if answer["kind"] != info.answer_kind:
-        raise InvalidSpecError(f"answer kind {answer['kind']!r} is not "
-                               f"{task}'s {info.answer_kind!r}")
-    what, hint = _VALUES[info.answer_kind]
-    if not has_type(answer["value"], hint):
-        raise InvalidSpecError(f"answer value {answer['value']!r} is not {what}")
+    _check_answer(info, answer["kind"], answer["value"])
     for _, name, _, _ in Formatter().parse(info.question):
         if name and not (has_type(query.get(name), int)
                          and 0 <= query[name] < graph.num_nodes):

@@ -2,17 +2,18 @@
 
 Edges are tuples (u, v) or (u, v, weight); undirected edges are stored with
 u < v, and `Graph.key` gives any pair its stored form. A Graph is
-immutable, so its derived views (edge pairs, the weight map, adjacency) are
-computed once per instance and shared. The weight map is the one edge
-table: every keyed lookup of an edge, for membership or weight, reads it.
-The views reuse the edge tuples: an unweighted graph's edge pairs are its
-edges, and the weight map's keys are those pairs, building a new one only
-for a pair not in `key` form. `bfs` is the
-one breadth-first search (connectivity, bipartite colouring, augmenting
-paths, reachability), `path_to` reads a path off its tree, and
-`union_find` is the one union-find.
-Generators draw from random.Random(seed) in a fixed documented order, so a
-(parameters, seed) pair always yields the same graph.
+immutable, so its derived views (edge pairs, the weight map, adjacency and
+the direction-blind `neighbours`) are computed once per instance and
+shared. The weight map is the one edge table: every keyed lookup of an
+edge, for membership or weight, reads it. The views reuse the edge tuples:
+an unweighted graph's edge pairs are its edges, and the weight map's keys
+are those pairs, building a new one only for a pair not in `key` form.
+`bfs` is the one breadth-first search (connectivity, bipartite colouring,
+augmenting paths, reachability), `path_to` reads a path off its tree, and
+`union_find` is the one union-find. Generators draw from
+random.Random(seed) in a fixed documented order, so a (parameters, seed)
+pair always yields the same graph; `_draw_pairs` is the one Erdos-Renyi
+pair draw, shared by `generate_er` and `generate_dag`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import random
 from functools import cached_property
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .errors import GraphInvalidError, InvalidSpecError
@@ -61,9 +63,7 @@ class Graph(_GraphFields):
     def key(self, u: int, v: int) -> tuple[int, int]:
         """The stored form of the pair: (u, v) when directed, low end first
         when undirected."""
-        if self.directed or u < v:
-            return (u, v)
-        return (v, u)
+        return self._keyed((u, v))
 
     def _keyed(self, pair: tuple[int, int]) -> tuple[int, int]:
         """pair itself when it is in `key` form, else its `key`."""
@@ -93,6 +93,14 @@ class Graph(_GraphFields):
             if not self.directed:
                 adj[v].append(u)
         return tuple(map(tuple, adj))
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour lists ignoring direction, in edge order: the adjacency
+        of the same edges read as undirected (`adjacency` when they are)."""
+        if not self.directed:
+            return self.adjacency
+        return Graph(self.num_nodes, False, self.edges).adjacency
 
 
 def bfs(adj, s: int, residual: dict | None = None,
@@ -162,10 +170,7 @@ def canonical_key(g: Graph) -> str:
 
     Edge order and undirected orientation do not affect the key.
     """
-    if g.directed:
-        edges = sorted(tuple(e) for e in g.edges)
-    else:
-        edges = sorted((min(e[0], e[1]), max(e[0], e[1])) + tuple(e[2:]) for e in g.edges)
+    edges = sorted(g.key(e[0], e[1]) + e[2:] for e in g.edges)
     payload = repr((g.num_nodes, g.directed, edges, tuple(g.node_weights or ())))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -177,6 +182,11 @@ def _check_er_params(num_nodes: int, p: float) -> None:
         raise InvalidSpecError(f"edge probability must be in [0,1], got {p}")
 
 
+def _draw_pairs(pairs, p: float, rng: random.Random) -> list[tuple[int, int]]:
+    """The pairs that win one Bernoulli(p) draw each, drawn in pair order."""
+    return [(u, v) for u, v in pairs if rng.random() < p]
+
+
 def generate_er(num_nodes: int, p: float, *, directed: bool = False, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) with one Bernoulli draw per node pair.
 
@@ -184,18 +194,8 @@ def generate_er(num_nodes: int, p: float, *, directed: bool = False, seed: int) 
     ordered pairs (u, v), u != v, in lexicographic order.
     """
     _check_er_params(num_nodes, p)
-    rng = random.Random(seed)
-    edges: list[tuple] = []
-    if directed:
-        for u in range(num_nodes):
-            for v in range(num_nodes):
-                if u != v and rng.random() < p:
-                    edges.append((u, v))
-    else:
-        for u in range(num_nodes):
-            for v in range(u + 1, num_nodes):
-                if rng.random() < p:
-                    edges.append((u, v))
+    pairs = (permutations if directed else combinations)(range(num_nodes), 2)
+    edges = _draw_pairs(pairs, p, random.Random(seed))
     return Graph(num_nodes=num_nodes, directed=directed, edges=edges)
 
 
@@ -211,11 +211,8 @@ def generate_dag(num_nodes: int, p: float, *, seed: int) -> Graph:
     order = list(range(num_nodes))
     rng.shuffle(order)
     rank = {node: i for i, node in enumerate(order)}
-    edges: list[tuple] = []
-    for u in range(num_nodes):
-        for v in range(u + 1, num_nodes):
-            if rng.random() < p:
-                edges.append((u, v) if rank[u] < rank[v] else (v, u))
+    edges = [(u, v) if rank[u] < rank[v] else (v, u)
+             for u, v in _draw_pairs(combinations(range(num_nodes), 2), p, rng)]
     return Graph(num_nodes=num_nodes, directed=True, edges=edges)
 
 

@@ -4,9 +4,10 @@ Every solver returns an Answer whose witness, when present, passes the
 grader's independent validity check. hamilton_path may return None (unknown)
 when its search budget runs out; callers regenerate such instances.
 Connectivity, the bipartite colouring and max flow's augmenting paths all
-use `graphs.bfs`, and every path witness is read off a tree by
-`graphs.path_to`. max_flow is Edmonds-Karp, and its min-cut witness is the
-node set that its last, failing search reaches from the source.
+use `graphs.bfs`, the latter two over `Graph.neighbours`, and every path
+witness is read off a tree by `graphs.path_to`. max_flow is Edmonds-Karp,
+and its min-cut witness is the node set that its last, failing search
+reaches from the source.
 """
 
 from __future__ import annotations
@@ -78,11 +79,7 @@ def is_bipartite(g: Graph) -> Answer:
 
     Witness: (side0, side1) sorted node lists when yes, an odd cycle when no.
     """
-    # direction is irrelevant to 2-colorability
-    adj: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    for u, v in g.edge_pairs:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = g.neighbours          # direction is irrelevant to 2-colorability
     color = [-1] * g.num_nodes
     for root in range(g.num_nodes):
         if color[root] != -1:
@@ -193,14 +190,11 @@ def max_flow(g: Graph, s: int, t: int) -> Answer:
     if s == t:
         raise InvalidQueryError("flow query needs distinct source and sink")
     residual = dict(g.weight_map)
-    nbrs: list[set[int]] = [set() for _ in range(g.num_nodes)]
     for a, b in g.weight_map:
         residual.setdefault((b, a), 0)
-        nbrs[a].add(b)
-        nbrs[b].add(a)
     total = 0
     while True:
-        tree = bfs(nbrs, s, residual, stop=t)
+        tree = bfs(g.neighbours, s, residual, stop=t)
         if t not in tree:
             return Answer("numeric", total, witness=sorted(tree))
         path = path_to(tree, t)

@@ -8,13 +8,14 @@ import pytest
 from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
                                 PROBLEMS_SCHEMA, SFT_SCHEMA,
                                 assemble_dpo, assemble_sft, compute_stats,
-                                format_stats, problem_to_record, read_jsonl,
-                                read_problems, record_to_problem, write_jsonl,
-                                write_problems)
+                                format_stats, graph_to_dict, problem_to_record,
+                                read_jsonl, read_problems, record_to_problem,
+                                write_jsonl, write_problems)
 from graphcorpus.errors import InvalidSpecError, RecordError, SchemaError
 from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.graphs import Graph
-from graphcorpus.solvers import Answer
+from graphcorpus.solvers import (Answer, max_triangle_sum, shortest_path,
+                                 topo_sort)
 from graphcorpus.tasks import TASK_ORDER
 from graphcorpus.textgen import Problem, render_problem
 
@@ -232,6 +233,37 @@ def test_problems_file_round_trip(tmp_path):
     loaded = read_problems(path)
     assert [problem_to_record(p) for p in loaded] == \
         [problem_to_record(p) for p in problems]
+
+
+@pytest.mark.parametrize("task, graph, query, solver", [
+    ("topology", Graph(3, True, [(0, 1), (1, 2), (2, 0)]), {}, topo_sort),
+    ("shortest", Graph(4, False, [(0, 1, 2), (2, 3, 5)]), {"u": 0, "v": 3},
+     shortest_path),
+    ("triangle", Graph(4, False, [(0, 1), (1, 2), (2, 3)],
+                       node_weights=[1, 2, 3, 4]), {}, max_triangle_sum),
+], ids=["topo_sort", "shortest_path", "max_triangle_sum"])
+def test_write_refuses_an_answer_the_reader_refuses(tmp_path, task, graph,
+                                                    query, solver):
+    answer = solver(graph, **query)
+    assert answer.kind == "none_exists"
+    problem = Problem("p0", task, graph, query, answer=answer,
+                      text=render_problem(task, graph, query))
+    path = tmp_path / "problems.jsonl"
+    with pytest.raises(InvalidSpecError) as written:
+        write_problems(str(path), [problem])
+    assert not path.exists() and list(tmp_path.iterdir()) == []
+    # the same record, written past the check, fails to read with the
+    # message the writer gave
+    record = {"schema": PROBLEMS_SCHEMA, "id": "p0", "task": task,
+              "graph": graph_to_dict(graph), "query": query,
+              "answer": {"kind": "none_exists", "value": None,
+                         "witness": None},
+              "tier": None, "seed": None, "text": problem.text}
+    write_jsonl(str(path), [record])
+    with pytest.raises(SchemaError) as read:
+        read_problems(str(path))
+    assert str(written.value) in str(read.value)
+    assert "is not" in str(written.value)
 
 
 # ---------------------------------------------------------------------------

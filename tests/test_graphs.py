@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from graphcorpus.errors import GraphInvalidError, InvalidSpecError
@@ -75,6 +77,25 @@ def test_er_directed_scans_ordered_pairs():
     assert list(g.edges) == sorted(g.edges)
     assert all(u != v for u, v in g.edges)
     validate_graph(g)
+
+
+def test_generators_draw_once_per_pair_in_pair_order():
+    n, p, seed = 9, 0.4, 11
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    ordered = [(u, v) for u in range(n) for v in range(n) if u != v]
+    rng = random.Random(seed)
+    assert generate_er(n, p, seed=seed).edges == tuple(
+        pair for pair in pairs if rng.random() < p)
+    rng = random.Random(seed)
+    assert generate_er(n, p, directed=True, seed=seed).edges == tuple(
+        pair for pair in ordered if rng.random() < p)
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)                  # the DAG's hidden order comes first
+    rank = {node: i for i, node in enumerate(order)}
+    assert generate_dag(n, p, seed=seed).edges == tuple(
+        (u, v) if rank[u] < rank[v] else (v, u)
+        for u, v in pairs if rng.random() < p)
 
 
 def test_er_extreme_densities():
@@ -179,6 +200,20 @@ def test_graph_is_immutable_with_cached_views():
     assert h.edges == ((0, 3, 1),) and h.node_weights == g.node_weights
     assert h.weight_map == {(0, 3): 1} and g.weight_map == {(0, 1): 2, (1, 2): 5}
     assert h.adjacency == ((3,), (), (), (0,))
+
+
+def test_neighbours_ignore_direction_in_edge_order():
+    g = Graph(4, True, [(2, 0), (0, 1), (1, 0)])
+    assert g.adjacency == ((1,), (0,), (0,), ())
+    assert g.neighbours == ((2, 1, 1), (0, 0), (0,), ())
+    assert g.neighbours is g.neighbours
+    for u in (generate_er(12, 0.4, seed=3), Graph(3, False, [(2, 0)])):
+        assert u.neighbours is u.adjacency
+    d = generate_dag(12, 0.4, seed=3)
+    for node in range(d.num_nodes):
+        ends = [v if u == node else u for u, v in d.edge_pairs
+                if node in (u, v)]
+        assert d.neighbours[node] == tuple(ends)
 
 
 def test_views_reuse_the_edge_tuples():

@@ -1,13 +1,14 @@
 """What the package ships and what its benchmark relies on.
 
-The package holds only what some stage runs: a top-level name that no
-module of `src/graphcorpus/` uses is test-only code and belongs under
-`tests/`. So is a parameter default that every caller in `src/` overrides
-(the stage's settings live in `PipelineConfig`, so a copy in a function
-serves only tests) and an attribute stored on `self` that nothing in
-`src/` reads. The benchmark under `perfbench/` imports names from the
-package and reads fields of `PipelineConfig()`; a rename that breaks it
-must fail here, not only when the benchmark runs.
+The package holds only what some stage runs: a top-level name, or a
+method, cached view or field of a class, that no module of
+`src/graphcorpus/` uses is test-only code and belongs under `tests/`. So
+is a parameter default that every caller in `src/` overrides (the stage's
+settings live in `PipelineConfig`, so a copy in a function serves only
+tests) and an attribute stored on `self` that nothing in `src/` reads.
+The benchmark under `perfbench/` imports names from the package and reads
+fields of `PipelineConfig()`; a rename that breaks it must fail here, not
+only when the benchmark runs.
 """
 
 import ast
@@ -59,6 +60,38 @@ def test_every_top_level_name_in_src_is_used_in_src():
     used = set().union(*map(_used_names, trees.values()))
     unused = [f"{name[:-3]}.{n}" for name, tree in trees.items()
               for n in _top_level_names(tree) if n not in used]
+    assert unused == []
+
+
+def _class_members(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, member) for each method, cached view and annotated field of
+    a class. Dunder methods run without being named, and a plain class
+    constant (such as the benchmark's `PipelineConfig.rejection_attempts`)
+    is no member here."""
+    members = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+            elif (isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)):
+                name = item.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                members.append((node.name, name))
+    return members
+
+
+def test_every_class_member_in_src_is_used_in_src():
+    trees = _trees(SRC)
+    used = set().union(*map(_used_names, trees.values()))
+    members = {file: _class_members(tree) for file, tree in trees.items()}
+    assert ("Graph", "neighbours") in members["graphs.py"]
+    unused = [f"{file[:-3]}.{cls}.{name}" for file, found in members.items()
+              for cls, name in found if name not in used]
     assert unused == []
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import graphcorpus.solvers
@@ -240,6 +242,28 @@ def test_flow_witness_with_antiparallel_edges():
                            (((0, 1, 3), (1, 0, 2), (1, 2, 1)), [0, 1])):
         ans = max_flow(Graph(3, True, edges), 0, 2)
         assert (ans.value, ans.witness) == (1, witness), edges
+
+
+def test_flow_does_not_depend_on_edge_order():
+    # the witness is the unique smallest min-cut source side, so neither it
+    # nor the value may change with the neighbour order the search follows
+    antiparallel = 0
+    for seed in range(30):
+        n = 4 + seed % 7
+        g = assign_edge_weights(generate_er(n, 0.45, directed=True,
+                                            seed=seed), 1, 6, seed=seed)
+        antiparallel += sum((v, u) in g.weight_map for u, v in g.edge_pairs)
+        edges = list(g.edges)
+        random.Random(seed).shuffle(edges)
+        shuffled = Graph(n, True, edges)
+        reversed_ = Graph(n, True, g.edges[::-1])
+        for s, t in ((0, n - 1), (n - 1, 0), (1, n // 2)):
+            expected = max_flow(g, s, t)
+            for other in (shuffled, reversed_):
+                got = max_flow(other, s, t)
+                assert (got.value, got.witness) == (
+                    expected.value, expected.witness), (seed, s, t)
+    assert antiparallel > 0
 
 
 def test_flow_long_chain():
