@@ -31,7 +31,7 @@ from .config import has_type
 from .errors import InvalidQueryError, InvalidSpecError, RecordError, SchemaError
 from .graphs import Graph, validate_graph
 from .selector import SELECTOR_VERSION, build_dpo_pair
-from .tasks import TaskInfo, get_task, require_kind
+from .tasks import require_kind, require_pattern
 from .textgen import Answer, Problem
 from .grader import judge
 
@@ -91,55 +91,53 @@ _VALUES = {"yes_no": ("a boolean", bool), "numeric": ("an integer", int),
            "sequence": ("a list of integers", list[int])}
 
 
-def _check_answer(info: TaskInfo, kind: str, value: Any) -> None:
-    """Written and read answers alike: the task's kind, a value of it."""
-    if kind != info.answer_kind:
-        raise InvalidSpecError(f"answer kind {kind!r} is not "
-                               f"{info.name}'s {info.answer_kind!r}")
-    what, hint = _VALUES[kind]
-    if not has_type(value, hint):
-        raise InvalidSpecError(f"answer value {value!r} is not {what}")
-
-
 def problem_to_record(p: Problem) -> dict:
     """The problems-v1 record: a subgraph query's pattern is written as a
-    graph dict and its witness mapping as sorted [pattern, host] pairs. An
-    answer `record_to_problem` refuses (such as none_exists) is refused."""
+    graph dict and its witness mapping as sorted [pattern, host] pairs. A
+    record `record_to_problem` refuses is refused with its error."""
     if p.answer is None:
         raise RecordError(f"{p.id}: problem has no ground truth answer")
-    value = _plain(p.answer.value)
-    _check_answer(get_task(p.task), p.answer.kind, value)
     query, witness = dict(p.query), _plain(p.answer.witness)
     if p.task == "subgraph":
         query = {"pattern": graph_to_dict(query["pattern"])}
         if isinstance(p.answer.witness, dict):
             witness = [[int(k), int(v)] for k, v in sorted(p.answer.witness.items())]
-    return {
+    rec = {
         "schema": PROBLEMS_SCHEMA,
         "id": p.id,
         "task": p.task,
         "graph": graph_to_dict(p.graph),
         "query": query,
-        "answer": {"kind": p.answer.kind, "value": value, "witness": witness},
+        "answer": {"kind": p.answer.kind, "value": _plain(p.answer.value),
+                   "witness": witness},
         "tier": dict(p.tier) if p.tier else None,
         "seed": p.seed,
         "text": p.text,
     }
+    record_to_problem(rec)
+    return rec
 
 
 def record_to_problem(rec: dict) -> Problem:
     """Inverse of problem_to_record. An unknown task, an answer kind that is
     not its task's, a value not of that kind, a witness not of its task's
-    type or a subgraph witness with other than one [pattern, host] pair per
-    pattern node is an InvalidSpecError; a query node the task's question
-    names that is missing or not a node of the graph is an
-    InvalidQueryError; a graph of another kind than its task's is a
-    GraphKindError."""
+    type or naming a node outside the graph, or a subgraph witness with
+    other than one [pattern, host] pair per pattern node is an
+    InvalidSpecError; a query node the task's question names that is
+    missing or not a node of the graph, or a subgraph pattern with more
+    nodes than the graph, is an InvalidQueryError; a graph or pattern of
+    another kind than its task's is a GraphKindError."""
     task = rec["task"]
     query, answer = dict(rec["query"]), rec["answer"]
     graph = graph_from_dict(rec["graph"])
     info = require_kind(graph, task)
-    _check_answer(info, answer["kind"], answer["value"])
+    kind, value = answer["kind"], answer["value"]
+    if kind != info.answer_kind:
+        raise InvalidSpecError(f"answer kind {kind!r} is not "
+                               f"{task}'s {info.answer_kind!r}")
+    what, hint = _VALUES[kind]
+    if not has_type(value, hint):
+        raise InvalidSpecError(f"answer value {value!r} is not {what}")
     for _, name, _, _ in Formatter().parse(info.question):
         if name and not (has_type(query.get(name), int)
                          and 0 <= query[name] < graph.num_nodes):
@@ -150,8 +148,15 @@ def record_to_problem(rec: dict) -> Problem:
     if not has_type(witness, info.witness):
         raise InvalidSpecError(f"{task} witness {witness!r} is not "
                                f"{info.witness}")
+    # every node a witness names, both ends of a subgraph [pattern, host]
+    # pair too, since a pattern may have no more nodes than its host
+    named = [x for w in witness or () for x in (w if isinstance(w, list) else [w])]
+    if not all(0 <= x < graph.num_nodes for x in named):
+        raise InvalidSpecError(f"{task} witness {witness!r} names a node "
+                               f"outside the graph (0 to {graph.num_nodes - 1})")
     if task == "subgraph":
         query = {"pattern": graph_from_dict(query["pattern"])}
+        require_pattern(graph, query["pattern"])
         if witness is not None:
             if not (all(len(pair) == 2 for pair in witness)
                     and sorted(k for k, _ in witness)
@@ -165,7 +170,7 @@ def record_to_problem(rec: dict) -> Problem:
         task=task,
         graph=graph,
         query=query,
-        answer=Answer(answer["kind"], answer["value"], witness=witness),
+        answer=Answer(kind, value, witness=witness),
         tier=rec.get("tier"),
         seed=rec.get("seed"),
         text=rec["text"],

@@ -2,18 +2,21 @@
 
 Every attempt derives its RNG from sha256(seed:split:task:slot:attempt), so
 corpora are reproducible and each retry is an independent draw. Yes/no tasks
-alternate the wanted label across slots; an attempt is rejected when the
-sampled graph disagrees. After REJECTION_ATTEMPTS misses the generator
-switches to constructive transforms (plant a cycle, carve the graph apart,
-embed the pattern, ...) that force the label, then re-solves to confirm.
-Rendered problems over TOKEN_BUDGET and graphs already in the corpus are
-rejected the same way, for at most MAX_ATTEMPTS draws per slot (`config`).
+alternate the wanted label across slots. A task's builder only draws: it
+yields the sampled candidate, then a forced one made by a constructive
+transform (plant a cycle, carve the graph apart, embed the pattern, ...) and
+re-solved. The driver alone judges: it rejects a missing candidate, an
+unknown answer (Hamilton's budget ran out) or the wrong label, and asks for
+the forced candidate only on an attempt at or past REJECTION_ATTEMPTS whose
+draw missed. Rendered problems over TOKEN_BUDGET and graphs already in the
+corpus are rejected too, for at most MAX_ATTEMPTS draws per slot (`config`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from itertools import islice
 
 from .config import MAX_ATTEMPTS, REJECTION_ATTEMPTS, TOKEN_BUDGET
 from .errors import InvalidSpecError, StageError
@@ -55,35 +58,22 @@ def _join(g: Graph, pairs) -> Graph:
         {*g.weight_map, *(g.key(u, v) for u, v in pairs)}), g.node_weights)
 
 
-def _add_triangle(g: Graph, rng: random.Random) -> Graph:
-    a, b, c = rng.sample(range(g.num_nodes), 3)
-    return _join(g, ((a, b), (a, c), (b, c)))
-
-
-def _random_side(n: int, rng: random.Random) -> set[int]:
-    """A seeded set of between 1 and n - 1 of the nodes."""
-    order = list(range(n))
+def _split(g: Graph, rng: random.Random,
+           crossing: bool) -> tuple[Graph, list[int], list[int]]:
+    """Split the nodes in two at a seeded cut and keep only the edges that
+    cross it (crossing) or only those that do not; also the two sides."""
+    order = list(range(g.num_nodes))
     rng.shuffle(order)
-    return set(order[:rng.randint(1, n - 1)])
-
-
-def _carve_split(g: Graph, rng: random.Random) -> tuple[Graph, list[int], list[int]]:
-    """Split the nodes in two and drop every crossing edge."""
-    side = _random_side(g.num_nodes, rng)
-    edges = [e for e in g.edges if (e[0] in side) == (e[1] in side)]
+    cut = rng.randint(1, g.num_nodes - 1)
+    side = set(order[:cut])
+    edges = [e for e in g.edges if ((e[0] in side) != (e[1] in side)) == crossing]
     return (Graph(g.num_nodes, g.directed, sorted(edges), g.node_weights),
-            sorted(side), sorted(set(range(g.num_nodes)) - side))
+            sorted(order[:cut]), sorted(order[cut:]))
 
 
-def _plant_partition(g: Graph, rng: random.Random) -> Graph:
-    """Keep only the edges that cross a seeded two-way node split."""
-    side = _random_side(g.num_nodes, rng)
-    edges = [e for e in g.edges if (e[0] in side) != (e[1] in side)]
-    return Graph(g.num_nodes, g.directed, sorted(edges), g.node_weights)
-
-
-def _inject_odd_triangle(g: Graph, rng: random.Random) -> Graph:
-    """Close a directed triangle, skipping pairs already joined either way."""
+def _close_triangle(g: Graph, rng: random.Random) -> Graph:
+    """Close a seeded triangle a->b->c->a, skipping pairs already joined
+    either way (undirected: g plus the triangle's three edges)."""
     a, b, c = rng.sample(range(g.num_nodes), 3)
     return _join(g, [(u, v) for u, v in ((a, b), (b, c), (c, a))
                      if not g.has_edge(v, u)])
@@ -101,86 +91,75 @@ def _embed_pattern(host: Graph, pattern: Graph, rng: random.Random) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Per-task attempt builders
+# Per-task builders: each yields the drawn candidate (graph, query, answer)
+# or None, then, if it has one, the candidate its transform forces.
 # ---------------------------------------------------------------------------
 
 def _draw_n(tier: Tier, rng: random.Random, floor: int = 1) -> int:
     return max(rng.randint(tier.lo, tier.hi), floor)
 
 
+def _query_pair(comps: list[list[int]], rng: random.Random,
+                joined: bool) -> list[int] | None:
+    """Seeded nodes u, v of one component (joined) or of two different
+    ones; None when the components hold no such pair."""
+    if joined:
+        big = [c for c in comps if len(c) >= 2]
+        return rng.sample(rng.choice(big), 2) if big else None
+    if len(comps) < 2:
+        return None
+    ca, cb = rng.sample(comps, 2)
+    return [rng.choice(ca), rng.choice(cb)]
+
+
 def _gen_cycle(tier, desired, rng, transform):
     n = _draw_n(tier, rng, 3 if desired else 1)
     g = generate_er(n, tier.p, seed=_sub(rng))
-    ans = has_cycle(g)
-    if ans.value == desired:
-        return g, {}, ans
-    if not transform:
-        return None
-    g = _add_triangle(g, rng) if desired else _spanning_forest(g, rng)
-    ans = has_cycle(g)
-    return (g, {}, ans) if ans.value == desired else None
+    yield g, {}, has_cycle(g)
+    g = _close_triangle(g, rng) if desired else _spanning_forest(g, rng)
+    yield g, {}, has_cycle(g)
 
 
 def _gen_connect(tier, desired, rng, transform):
     n = _draw_n(tier, rng, 2)
     g = generate_er(n, tier.p, seed=_sub(rng))
-    comps = connected_components(g)
-    if desired:
-        big = [c for c in comps if len(c) >= 2]
-        if big:
-            comp = big[rng.randrange(len(big))]
-            u, v = rng.sample(comp, 2)
-            return g, {"u": u, "v": v}, is_connected(g, u, v)
-        if not transform:
-            return None
-        u, v = rng.sample(range(n), 2)
-        g = _join(g, [(u, v)])
-        return g, {"u": u, "v": v}, is_connected(g, u, v)
-    if len(comps) >= 2:
-        ca, cb = rng.sample(range(len(comps)), 2)
-        u = comps[ca][rng.randrange(len(comps[ca]))]
-        v = comps[cb][rng.randrange(len(comps[cb]))]
-        return g, {"u": u, "v": v}, is_connected(g, u, v)
-    if not transform:
-        return None
-    g, side_a, side_b = _carve_split(g, rng)
-    u = side_a[rng.randrange(len(side_a))]
-    v = side_b[rng.randrange(len(side_b))]
-    ans = is_connected(g, u, v)
-    return (g, {"u": u, "v": v}, ans) if not ans.value else None
+    pair = _query_pair(connected_components(g), rng, desired)
+    if pair is None:
+        yield None
+        if desired:
+            pair = rng.sample(range(n), 2)
+            g = _join(g, [pair])
+        else:
+            g, side, rest = _split(g, rng, False)
+            pair = rng.choice(side), rng.choice(rest)
+    u, v = pair
+    yield g, {"u": u, "v": v}, is_connected(g, u, v)
 
 
 def _gen_bipartite(tier, desired, rng, transform):
     n = _draw_n(tier, rng, 1 if desired else 3)
     g = generate_er(n, tier.p, directed=True, seed=_sub(rng))
-    ans = is_bipartite(g)
-    if ans.value == desired:
-        return g, {}, ans
-    if not transform:
-        return None
-    g = _plant_partition(g, rng) if desired else _inject_odd_triangle(g, rng)
-    ans = is_bipartite(g)
-    return (g, {}, ans) if ans.value == desired else None
+    yield g, {}, is_bipartite(g)
+    g = _split(g, rng, True)[0] if desired else _close_triangle(g, rng)
+    yield g, {}, is_bipartite(g)
 
 
 def _gen_topology(tier, desired, rng, transform):
     n = _draw_n(tier, rng)
     g = generate_dag(n, tier.p, seed=_sub(rng))
-    return g, {}, topo_sort(g)
+    yield g, {}, topo_sort(g)
 
 
 def _gen_shortest(tier, desired, rng, transform):
     n = _draw_n(tier, rng, 2)
     g = generate_er(n, tier.p, seed=_sub(rng))
-    big = [c for c in connected_components(g) if len(c) >= 2]
-    if big:
-        comp = big[rng.randrange(len(big))]
-        u, v = rng.sample(comp, 2)
-    else:
-        u, v = rng.sample(range(n), 2)
-        g = Graph(n, False, [g.key(u, v)])
+    pair = _query_pair(connected_components(g), rng, True)
+    if pair is None:     # no edge at all: join a seeded pair
+        pair = rng.sample(range(n), 2)
+        g = _join(g, [pair])
+    u, v = pair
     g = assign_edge_weights(g, WEIGHT_LO, WEIGHT_HI, seed=_sub(rng))
-    return g, {"u": u, "v": v}, shortest_path(g, u, v)
+    yield g, {"u": u, "v": v}, shortest_path(g, u, v)
 
 
 def _gen_triangle(tier, desired, rng, transform):
@@ -189,9 +168,9 @@ def _gen_triangle(tier, desired, rng, transform):
     g = assign_node_weights(g, WEIGHT_LO, WEIGHT_HI, seed=_sub(rng))
     ans = max_triangle_sum(g)
     if ans.kind == "none_exists":
-        g = _add_triangle(g, rng)
+        g = _close_triangle(g, rng)
         ans = max_triangle_sum(g)
-    return g, {}, ans
+    yield g, {}, ans
 
 
 def _gen_flow(tier, desired, rng, transform):
@@ -199,38 +178,29 @@ def _gen_flow(tier, desired, rng, transform):
     g = generate_er(n, tier.p, directed=True, seed=_sub(rng))
     order = list(range(n))
     rng.shuffle(order)
-    s = t = None
-    for cand in order:
-        reach = sorted(bfs(g.adjacency, cand).keys() - {cand})
+    for s in order:
+        reach = sorted(bfs(g.adjacency, s).keys() - {s})
         if reach:
-            s = cand
-            t = reach[rng.randrange(len(reach))]
+            t = rng.choice(reach)
             break
-    if s is None:
+    else:                # no edge at all: join a seeded pair
         s, t = rng.sample(range(n), 2)
         g = _join(g, [(s, t)])
     g = assign_edge_weights(g, WEIGHT_LO, WEIGHT_HI, seed=_sub(rng))
-    return g, {"s": s, "t": t}, max_flow(g, s, t)
+    yield g, {"s": s, "t": t}, max_flow(g, s, t)
 
 
 def _gen_hamilton(tier, desired, rng, transform):
     n = _draw_n(tier, rng, 2)
     g = generate_er(n, tier.p, seed=_sub(rng))
-    if not transform:
-        ans = hamilton_path(g)
-        if ans is not None and ans.value == desired:
-            return g, {}, ans
-        return None
+    # a transform attempt forces its label without solving the draw
+    yield None if transform else (g, {}, hamilton_path(g))
     if desired:
         g, perm = _plant_path(g, rng)
-        if not is_hamilton_path(g, perm):
-            return None
-        return g, {}, Answer("yes_no", True, witness=perm)
-    g = _carve_split(g, rng)[0]
-    ans = hamilton_path(g)
-    if ans is not None and ans.value is False:
-        return g, {}, ans
-    return None
+        yield g, {}, Answer("yes_no", is_hamilton_path(g, perm), witness=perm)
+    else:
+        g = _split(g, rng, False)[0]
+        yield g, {}, hamilton_path(g)
 
 
 def _gen_subgraph(tier, desired, rng, transform):
@@ -242,27 +212,17 @@ def _gen_subgraph(tier, desired, rng, transform):
         a, b = rng.sample(range(k), 2)
         pattern = Graph(k, True, [(a, b)])
     ans = find_subgraph(host, pattern)
-    if ans.value == desired:
-        return host, {"pattern": pattern}, ans
-    if not transform:
-        return None
+    yield host, {"pattern": pattern}, ans
     if desired:
         host = _embed_pattern(host, pattern, rng)
         ans = find_subgraph(host, pattern)
-        return (host, {"pattern": pattern}, ans) if ans.value else None
-    # make the pattern stricter until the host no longer contains it
-    for _ in range(k * (k - 1)):
-        present = pattern.weight_map
+    # else make the pattern stricter until the host no longer contains it
+    while not desired and ans.value and len(pattern.edges) < k * (k - 1):
         absent = [(a, b) for a in range(k) for b in range(k)
-                  if a != b and (a, b) not in present]
-        if not absent:
-            return None
-        extra = absent[rng.randrange(len(absent))]
-        pattern = _join(pattern, [extra])
+                  if a != b and (a, b) not in pattern.weight_map]
+        pattern = _join(pattern, [rng.choice(absent)])
         ans = find_subgraph(host, pattern)
-        if not ans.value:
-            return host, {"pattern": pattern}, ans
-    return None
+    yield host, {"pattern": pattern}, ans
 
 
 _BUILDERS = {
@@ -299,10 +259,14 @@ def generate_task(task: str, count: int, *, seed: int, split: str,
         built = None
         for attempt in range(MAX_ATTEMPTS):
             aseed = attempt_seed(seed, split, task, slot, attempt)
-            rng = random.Random(aseed)
             transform = attempt >= REJECTION_ATTEMPTS
-            cand = build(tier, desired, rng, transform)
-            if cand is None:
+            cands = build(tier, desired, random.Random(aseed), transform)
+            # the draw, then on a transform attempt the forced candidate
+            for cand in islice(cands, 2 if transform else 1):
+                if cand is not None and cand[2] is not None and (
+                        desired is None or cand[2].value == desired):
+                    break
+            else:
                 continue
             graph, query, answer = cand
             text = render_problem(task, graph, query)

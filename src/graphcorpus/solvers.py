@@ -15,9 +15,9 @@ from __future__ import annotations
 import heapq
 
 from .config import HAMILTON_BUDGET, HAMILTON_DP_LIMIT
-from .errors import GraphKindError, InvalidQueryError
+from .errors import InvalidQueryError
 from .graphs import Graph, bfs, path_to
-from .tasks import require_kind
+from .tasks import require_kind, require_pattern
 from .textgen import Answer
 
 
@@ -302,12 +302,7 @@ def find_subgraph(g: Graph, pattern: Graph) -> Answer:
     Extra host edges are allowed. Witness: {pattern node: host node}.
     """
     require_kind(g, "subgraph")
-    if not pattern.directed:
-        raise GraphKindError("subgraph pattern must be directed")
-    if pattern.num_nodes > g.num_nodes:
-        raise InvalidQueryError(
-            f"pattern has {pattern.num_nodes} nodes but host has {g.num_nodes}"
-        )
+    require_pattern(g, pattern)
     k = pattern.num_nodes
     p_out: list[set[int]] = [set() for _ in range(k)]
     p_in: list[set[int]] = [set() for _ in range(k)]

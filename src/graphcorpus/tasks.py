@@ -1,13 +1,13 @@
 """Registry of the nine graph tasks: generation envelopes, answer kinds,
 and the edge tuple style, graph preamble and question sentence their
 problems render with; `require_kind` checks that a graph is of a task's
-kind."""
+kind, and `require_pattern` that a subgraph pattern fits its host."""
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import GraphKindError, InvalidSpecError
+from .errors import GraphKindError, InvalidQueryError, InvalidSpecError
 from .graphs import Graph
 
 
@@ -93,6 +93,16 @@ def require_kind(g: Graph, name: str) -> TaskInfo:
     if info.node_weighted and g.node_weights is None:
         raise GraphKindError(f"{name} expects node weights")
     return info
+
+
+def require_pattern(g: Graph, pattern: Graph) -> None:
+    """A subgraph pattern that is undirected is a GraphKindError, and one
+    with more nodes than its host g an InvalidQueryError."""
+    if not pattern.directed:
+        raise GraphKindError("subgraph pattern must be directed")
+    if pattern.num_nodes > g.num_nodes:
+        raise InvalidQueryError(
+            f"pattern has {pattern.num_nodes} nodes but host has {g.num_nodes}")
 
 
 class Tier(NamedTuple):

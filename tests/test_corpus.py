@@ -11,11 +11,12 @@ from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
                                 format_stats, graph_to_dict, problem_to_record,
                                 read_jsonl, read_problems, record_to_problem,
                                 write_jsonl, write_problems)
-from graphcorpus.errors import InvalidSpecError, RecordError, SchemaError
+from graphcorpus.errors import (GraphKindError, InvalidQueryError,
+                               InvalidSpecError, RecordError, SchemaError)
 from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.graphs import Graph
-from graphcorpus.solvers import (Answer, max_triangle_sum, shortest_path,
-                                 topo_sort)
+from graphcorpus.solvers import (Answer, find_subgraph, max_triangle_sum,
+                                 shortest_path, topo_sort)
 from graphcorpus.tasks import TASK_ORDER
 from graphcorpus.textgen import Problem, render_problem
 
@@ -264,6 +265,57 @@ def test_write_refuses_an_answer_the_reader_refuses(tmp_path, task, graph,
         read_problems(str(path))
     assert str(written.value) in str(read.value)
     assert "is not" in str(written.value)
+
+
+HOST = Graph(3, True, [(0, 1)])
+
+
+@pytest.mark.parametrize("task, graph, query, answer, error", [
+    ("connect", Graph(3, False, [(0, 1)]), {"u": 0, "v": 7},
+     Answer("yes_no", False), InvalidQueryError),
+    ("cycle", Graph(3, False, [(0, 1)]), {},
+     Answer("yes_no", False, witness=[0, 5]), InvalidSpecError),
+    ("subgraph", HOST, {"pattern": Graph(2, False, [(0, 1)])},
+     Answer("yes_no", False), GraphKindError),
+    ("subgraph", HOST, {"pattern": Graph(4, True, [(0, 1)])},
+     Answer("yes_no", False), InvalidQueryError),
+], ids=["query-node-outside", "witness-node-outside", "undirected-pattern",
+        "pattern-larger-than-host"])
+def test_write_and_read_refuse_the_same_record(tmp_path, task, graph, query,
+                                               answer, error):
+    problem = Problem("p0", task, graph, query, answer=answer, text="t")
+    path = tmp_path / "problems.jsonl"
+    with pytest.raises(error) as written:
+        write_problems(str(path), [problem])
+    assert list(tmp_path.iterdir()) == []
+    record = {"schema": PROBLEMS_SCHEMA, "id": "p0", "task": task,
+              "graph": graph_to_dict(graph),
+              "query": {k: graph_to_dict(v) if isinstance(v, Graph) else v
+                        for k, v in query.items()},
+              "answer": {"kind": answer.kind, "value": answer.value,
+                         "witness": answer.witness},
+              "tier": None, "seed": None, "text": "t"}
+    write_jsonl(str(path), [record])
+    with pytest.raises(SchemaError) as read:
+        read_problems(str(path))
+    assert str(written.value) in str(read.value)
+
+
+@pytest.mark.parametrize("pattern, error", [
+    (Graph(2, False, [(0, 1)]), GraphKindError),
+    (Graph(4, True, [(0, 1)]), InvalidQueryError),
+], ids=["undirected", "larger-than-host"])
+def test_reader_refuses_the_patterns_the_solver_refuses(pattern, error):
+    with pytest.raises(error) as solved:
+        find_subgraph(HOST, pattern)
+    record = {"schema": PROBLEMS_SCHEMA, "id": "p0", "task": "subgraph",
+              "graph": graph_to_dict(HOST),
+              "query": {"pattern": graph_to_dict(pattern)},
+              "answer": {"kind": "yes_no", "value": False, "witness": None},
+              "text": "t"}
+    with pytest.raises(error) as read:
+        record_to_problem(record)
+    assert str(read.value) == str(solved.value)
 
 
 # ---------------------------------------------------------------------------

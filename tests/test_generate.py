@@ -1,12 +1,14 @@
 import ast
+import hashlib
 import random
 from pathlib import Path
 
 import pytest
 
 from graphcorpus import generate, grader, textgen, transcripts
+from graphcorpus.cli import main as cli_main
 from graphcorpus.config import PipelineConfig
-from graphcorpus.corpus import problem_to_record
+from graphcorpus.corpus import problem_to_record, write_problems
 from graphcorpus.errors import InvalidSpecError, StageError
 from graphcorpus.generate import (attempt_seed, generate_corpus,
                                   generate_task)
@@ -121,10 +123,9 @@ def test_generated_problems_are_well_formed(task):
         assert p.seed is not None and p.answer is not None
 
 
-@pytest.mark.parametrize("task", TASK_ORDER)
-def test_stored_answers_are_true(task):
+def _assert_stored_answers_true(task, problems):
     rng = random.Random(0)
-    for p in generate_task(task, 10, seed=4, split="truth", seen=set()):
+    for p in problems:
         # a transcript written from the stored answer must grade correct
         assert judge(p, make_transcript(p, correct=True, rng=rng)).correct, p.id
         if TASKS[task].answer_kind == "yes_no":
@@ -145,6 +146,62 @@ def test_stored_answers_are_true(task):
                 assert got == expected, p.id
             else:
                 assert p.answer.value == expected, p.id
+
+
+@pytest.mark.parametrize("task", TASK_ORDER)
+def test_stored_answers_are_true(task):
+    _assert_stored_answers_true(
+        task, generate_task(task, 10, seed=4, split="truth", seen=set()))
+
+
+# sha256 of the problems file of every task at count 20, seed 1, when every
+# attempt may force its label
+FORCED_SHA256 = "c9d3912b18f940de3ec3416008af0a727488cfbf53353a4e715cee8bbe31548e"
+# the transforms each yes/no task's forcing calls at that seed: both labels
+FORCED_BY = {"cycle": {"_close_triangle", "_spanning_forest"},
+             "connect": {"_join", "_split"},
+             "bipartite": {"_split", "_close_triangle"},
+             "hamilton": {"_plant_path", "_split"},
+             "subgraph": {"_embed_pattern", "_join"}}
+
+
+def test_forced_labels_alternate_and_answers_are_true(monkeypatch, tmp_path):
+    monkeypatch.setattr(generate, "REJECTION_ATTEMPTS", 0)
+    called = set()
+    for name in ("_spanning_forest", "_join", "_split", "_close_triangle",
+                 "_plant_path", "_embed_pattern"):
+        def spy(*args, _name=name, _fn=getattr(generate, name)):
+            called.add(_name)
+            return _fn(*args)
+        monkeypatch.setattr(generate, name, spy)
+    problems, seen = [], set()     # as generate_corpus: one key set
+    for task in TASK_ORDER:
+        called.clear()
+        made = generate_task(task, 20, seed=1, split="forced", seen=seen)
+        if task in BINARY:
+            assert [p.answer.value for p in made] == [True, False] * 10
+            assert FORCED_BY[task] <= called, task
+        _assert_stored_answers_true(task, made)
+        problems += made
+    path = tmp_path / "forced.jsonl"
+    write_problems(str(path), problems)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FORCED_SHA256
+
+
+# sha256 of `generate --split test --count 20` at three seeds
+GENERATE_SHA256 = {
+    0: "4a773bb86af4baaba771dc7f48a8169ad24771929c9269d8c16d30f327bd6e8f",
+    3: "a51e6f1c0804aea20e32185b422dd51ebd9140dff2b9ea9a23dbe903c1c39254",
+    6: "b99cfeaa241ef0ef01435a15b596058c13c4336a2cdfaf1bfe75c040d91388eb",
+}
+
+
+@pytest.mark.parametrize("seed", GENERATE_SHA256)
+def test_generate_stage_bytes_are_pinned(tmp_path, seed):
+    path = tmp_path / "problems.jsonl"
+    assert cli_main(["generate", "--split", "test", "--count", "20",
+                     "--seed", str(seed), "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATE_SHA256[seed]
 
 
 def test_graphs_are_unique_and_dedupe_is_shared():
