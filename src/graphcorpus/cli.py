@@ -63,22 +63,18 @@ def _sampling(cfg: PipelineConfig, problems, profile: str) -> dict:
             "max_requests": cfg.max_requests}
 
 
-def _in_row_order(pairs) -> list[tuple]:
-    """(problem, texts) pairs by (task, id): the SFT and DPO row order."""
-    return sorted(pairs, key=lambda pair: (pair[0].task, pair[0].id))
-
-
 def _load_paths(path: str, problems: list[Problem]) -> list[tuple]:
-    """(problem, texts) pairs in row order: each problem the paths file
-    names, with the texts of all its records in file order. A record of no
-    known problem fails before any work."""
+    """(problem, texts) pairs by (task, id), the SFT and DPO row order: each
+    problem the paths file names, with the texts of all its records in file
+    order. A record of no known problem fails before any work."""
     by_id = {p.id: p for p in problems}
     texts: dict[str, list[str]] = {}
     for rec in read_jsonl(path, PATHS_SCHEMA):
         if rec["id"] not in by_id:
             raise RecordError(f"{rec['id']}: paths reference no known problem")
         texts.setdefault(rec["id"], []).extend(rec["texts"])
-    return _in_row_order((by_id[pid], t) for pid, t in texts.items())
+    return sorted(((by_id[pid], t) for pid, t in texts.items()),
+                  key=lambda pair: (pair[0].task, pair[0].id))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -98,9 +94,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_annotate(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     problems = read_problems(args.problems)
-    prompts = [build_cot_prompt(p.task, p.text, shots=cfg.shots)
-               for p in problems]
-    texts = sample(prompts, **_sampling(cfg, problems, "initial"))
+    sampling = _sampling(cfg, problems, "initial")
+    cot = sampling["profile"].prompt == "cot"
+    prompts = [build_cot_prompt(p.task, p.text, shots=cfg.shots) if cot
+               else wrap_instruction(p.text) for p in problems]
+    texts = sample(prompts, **sampling)
     records = [{"schema": PATHS_SCHEMA, "id": p.id,
                 "prompt_sha": prompt_sha(prompts[i]), "texts": texts[i]}
                for i, p in enumerate(problems)]
@@ -130,13 +128,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_dpo(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    problems = read_problems(args.problems)
-    if args.paths:
-        pairs = _load_paths(args.paths, problems)
-    else:
-        prompts = [wrap_instruction(p.text) for p in problems]
-        texts = sample(prompts, **_sampling(cfg, problems, "dpo"))
-        pairs = _in_row_order(zip(problems, texts))
+    pairs = _load_paths(args.paths, read_problems(args.problems))
     rows = [row for problem, texts in pairs
             if (row := assemble_dpo(problem, texts, beta=cfg.beta))]
     write_jsonl(args.out, rows)
@@ -245,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_backend(p)
     p.add_argument("--problems", required=True)
-    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--shots", type=int, default=None,
+                   help="worked examples per prompt (CoT profiles only)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_annotate)
 
@@ -259,9 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("dpo", help="build preference pairs")
     _add_common(p)
-    _add_backend(p)
     p.add_argument("--problems", required=True)
-    p.add_argument("--paths", help="reuse sampled paths instead of a backend")
+    p.add_argument("--paths", required=True, help="sampled paths to pair")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dpo)

@@ -224,6 +224,22 @@ def parse_line(raw: bytes) -> dict | None:
     return rec
 
 
+def _check_fields(path: str, rec: dict, schema: str,
+                  line: int | None = None) -> None:
+    """A SchemaError if a field of `_FIELDS` is missing or mistyped."""
+    for name, (hint, what) in _FIELDS.get(schema, {}).items():
+        if not has_type(rec.get(name), hint):
+            raise SchemaError(f"{path}: record {rec.get('id')!r}: {name!r} "
+                              f"is missing or not {what}", line=line)
+
+
+def _check_new_id(path: str, rec: dict, seen: set[str]) -> None:
+    """Add rec's id to seen; a SchemaError if an earlier record had it."""
+    if rec["id"] in seen:
+        raise SchemaError(f"{path}: record {rec['id']!r}: repeated id")
+    seen.add(rec["id"])
+
+
 def iter_jsonl(path: str, schema: str) -> Iterator[dict]:
     """The records of a JSONL file of one schema, one line at a time. A line
     that does not parse, a record of another schema or a field of `_FIELDS`
@@ -240,11 +256,7 @@ def iter_jsonl(path: str, schema: str) -> Iterator[dict]:
                 raise SchemaError(
                     f"{path}: expected schema {schema!r}, got "
                     f"{rec.get('schema')!r}", line=lineno)
-            for name, (hint, what) in _FIELDS.get(schema, {}).items():
-                if not has_type(rec.get(name), hint):
-                    raise SchemaError(
-                        f"{path}: record {rec.get('id')!r}: {name!r} is "
-                        f"missing or not {what}", line=lineno)
+            _check_fields(path, rec, schema, lineno)
             yield rec
 
 
@@ -254,7 +266,19 @@ def read_jsonl(path: str, schema: str) -> list[dict]:
 
 
 def write_problems(path: str, problems: Iterable[Problem]) -> int:
-    return write_jsonl(path, (problem_to_record(p) for p in problems))
+    """Write problems-v1 records, refusing whatever `read_problems` refuses
+    with its error: a record (see problem_to_record), an id that is not a
+    string, a repeated id; a refused problem leaves no file behind."""
+    seen: set[str] = set()
+
+    def records() -> Iterator[dict]:
+        for p in problems:
+            rec = problem_to_record(p)
+            _check_fields(path, rec, PROBLEMS_SCHEMA)
+            _check_new_id(path, rec, seen)
+            yield rec
+
+    return write_jsonl(path, records())
 
 
 def read_problems(path: str) -> list[Problem]:
@@ -271,9 +295,7 @@ def read_problems(path: str) -> list[Problem]:
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: record {rec['id']!r}: "
                               f"{type(exc).__name__}: {exc}") from exc
-        if rec["id"] in seen:
-            raise SchemaError(f"{path}: record {rec['id']!r}: repeated id")
-        seen.add(rec["id"])
+        _check_new_id(path, rec, seen)
     return problems
 
 

@@ -60,8 +60,9 @@ def run_eval(problems: list[Problem], backend, *, profile: SampleProfile,
              jobs: int, cache, max_requests: int | None) -> dict:
     """Sample one answer per problem from the backend and grade it.
 
-    The report has the shape of evaluate()'s; max_requests caps backend
-    calls as in sample(), checked before the first one goes out.
+    The report has the shape of evaluate()'s; max_requests caps the
+    prompts sent (the cache misses, not their retries) as in sample(),
+    checked before the first one goes out.
     """
     prompts = [wrap_instruction(p.text) for p in problems]
     texts = sample(prompts, profile, backend, cache=cache, jobs=jobs,

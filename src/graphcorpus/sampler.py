@@ -41,13 +41,14 @@ class SampleProfile(NamedTuple):
     n: int
     temperature: float
     max_tokens: int = 2048
+    prompt: str = "cot"      # annotate's prompt form: "cot" or "instruction"
 
 
 PROFILES = {
     "initial": SampleProfile("initial", 3, 0.9),
     "augment": SampleProfile("augment", 30, 0.9),
-    "dpo": SampleProfile("dpo", 20, 0.9),
-    "eval": SampleProfile("eval", 1, 0.0, 1024),
+    "dpo": SampleProfile("dpo", 20, 0.9, prompt="instruction"),
+    "eval": SampleProfile("eval", 1, 0.0, 1024, prompt="instruction"),
 }
 
 
@@ -269,8 +270,10 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
     """Collect profile.n completions per prompt, using the cache when it can
     (cache lines are keyed on `backend.identity`).
 
-    max_requests caps the number of backend calls (cache hits are free); the
-    cap is checked up front so a too-large batch fails before spending money.
+    max_requests caps the prompts sent, which are the cache misses (a hit is
+    free); the up to MAX_RETRIES retries of a prompt do not count against
+    it. The cap is checked up front, so a too-large batch fails before
+    spending money, and a negative one is an InvalidSpecError.
     A reply is trimmed to profile.n texts; one with fewer is padded with ""
     and not cached, so the next run asks for that prompt again.
 
@@ -285,6 +288,8 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
         raise InvalidSpecError("profile.n must be at least 1")
     if jobs < 1:
         raise InvalidSpecError("jobs must be at least 1")
+    if max_requests is not None and max_requests < 0:
+        raise InvalidSpecError("max_requests must not be negative")
     results: list[list[str] | None] = [None] * len(prompts)
     misses: list[int] = []
     shas = [prompt_sha(p) for p in prompts]

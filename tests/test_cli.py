@@ -13,7 +13,7 @@ from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
 from graphcorpus.errors import InvalidSpecError
 from graphcorpus.grader import judge
 from graphcorpus.graphs import canonical_key
-from graphcorpus.sampler import StubBackend, get_profile, sample
+from graphcorpus.sampler import StubBackend, get_profile, prompt_sha, sample
 from graphcorpus.textgen import wrap_instruction
 from graphcorpus.transcripts import make_transcript
 
@@ -88,7 +88,7 @@ def test_annotate_stub(problems_file, tmp_path, capsys):
     assert f"wrote 24 paths for 8 problems to {out}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("stage", ["annotate", "dpo"])
+@pytest.mark.parametrize("stage", ["annotate", "evaluate"])
 def test_stub_rejects_a_stored_answer_without_its_witness(
         problems_file, tmp_path, capsys, stage):
     # the stub narrates the stored witness: a missing one stops the stage
@@ -149,16 +149,15 @@ def test_dpo_reuses_paths(problems_file, tmp_path, capsys):
 @pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf"])
 def test_dpo_rejects_beta_that_is_not_positive(problems_file, tmp_path,
                                                capsys, beta):
-    # the check comes before sampling, so no completion is paid for
+    # the check comes before the paths are read or any pair is built
+    paths = tmp_path / "paths.jsonl"
+    paths.write_text("not json\n", encoding="utf-8")
     out = tmp_path / "dpo.jsonl"
-    cache = tmp_path / "c.jsonl"
-    rc = main(["dpo", "--problems", str(problems_file), "--backend", "stub",
-               "--seed", "3", "--beta", beta, "--cache", str(cache),
-               "--out", str(out)])
+    rc = main(["dpo", "--problems", str(problems_file), "--paths", str(paths),
+               "--seed", "3", "--beta", beta, "--out", str(out)])
     assert rc == 2
     assert "error: beta must be positive" in capsys.readouterr().err
     assert not out.exists()
-    assert not cache.exists()
 
 
 @pytest.mark.parametrize("error_rate", ["0.0", "1.0"])
@@ -176,14 +175,38 @@ def test_select_rejects_cap_below_one(problems_file, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_dpo_samples_when_no_paths(problems_file, tmp_path):
-    out = tmp_path / "dpo.jsonl"
-    rc = main(["dpo", "--problems", str(problems_file), "--backend", "stub",
-               "--stub-error-rate", "0.4", "--seed", "3", "--out", str(out)])
-    assert rc == 0
+def test_dpo_pairs_the_paths_annotate_samples_under_the_dpo_profile(
+        problems_file, tmp_path):
+    paths, out = tmp_path / "paths.jsonl", tmp_path / "dpo.jsonl"
+    assert main(["annotate", "--problems", str(problems_file), "--profile",
+                 "dpo", "--backend", "stub", "--stub-error-rate", "0.4",
+                 "--seed", "3", "--out", str(paths)]) == 0
+    recs = read_jsonl(str(paths), PATHS_SCHEMA)
+    by_id = {p.id: p for p in read_problems(str(problems_file))}
+    # instruction prompts, which each record's prompt_sha tells apart
+    assert [r["prompt_sha"] for r in recs] == [
+        prompt_sha(wrap_instruction(by_id[r["id"]].text)) for r in recs]
+    assert main(["dpo", "--problems", str(problems_file), "--paths",
+                 str(paths), "--seed", "3", "--out", str(out)]) == 0
     rows = read_jsonl(str(out), DPO_SCHEMA)
     # dpo profile samples 20 paths each, so every problem should split
     assert len(rows) == 8
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: --paths"),
+    (["--paths", "p.jsonl", "--backend", "stub"],
+     "unrecognized arguments: --backend stub"),
+], ids=["no-paths", "backend"])
+def test_dpo_takes_paths_and_no_backend(problems_file, tmp_path, capsys,
+                                        argv, message):
+    out = tmp_path / "dpo.jsonl"
+    with pytest.raises(SystemExit) as exit_:
+        main(["dpo", "--problems", str(problems_file), *argv,
+              "--out", str(out)])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_predictions_report(problems_file, tmp_path, capsys):
@@ -699,12 +722,13 @@ def test_config_values_of_field_type_are_accepted():
 
 def test_jobs_flag_only_on_sampling_stages():
     parser = build_parser()
-    for stage in ("annotate", "dpo", "evaluate"):
+    for stage in ("annotate", "evaluate"):
         args = parser.parse_args([stage, "--problems", "p", "--out", "o",
                                   "--jobs", "3"])
         assert args.jobs == 3
     for argv in (["generate", "--out", "o"],
-                 ["select", "--problems", "p", "--paths", "q", "--out", "o"]):
+                 ["select", "--problems", "p", "--paths", "q", "--out", "o"],
+                 ["dpo", "--problems", "p", "--paths", "q", "--out", "o"]):
         with pytest.raises(SystemExit):
             parser.parse_args(argv + ["--jobs", "3"])
 

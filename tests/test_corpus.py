@@ -301,6 +301,27 @@ def test_write_and_read_refuse_the_same_record(tmp_path, task, graph, query,
     assert str(written.value) in str(read.value)
 
 
+@pytest.mark.parametrize("ids, message, line", [
+    (["p0", "p0"], "record 'p0': repeated id", ""),
+    ([7], "record 7: 'id' is missing or not a string", "line 1: "),
+], ids=["repeated-id", "id-not-a-string"])
+def test_write_refuses_the_ids_the_reader_refuses(tmp_path, ids, message,
+                                                  line):
+    problem = generate_task("cycle", 1, seed=5, split="io", seen=set())[0]
+    problems = [problem._replace(id=i) for i in ids]
+    path = tmp_path / "problems.jsonl"
+    with pytest.raises(SchemaError) as written:
+        write_problems(str(path), problems)
+    assert str(written.value) == f"{path}: {message}"
+    assert list(tmp_path.iterdir()) == []
+    # the same records, written past the check, fail to read with the
+    # message the writer gave, after the line number of a field error
+    write_jsonl(str(path), [problem_to_record(p) for p in problems])
+    with pytest.raises(SchemaError) as read:
+        read_problems(str(path))
+    assert str(read.value) == line + str(written.value)
+
+
 @pytest.mark.parametrize("pattern, error", [
     (Graph(2, False, [(0, 1)]), GraphKindError),
     (Graph(4, True, [(0, 1)]), InvalidQueryError),

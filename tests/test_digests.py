@@ -28,14 +28,21 @@ EXPECTED = {
         "56455f85822cd6257d8a49869aafee39e70b21fc882bd118e8a6c4335940d5ad",
     "report/report.txt":
         "470276169f3c83e566de3e736f583443cbf0c4905026557498b1440ec63155ba",
+    # pairs of the 20 instruction-prompt paths per problem that annotate
+    # samples under the "dpo" profile: the bytes `dpo` wrote when it
+    # sampled them itself
+    "dpo_sampled.jsonl":
+        "fe6e96afa995191c685f291d9338d6801e334b7118f7388633cc5a260b46bd72",
 }
 
 
 def run_pipeline(root) -> dict[str, str]:
-    """Run generate, stub annotate, select, dpo, audit and stub evaluate
-    under root; return the sha256 of every output file."""
+    """Run generate, stub annotate, select, dpo, audit and stub evaluate,
+    then the sampled-DPO route (stub annotate under the "dpo" profile, dpo
+    on its paths) under root; return the sha256 of every output file."""
     problems = str(root / "problems.jsonl")
     paths = str(root / "paths.jsonl")
+    dpo_paths = str(root / "dpo_paths.jsonl")
     stub = ["--backend", "stub", "--stub-error-rate", "0.4", "--seed", SEED]
     stages = [
         ["generate", "--split", "test", "--count", "2", "--seed", SEED,
@@ -50,6 +57,10 @@ def run_pipeline(root) -> dict[str, str]:
          "--out", str(root / "audit.jsonl")],
         ["evaluate", "--problems", problems, *stub,
          "--out", str(root / "report")],
+        ["annotate", "--problems", problems, "--profile", "dpo", *stub,
+         "--out", dpo_paths],
+        ["dpo", "--problems", problems, "--paths", dpo_paths, "--seed", SEED,
+         "--out", str(root / "dpo_sampled.jsonl")],
     ]
     for argv in stages:
         assert main(argv) == 0, argv

@@ -41,6 +41,9 @@ def test_profile_table():
     assert (PROFILES["dpo"].n, PROFILES["dpo"].temperature) == (20, 0.9)
     ev = PROFILES["eval"]
     assert (ev.n, ev.temperature, ev.max_tokens) == (1, 0.0, 1024)
+    assert {name: p.prompt for name, p in PROFILES.items()} == {
+        "initial": "cot", "augment": "cot", "dpo": "instruction",
+        "eval": "instruction"}
     assert get_profile("dpo") is PROFILES["dpo"]
     with pytest.raises(InvalidSpecError):
         get_profile("jumbo")
@@ -426,6 +429,9 @@ def test_sample_validates_inputs(problems):
     with pytest.raises(InvalidSpecError):
         sample(["x"], get_profile("eval"), backend, jobs=0, cache=None,
                max_requests=None)
+    with pytest.raises(InvalidSpecError, match="max_requests must not be"):
+        sample(["x"], get_profile("eval"), backend, jobs=STAGE.jobs,
+               cache=None, max_requests=-1)
 
 
 # ---------------------------------------------------------------------------
