@@ -16,16 +16,15 @@ from typing import TYPE_CHECKING
 
 from .config import PipelineConfig, apply_overrides, load_config
 from .corpus import (AUDIT_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
-                     SFT_SCHEMA, assemble_dpo, assemble_sft, compute_stats,
-                     format_stats, open_atomic, read_jsonl, read_problems,
-                     write_jsonl, write_problems)
-from .errors import (GraphCorpusError, InvalidSpecError, RecordError,
-                     SchemaError)
+                     SFT_SCHEMA, _check_new_id, assemble_dpo, assemble_sft,
+                     compute_stats, format_stats, open_atomic, read_jsonl,
+                     read_problems, write_jsonl, write_problems)
+from .errors import GraphCorpusError, InvalidSpecError, RecordError
 from .evaluate import evaluate, format_report, run_eval
 from .grader import audit_steps, judge
 from .graphs import canonical_key
-from .sampler import (Cache, HttpBackend, StubBackend, get_profile,
-                      prompt_sha, sample)
+from .sampler import (Cache, HttpBackend, SampleProfile, StubBackend,
+                      get_profile, prompt_sha, sample)
 from .selector import select_diverse
 from .textgen import build_cot_prompt, wrap_instruction
 
@@ -53,14 +52,11 @@ def _make_backend(cfg: PipelineConfig, problems):
     raise InvalidSpecError(f"unknown backend: {cfg.backend}")
 
 
-def _sampling(cfg: PipelineConfig, problems, profile: str) -> dict:
-    """The backend, profile, cache and limits `sample` and `run_eval` take;
-    profile is the stage's default when the config names none."""
-    return {"backend": _make_backend(cfg, problems),
-            "profile": get_profile(cfg.profile or profile),
+def _sampling(cfg: PipelineConfig, problems, profile: SampleProfile) -> dict:
+    """The backend, profile, cache and limits `sample` and `run_eval` take."""
+    return {"backend": _make_backend(cfg, problems), "profile": profile,
             "cache": Cache(cfg.cache) if cfg.cache else None,
-            "jobs": cfg.jobs,
-            "max_requests": cfg.max_requests}
+            "jobs": cfg.jobs, "max_requests": cfg.max_requests}
 
 
 def _load_paths(path: str, problems: list[Problem]) -> list[tuple]:
@@ -93,12 +89,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
+    profile = get_profile(cfg.profile or "initial")
+    cot = profile.prompt == "cot"
+    if args.shots is not None and not cot:
+        raise InvalidSpecError(f"--shots sets CoT prompts; the {profile.name} "
+                               "profile sends instruction prompts")
     problems = read_problems(args.problems)
-    sampling = _sampling(cfg, problems, "initial")
-    cot = sampling["profile"].prompt == "cot"
     prompts = [build_cot_prompt(p.task, p.text, shots=cfg.shots) if cot
                else wrap_instruction(p.text) for p in problems]
-    texts = sample(prompts, **sampling)
+    texts = sample(prompts, **_sampling(cfg, problems, profile))
     records = [{"schema": PATHS_SCHEMA, "id": p.id,
                 "prompt_sha": prompt_sha(prompts[i]), "texts": texts[i]}
                for i, p in enumerate(problems)]
@@ -141,15 +140,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     problems = read_problems(args.problems)
     if args.predictions:
-        preds: dict[str, str] = {}
-        for rec in read_jsonl(args.predictions, PREDICTIONS_SCHEMA):
-            if rec["id"] in preds:      # one copy's text would be graded
-                raise SchemaError(f"{args.predictions}: record "
-                                  f"{rec['id']!r}: repeated id")
-            preds[rec["id"]] = rec["text"]
-        report = evaluate(problems, preds)
+        recs = read_jsonl(args.predictions, PREDICTIONS_SCHEMA)
+        seen: set[str] = set()
+        for rec in recs:        # a repeated id: one copy's text would be graded
+            _check_new_id(args.predictions, rec, seen)
+        report = evaluate(problems, {r["id"]: r["text"] for r in recs})
     else:
-        report = run_eval(problems, **_sampling(cfg, problems, "eval"))
+        report = run_eval(problems, **_sampling(cfg, problems,
+                                                get_profile("eval")))
     os.makedirs(args.out, exist_ok=True)
     with open_atomic(os.path.join(args.out, "report.json")) as fh:
         json.dump(report, fh, indent=2)
@@ -207,7 +205,6 @@ def _add_backend(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=int, default=None,
                      help="concurrent backend requests")
     sub.add_argument("--stub-error-rate", type=float, default=None)
-    sub.add_argument("--profile", default=None)
     sub.add_argument("--cache", default=None)
     sub.add_argument("--max-requests", type=int, default=None)
     sub.add_argument("--base-url", default=None)
@@ -236,9 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("annotate", help="sample reasoning paths for problems")
     _add_common(p)
     _add_backend(p)
+    p.add_argument("--profile", default=None,
+                   help="initial (default), augment, dpo or eval")
     p.add_argument("--problems", required=True)
     p.add_argument("--shots", type=int, default=None,
-                   help="worked examples per prompt (CoT profiles only)")
+                   help="worked examples per CoT prompt (default 2; a config "
+                        "file's shots too); refused under dpo and eval")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_annotate)
 

@@ -39,17 +39,11 @@ def evaluate(problems: list[Problem], predictions: dict[str, str]) -> dict:
             row["extraction_failures"] += 1
         if verdict.correct:
             row["correct"] += 1
-    tasks = {}
-    for t in TASK_ORDER:
-        if t not in per:
-            continue
-        row = per[t]
-        tasks[t] = dict(row, accuracy=row["correct"] / row["total"])
-    groups = {}
-    for name, members in DIFFICULTY_GROUPS.items():
-        accs = [tasks[t]["accuracy"] for t in members if t in tasks]
-        if accs:
-            groups[name] = sum(accs) / len(accs)
+    tasks = {t: dict(per[t], accuracy=per[t]["correct"] / per[t]["total"])
+             for t in TASK_ORDER if t in per}
+    groups = {name: sum(accs) / len(accs)
+              for name, members in DIFFICULTY_GROUPS.items()
+              if (accs := [tasks[t]["accuracy"] for t in members if t in tasks])}
     overall = (sum(t["accuracy"] for t in tasks.values()) / len(tasks)
                if tasks else 0.0)
     return {"tasks": tasks, "groups": groups, "overall": overall,

@@ -299,8 +299,5 @@ def generate_corpus(tasks: list[str], count: int, *, seed: int, split: str,
         get_task(name)
         if name in names[:i]:
             raise InvalidSpecError(f"task {name} is named twice")
-    out: list[Problem] = []
-    for name in names:
-        out.extend(generate_task(name, count, seed=seed, split=split,
-                                 seen=dedupe_keys))
-    return out
+    return [p for name in names for p in generate_task(
+        name, count, seed=seed, split=split, seen=dedupe_keys)]

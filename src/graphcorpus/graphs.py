@@ -24,6 +24,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from typing import NamedTuple
 
+from .config import has_type
 from .errors import GraphInvalidError, InvalidSpecError
 
 
@@ -133,7 +134,15 @@ def path_to(tree: dict[int, int], v: int) -> list[int]:
 
 
 def validate_graph(g: Graph) -> None:
-    """Raise GraphInvalidError unless g satisfies every structural invariant."""
+    """The one definition of a valid graph: a TypeError for the first field
+    of the wrong type (a bool is no int), else a GraphInvalidError."""
+    for name, value, hint, what in (
+            ("num_nodes", g.num_nodes, int, "an integer"),
+            ("directed", g.directed, bool, "a boolean"),
+            ("edges", [x for e in g.edges for x in e], list[int], "lists of integers"),
+            ("node_weights", list(g.node_weights or ()), list[int], "a list of integers")):
+        if not has_type(value, hint):
+            raise TypeError(f"graph {name!r} is not {what}")
     if g.num_nodes < 1:
         raise GraphInvalidError(f"num_nodes must be >= 1, got {g.num_nodes}")
     arities = {len(e) for e in g.edges}
@@ -153,16 +162,14 @@ def validate_graph(g: Graph) -> None:
         if (u, v) in seen:
             raise GraphInvalidError(f"duplicate edge ({u},{v})")
         seen.add((u, v))
-        if len(e) == 3 and (not isinstance(e[2], int) or e[2] < 1):
+        if len(e) == 3 and e[2] < 1:
             raise GraphInvalidError(f"edge ({u},{v}) weight must be a positive int, got {e[2]!r}")
-    if g.node_weights is not None:
-        if len(g.node_weights) != g.num_nodes:
-            raise GraphInvalidError(
-                f"node_weights has {len(g.node_weights)} entries for {g.num_nodes} nodes"
-            )
-        for i, w in enumerate(g.node_weights):
-            if not isinstance(w, int) or w < 1:
-                raise GraphInvalidError(f"node {i} weight must be a positive int, got {w!r}")
+    if g.node_weights is not None and len(g.node_weights) != g.num_nodes:
+        raise GraphInvalidError(
+            f"node_weights has {len(g.node_weights)} entries for {g.num_nodes} nodes")
+    for i, w in enumerate(g.node_weights or ()):
+        if w < 1:
+            raise GraphInvalidError(f"node {i} weight must be a positive int, got {w!r}")
 
 
 def canonical_key(g: Graph) -> str:

@@ -21,15 +21,16 @@ import hashlib
 import json
 import os
 import random
-import re
 import threading
 import time
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
+from .config import has_type
+from .corpus import parse_line
 from .errors import BackendError, CacheError, InvalidSpecError, TransientError
 from .grader import check_witness
-from .textgen import ALPACA_PREFIX, ZERO_SHOT_SUFFIX, Problem
+from .textgen import Problem, problem_text
 from .transcripts import make_transcript
 
 MAX_RETRIES = 4              # retries of a request that raised TransientError
@@ -63,15 +64,6 @@ def prompt_sha(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-# Finds the problem text in the two prompt forms the stages build:
-# wrap_instruction's, and build_cot_prompt's final "Q: ...\nA:" block at any
-# shot count.
-_PROMPT = re.compile(
-    rf"(?:{re.escape(ALPACA_PREFIX)}|.*\nQ: )(.*?)"
-    rf"(?:\n\n### Response:|\nA:(?: {re.escape(ZERO_SHOT_SUFFIX)})?)",
-    re.DOTALL)
-
-
 class StubBackend:
     """Offline sampler that writes reasoning paths from the ground truth.
 
@@ -94,8 +86,7 @@ class StubBackend:
         self._by_text = {p.text: p for p in problems}
 
     def generate(self, prompt: str, profile: SampleProfile) -> list[str]:
-        m = _PROMPT.fullmatch(prompt)
-        problem = self._by_text.get(m.group(1)) if m else None
+        problem = self._by_text.get(problem_text(prompt))
         if problem is None:
             raise BackendError("stub backend knows no problem for this prompt")
         sha = prompt_sha(prompt)
@@ -176,7 +167,7 @@ class HttpBackend:
             texts = [c["message"]["content"] for c in choices]
         except (ValueError, KeyError, TypeError) as exc:
             raise BackendError(f"malformed response body: {exc}") from exc
-        if not all(t is None or isinstance(t, str) for t in texts):
+        if not has_type(texts, list[str | None]):
             raise BackendError("malformed response body: a content "
                                "is neither a string nor null")
         return [_mend_surrogates(t) if t else "" for t in texts]
@@ -202,8 +193,6 @@ class Cache:
     """
 
     def __init__(self, path: str):
-        from .config import has_type     # loaded with the stage modules
-        from .corpus import parse_line
         self.path = path
         self._store: dict[tuple, list[str]] = {}
         self._lock = threading.Lock()

@@ -5,10 +5,12 @@ kind, and `require_pattern` that a subgraph pattern fits its host."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import GraphKindError, InvalidQueryError, InvalidSpecError
-from .graphs import Graph
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
 class TaskInfo(NamedTuple):

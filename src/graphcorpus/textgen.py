@@ -8,6 +8,7 @@ some "(u->v)", weighted variants add ",k", triangle spaces its tuples).
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import starmap
 from typing import NamedTuple
 
@@ -531,3 +532,22 @@ def build_cot_prompt(task: str, text: str, shots: int) -> str:
         parts.append(f"Q: {q}\nA: {a}")
     parts.append(f"Q: {text}\nA:")
     return "\n\n".join(parts)
+
+
+@cache
+def _layouts() -> list[list[str]]:
+    """[before, after] the problem text in each prompt layout the two
+    builders make; a task's k-shot layout comes before its (k-1)-shot one,
+    whose before a k-shot prompt also starts with."""
+    return [p.split("\0") for p in [wrap_instruction("\0")] + [
+        build_cot_prompt(task, "\0", k) for task, template in TEMPLATES.items()
+        for k in reversed(range(len(template.exemplars) + 1))]]
+
+
+def problem_text(prompt: str) -> str | None:
+    """The problem text of a prompt `wrap_instruction` or `build_cot_prompt`
+    built, at any shot count; None for a prompt of any other layout."""
+    for before, after in _layouts():
+        if prompt.startswith(before) and prompt[len(before):].endswith(after):
+            return prompt[len(before):-len(after)]
+    return None

@@ -32,6 +32,20 @@ def problems_file(tmp_path):
     return out
 
 
+def _recorded_backends(monkeypatch) -> list:
+    """The backends the stage builds, each wrapped to count its requests."""
+    from graphcorpus import cli
+    backends = []
+    make = cli._make_backend
+
+    def recorded(cfg, ps):
+        backends.append(CountingBackend(make(cfg, ps)))
+        return backends[-1]
+
+    monkeypatch.setattr(cli, "_make_backend", recorded)
+    return backends
+
+
 def test_generate_writes_problems(tmp_path, capsys):
     out = tmp_path / "problems.jsonl"
     rc = main(["generate", "--tasks", "cycle,shortest", "--count", "4",
@@ -282,18 +296,10 @@ def test_sampled_report_is_a_predictions_report(problems_file, tmp_path):
 
 def test_evaluate_obeys_max_requests(problems_file, tmp_path, capsys,
                                      monkeypatch):
-    from graphcorpus import cli
     problems = tmp_path / "two.jsonl"
     problems.write_text("".join(
         problems_file.read_text(encoding="utf-8").splitlines(True)[:2]))
-    backends = []
-    make = cli._make_backend
-
-    def recorded(cfg, ps):
-        backends.append(CountingBackend(make(cfg, ps)))
-        return backends[-1]
-
-    monkeypatch.setattr(cli, "_make_backend", recorded)
+    backends = _recorded_backends(monkeypatch)
     out = tmp_path / "report"
     rc = main(["evaluate", "--problems", str(problems), "--backend", "stub",
                "--max-requests", "1", "--out", str(out)])
@@ -790,15 +796,7 @@ def test_missing_out_directory_fails_before_sampling(problems_file, tmp_path,
         "evaluate-out-below-a-file", "cache-in-a-missing-directory"])
 def test_unwritable_outputs_fail_before_any_request(
         problems_file, tmp_path, capsys, monkeypatch, argv, message):
-    from graphcorpus import cli
-    backends = []
-    make = cli._make_backend
-
-    def recorded(cfg, ps):
-        backends.append(CountingBackend(make(cfg, ps)))
-        return backends[-1]
-
-    monkeypatch.setattr(cli, "_make_backend", recorded)
+    backends = _recorded_backends(monkeypatch)
     (tmp_path / "folder").mkdir()
     (tmp_path / "file").write_text("")
     before = sorted(tmp_path.rglob("*"))
@@ -836,3 +834,60 @@ def test_http_base_url_without_scheme_exits_two(problems_file, tmp_path,
     assert "'localhost:8000'" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--profile", "dpo", "--shots", "1"],
+    ["--profile", "dpo", "--shots", "-1"],
+    ["--profile", "eval", "--shots", "2"],
+    ["--config", "{tmp}/dpo.json", "--shots", "0"],
+], ids=["dpo-one-shot", "dpo-negative-shots", "eval-default-shots",
+        "config-profile-dpo"])
+def test_shots_under_an_instruction_profile_exits_two(
+        problems_file, tmp_path, capsys, monkeypatch, argv):
+    # the flag used to be ignored, with exit 0
+    backends = _recorded_backends(monkeypatch)
+    (tmp_path / "dpo.json").write_text(json.dumps({"profile": "dpo"}))
+    cache, out = tmp_path / "cache.jsonl", tmp_path / "paths.jsonl"
+    rc = main(["annotate", "--problems", str(problems_file), "--backend",
+               "stub", "--cache", str(cache), "--out", str(out),
+               *(a.format(tmp=tmp_path) for a in argv)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --shots sets CoT prompts; the ") and (
+        "profile sends instruction prompts" in err), err
+    assert sum(b.requests for b in backends) == 0
+    assert not cache.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("profile", ["augment", "initial", "eval"])
+def test_evaluate_has_no_profile_option(problems_file, tmp_path, capsys,
+                                        monkeypatch, profile):
+    backends = _recorded_backends(monkeypatch)
+    cache, out = tmp_path / "cache.jsonl", tmp_path / "report"
+    with pytest.raises(SystemExit) as exit_:
+        main(["evaluate", "--problems", str(problems_file), "--backend",
+              "stub", "--profile", profile, "--cache", str(cache),
+              "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --profile" in capsys.readouterr().err
+    assert sum(b.requests for b in backends) == 0
+    assert not cache.exists() and not out.exists()
+
+
+def test_evaluate_samples_the_eval_profile_whatever_the_config_names(
+        problems_file, tmp_path):
+    # a config file's profile is annotate's: evaluate sends one instruction
+    # prompt per problem at n=1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "augment"}))
+    cache = tmp_path / "cache.jsonl"
+    assert main(["evaluate", "--config", str(cfg), "--problems",
+                 str(problems_file), "--backend", "stub", "--cache",
+                 str(cache), "--out", str(tmp_path / "report")]) == 0
+    lines = [json.loads(line) for line in cache.read_text().splitlines()]
+    problems = read_problems(str(problems_file))
+    assert len(lines) == len(problems)
+    assert {(r["profile"], len(r["texts"])) for r in lines} == {("eval", 1)}
+    assert ({r["prompt_sha"] for r in lines}
+            == {prompt_sha(wrap_instruction(p.text)) for p in problems})

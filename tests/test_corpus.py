@@ -170,6 +170,21 @@ def test_read_problems_rejects_malformed_nested_fields(tmp_path):
         assert message in str(err.value)
 
 
+@pytest.mark.parametrize("weights", [None, 5, "12", {"0": 1}])
+def test_read_problems_refuses_node_weights_that_are_no_list(tmp_path,
+                                                            weights):
+    # a graph without node weights has no "node_weights" key; null is
+    # not that
+    rec = problem_to_record(generate_task("cycle", 1, seed=5, split="io",
+                                          seen=set())[0])
+    rec["graph"]["node_weights"] = weights
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="TypeError: graph 'node_weights' "
+                                          "is not a list of integers"):
+        read_problems(str(path))
+
+
 def test_read_problems_reports_the_first_bad_record(tmp_path):
     recs = [problem_to_record(p)
             for p in generate_task("cycle", 3, seed=5, split="io", seen=set())]

@@ -39,6 +39,20 @@ def test_validate_rejects_malformed(graph):
         validate_graph(graph)
 
 
+@pytest.mark.parametrize("graph,field", [
+    (Graph(True, False, []), "num_nodes"),
+    (Graph(2, False, [(0, 1, True)]), "edges"),
+    (Graph(2, False, [(0, 1)], node_weights=[True, 1]), "node_weights"),
+    (Graph(2, 0, [(0, 1)]), "directed"),
+    (Graph(2, False, [(0.0, 1.0)]), "edges"),
+], ids=["num-nodes-a-bool", "edge-weight-a-bool", "node-weight-a-bool",
+        "directed-an-int", "endpoints-floats"])
+def test_validate_rejects_fields_of_the_wrong_type(graph, field):
+    # the problem reader refused each of these, and validate_graph took them
+    with pytest.raises(TypeError, match=f"^graph '{field}' is not "):
+        validate_graph(graph)
+
+
 def test_canonical_key_ignores_edge_order():
     a = Graph(4, False, [(0, 1), (1, 2), (2, 3)])
     b = Graph(4, False, [(2, 3), (0, 1), (1, 2)])

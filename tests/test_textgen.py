@@ -9,7 +9,8 @@ from graphcorpus.graphs import Graph
 from graphcorpus.solvers import Answer
 from graphcorpus.textgen import (ALPACA_PREFIX, TEMPLATES, ZERO_SHOT_SUFFIX,
                                  build_cot_prompt, estimate_tokens,
-                                 render_problem, wrap_instruction)
+                                 problem_text, render_problem,
+                                 wrap_instruction)
 
 from oracles import solve
 from textparse import ParseError, parse_problem
@@ -80,6 +81,35 @@ def test_build_cot_prompt_validates_shots():
     q0 = TEMPLATES["cycle"].exemplars[0][0]
     q1 = TEMPLATES["cycle"].exemplars[1][0]
     assert q0 in one and q1 not in one
+
+
+@pytest.mark.parametrize("task", sorted(GOLDEN_CASES))
+def test_problem_text_reads_back_every_prompt_the_builders_make(task):
+    text = render_problem(task, *GOLDEN_CASES[task])
+    shots = range(len(TEMPLATES[task].exemplars) + 1)
+    assert {0, 1, 2} <= set(shots)
+    for k in shots:
+        assert problem_text(build_cot_prompt(task, text, shots=k)) == text
+    assert problem_text(wrap_instruction(text)) == text
+
+
+def test_problem_text_of_any_other_layout_is_none():
+    text = render_problem("cycle", *GOLDEN_CASES["cycle"])
+    header = TEMPLATES["cycle"].header
+    two_shot = build_cot_prompt("cycle", text, shots=2)
+    for prompt in (
+            text,                                          # no layout at all
+            "",
+            f"Q: {text}\nA:",                              # no header
+            f"some notes\nQ: {text}\nA:",                  # not a header
+            f"{header}\n\nQ: {text}\nA:",                  # 0-shot, no nudge
+            f"{ALPACA_PREFIX}{text}\nA:",                  # mixed layouts
+            f"{header}\n\nQ: {text}\n\n### Response:",
+            two_shot.replace(header, TEMPLATES["connect"].header),
+            two_shot + " ",
+            wrap_instruction(text) + "\n",
+            ALPACA_PREFIX + text):
+        assert problem_text(prompt) is None, prompt
 
 
 def test_estimate_tokens_rounds_up():
