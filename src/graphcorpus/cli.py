@@ -23,8 +23,8 @@ from .errors import GraphCorpusError, InvalidSpecError, RecordError
 from .evaluate import evaluate, format_report, run_eval
 from .grader import audit_steps, judge
 from .graphs import canonical_key
-from .sampler import (Cache, HttpBackend, SampleProfile, StubBackend,
-                      get_profile, prompt_sha, sample)
+from .sampler import (Cache, HttpBackend, StubBackend, get_profile,
+                      prompt_sha, sample)
 from .selector import select_diverse
 from .textgen import build_cot_prompt, wrap_instruction
 
@@ -52,9 +52,9 @@ def _make_backend(cfg: PipelineConfig, problems):
     raise InvalidSpecError(f"unknown backend: {cfg.backend}")
 
 
-def _sampling(cfg: PipelineConfig, problems, profile: SampleProfile) -> dict:
-    """The backend, profile, cache and limits `sample` and `run_eval` take."""
-    return {"backend": _make_backend(cfg, problems), "profile": profile,
+def _sampling(cfg: PipelineConfig, problems) -> dict:
+    """The backend, cache and limits `sample` and `run_eval` take."""
+    return {"backend": _make_backend(cfg, problems),
             "cache": Cache(cfg.cache) if cfg.cache else None,
             "jobs": cfg.jobs, "max_requests": cfg.max_requests}
 
@@ -97,7 +97,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     problems = read_problems(args.problems)
     prompts = [build_cot_prompt(p.task, p.text, shots=cfg.shots) if cot
                else wrap_instruction(p.text) for p in problems]
-    texts = sample(prompts, **_sampling(cfg, problems, profile))
+    texts = sample(prompts, profile, **_sampling(cfg, problems))
     records = [{"schema": PATHS_SCHEMA, "id": p.id,
                 "prompt_sha": prompt_sha(prompts[i]), "texts": texts[i]}
                for i, p in enumerate(problems)]
@@ -146,8 +146,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             _check_new_id(args.predictions, rec, seen)
         report = evaluate(problems, {r["id"]: r["text"] for r in recs})
     else:
-        report = run_eval(problems, **_sampling(cfg, problems,
-                                                get_profile("eval")))
+        report = run_eval(problems, **_sampling(cfg, problems))
     os.makedirs(args.out, exist_ok=True)
     with open_atomic(os.path.join(args.out, "report.json")) as fh:
         json.dump(report, fh, indent=2)

@@ -9,9 +9,10 @@ All files are JSONL with a leading "schema" field per record:
   predictions-v1  model outputs keyed by problem id
   audit-v1        step violations of paths, keyed by problem id and path
 
-Subgraph is the one task whose problem record needs its own form (the
-pattern graph in the query, the witness mapping as pairs); only
-problem_to_record and record_to_problem know it.
+A witness has one shape, in memory and on disk: its task's
+`TaskInfo.witness`. Besides the graph, only a subgraph query's pattern has
+a record form of its own, a graph dict; only problem_to_record and
+record_to_problem know it.
 
 Assembly builds the rows of one problem at a time; the caller joins paths
 to problems and orders the problems. It re-checks everything it writes: an
@@ -52,15 +53,6 @@ _FIELDS = {PROBLEMS_SCHEMA: {"id": _STR, "task": _STR, "graph": _OBJ,
            PREDICTIONS_SCHEMA: {"id": _STR, "text": _STR}}
 
 
-def _plain(value: Any) -> Any:
-    """Tuples to lists, recursively, so records survive a JSON round trip."""
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
-
 def graph_to_dict(g: Graph) -> dict:
     out: dict[str, Any] = {
         "num_nodes": g.num_nodes,
@@ -88,28 +80,16 @@ _VALUES = {"yes_no": ("a boolean", bool), "numeric": ("an integer", int),
 
 
 def problem_to_record(p: Problem) -> dict:
-    """The problems-v1 record: a subgraph query's pattern is written as a
-    graph dict and its witness mapping as sorted [pattern, host] pairs. A
-    record `record_to_problem` refuses is refused with its error."""
+    """The problems-v1 record: the problem's fields in their order, the
+    answer's as an object, with the graph and a subgraph query's pattern
+    as graph dicts. A record `record_to_problem` refuses is refused with
+    its error."""
     if p.answer is None:
         raise RecordError(f"{p.id}: problem has no ground truth answer")
-    query, witness = dict(p.query), _plain(p.answer.witness)
+    rec = {"schema": PROBLEMS_SCHEMA, **p._asdict(),
+           "graph": graph_to_dict(p.graph), "answer": p.answer._asdict()}
     if p.task == "subgraph":
-        query = {"pattern": graph_to_dict(query["pattern"])}
-        if isinstance(p.answer.witness, dict):
-            witness = [[int(k), int(v)] for k, v in sorted(p.answer.witness.items())]
-    rec = {
-        "schema": PROBLEMS_SCHEMA,
-        "id": p.id,
-        "task": p.task,
-        "graph": graph_to_dict(p.graph),
-        "query": query,
-        "answer": {"kind": p.answer.kind, "value": _plain(p.answer.value),
-                   "witness": witness},
-        "tier": dict(p.tier) if p.tier else None,
-        "seed": p.seed,
-        "text": p.text,
-    }
+        rec["query"] = {"pattern": graph_to_dict(p.query["pattern"])}
     record_to_problem(rec)
     return rec
 
@@ -160,7 +140,6 @@ def record_to_problem(rec: dict) -> Problem:
                 raise InvalidSpecError(
                     f"subgraph witness {witness!r} is not [pattern, host] "
                     "integer pairs, one per pattern node")
-            witness = dict(witness)
     return Problem(
         id=rec["id"],
         task=task,

@@ -24,10 +24,6 @@ class InvalidQueryError(GraphCorpusError, ValueError):
 class BackendError(GraphCorpusError, RuntimeError):
     """A sampling backend failed (auth, transport, request budget)."""
 
-    def __init__(self, message: str, status: int | None = None):
-        super().__init__(message)
-        self.status = status
-
 
 class TransientError(BackendError):
     """A request failed in a way a retry may mend (a 503, a lost connection)."""

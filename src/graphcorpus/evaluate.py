@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import RecordError
 from .grader import ExtractionFailure, judge
-from .sampler import SampleProfile, sample
+from .sampler import PROFILES, sample
 from .tasks import DIFFICULTY_GROUPS, TASK_ORDER
 from .textgen import Problem, wrap_instruction
 
@@ -50,16 +50,16 @@ def evaluate(problems: list[Problem], predictions: dict[str, str]) -> dict:
             "missing_predictions": sum(r["missing"] for r in per.values())}
 
 
-def run_eval(problems: list[Problem], backend, *, profile: SampleProfile,
-             jobs: int, cache, max_requests: int | None) -> dict:
-    """Sample one answer per problem from the backend and grade it.
+def run_eval(problems: list[Problem], backend, *, jobs: int, cache,
+             max_requests: int | None) -> dict:
+    """Grade one eval-profile answer per problem, sampled from the backend.
 
     The report has the shape of evaluate()'s; max_requests caps the
     prompts sent (the cache misses, not their retries) as in sample(),
     checked before the first one goes out.
     """
     prompts = [wrap_instruction(p.text) for p in problems]
-    texts = sample(prompts, profile, backend, cache=cache, jobs=jobs,
+    texts = sample(prompts, PROFILES["eval"], backend, cache=cache, jobs=jobs,
                    max_requests=max_requests)
     return evaluate(problems, {p.id: t[0] for p, t in zip(problems, texts)})
 

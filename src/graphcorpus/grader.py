@@ -163,13 +163,17 @@ def _min_cut(problem: Problem, answer: Answer) -> bool:
 
 
 def _embedding(problem: Problem, answer: Answer) -> bool:
+    """[pattern, host] pairs, one per pattern node, each to its own host
+    node, that carry every pattern edge onto a host edge."""
     g, w = problem.graph, answer.witness
     pattern: Graph = problem.query["pattern"]
-    if not isinstance(w, dict) or sorted(w) != list(range(pattern.num_nodes)):
-        return False                    # w maps every pattern node to a host node
-    if len(set(w.values())) != len(w):
+    if not all(len(pair) == 2 for pair in w):   # a dict's int keys: TypeError
         return False
-    return all(g.has_edge(w[a], w[b]) for a, b in pattern.edge_pairs)
+    host = dict(w)
+    if (sorted(a for a, _ in w) != list(range(pattern.num_nodes))
+            or len(set(host.values())) != len(host)):
+        return False
+    return all(g.has_edge(host[a], host[b]) for a, b in pattern.edge_pairs)
 
 
 class _Rule(NamedTuple):

@@ -158,10 +158,10 @@ class HttpBackend:
         except (OSError, ValueError, http.client.HTTPException) as exc:
             raise TransientError(f"connection error: {exc}") from exc
         if status in self.RETRY_STATUSES:
-            raise TransientError(f"status {status}", status=status)
+            raise TransientError(f"status {status}")
         if status != 200:
-            raise BackendError("backend rejected the request: " + data.decode(
-                "utf-8", "replace")[:200], status=status)
+            raise BackendError(f"backend rejected the request (status {status}): "
+                               + data.decode("utf-8", "replace")[:200])
         try:
             choices = json.loads(data)["choices"]
             texts = [c["message"]["content"] for c in choices]

@@ -77,7 +77,7 @@ def is_connected(g: Graph, u: int, v: int) -> Answer:
 def is_bipartite(g: Graph) -> Answer:
     """2-colorability ignoring edge direction.
 
-    Witness: (side0, side1) sorted node lists when yes, an odd cycle when no.
+    Witness: [side0, side1], sorted node lists, when yes; an odd cycle when no.
     """
     adj = g.neighbours          # direction is irrelevant to 2-colorability
     color = [-1] * g.num_nodes
@@ -100,7 +100,7 @@ def is_bipartite(g: Graph) -> Answer:
                     return Answer("yes_no", False, witness=cycle)
     side0 = sorted(i for i in range(g.num_nodes) if color[i] == 0)
     side1 = sorted(i for i in range(g.num_nodes) if color[i] == 1)
-    return Answer("yes_no", True, witness=(side0, side1))
+    return Answer("yes_no", True, witness=[side0, side1])
 
 
 def topo_sort(g: Graph) -> Answer:
@@ -299,7 +299,7 @@ def hamilton_path(g: Graph) -> Answer | None:
 def find_subgraph(g: Graph, pattern: Graph) -> Answer:
     """Non-induced monomorphism: injective node map preserving pattern edges.
 
-    Extra host edges are allowed. Witness: {pattern node: host node}.
+    Extra host edges are allowed. Witness: sorted [pattern, host] node pairs.
     """
     require_kind(g, "subgraph")
     require_pattern(g, pattern)
@@ -361,6 +361,6 @@ def find_subgraph(g: Graph, pattern: Graph) -> Answer:
         return False
 
     if backtrack(0):
-        return Answer("yes_no", True, witness=dict(sorted(assign.items())))
+        return Answer("yes_no", True, witness=sorted(map(list, assign.items())))
     return Answer("yes_no", False)
 

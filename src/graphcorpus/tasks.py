@@ -20,7 +20,7 @@ class TaskInfo(NamedTuple):
     node_weighted: bool
     node_range: tuple[int, int]
     answer_kind: str         # yes_no | numeric | sequence
-    witness: object          # the stored witness's type, for config.has_type
+    witness: object          # the witness's type, in memory and on disk
     edge_style: str          # str.format of an edge: {0}, {1} ends, {2} weight
     question: str            # closing sentence; {u} {v} {s} {t} are query nodes
     # the graph sentence before the question: {last} node id, {edges} clause,

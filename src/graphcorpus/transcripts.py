@@ -109,7 +109,7 @@ _NARRATIONS = {
     ),
     "subgraph": lambda p, ans: (
         "Mapping " + ", ".join(f"node {_letter(a)} to node {h}"
-                               for a, h in sorted(ans.witness.items()))
+                               for a, h in ans.witness)
         + " preserves every edge of G', so G' appears inside G. ### Yes."
     ) if ans.value else (
         "No assignment of distinct nodes of G preserves all the edges of "

@@ -13,6 +13,7 @@ from graphcorpus.corpus import (DPO_SCHEMA, PATHS_SCHEMA, PREDICTIONS_SCHEMA,
                                 write_jsonl, write_problems)
 from graphcorpus.errors import (GraphKindError, InvalidQueryError,
                                InvalidSpecError, RecordError, SchemaError)
+from graphcorpus import generate
 from graphcorpus.generate import generate_corpus, generate_task
 from graphcorpus.graphs import Graph
 from graphcorpus.solvers import (Answer, find_subgraph, max_triangle_sum,
@@ -61,10 +62,10 @@ def test_subgraph_witness_serializes_as_pairs():
     p = _make("subgraph", host, {"pattern": pattern})
     rec = problem_to_record(p)
     witness = rec["answer"]["witness"]
-    assert witness == sorted(witness)
+    assert witness == sorted(witness) == p.answer.witness
     assert all(isinstance(pair, list) and len(pair) == 2 for pair in witness)
     back = record_to_problem(rec)
-    assert back.answer.witness == dict(p.answer.witness)
+    assert back.answer.witness == p.answer.witness
     assert back.query["pattern"] == pattern
 
 
@@ -88,6 +89,25 @@ def test_record_round_trip_is_identity():
         rec = problem_to_record(p)
         again = problem_to_record(record_to_problem(rec))
         assert rec == again, task
+
+
+def test_problems_read_back_equal_to_those_written(monkeypatch, tmp_path):
+    # a test split of every task, and test_generate's all-transform corpus
+    # (each attempt forces its label), so each yes/no task has both labels
+    problems = generate_corpus(TASK_ORDER, 4, seed=3, split="test",
+                               dedupe_keys=set())
+    monkeypatch.setattr(generate, "REJECTION_ATTEMPTS", 0)
+    seen: set[str] = set()
+    for task in TASK_ORDER:
+        problems += generate_task(task, 20, seed=1, split="forced", seen=seen)
+    for task in ("bipartite", "subgraph"):
+        assert {p.answer.value for p in problems if p.task == task} == {
+            True, False}
+    for p in problems:
+        assert record_to_problem(problem_to_record(p)) == p, p.id
+    path = str(tmp_path / "problems.jsonl")
+    write_problems(path, problems)
+    assert read_problems(path) == problems
 
 
 # ---------------------------------------------------------------------------

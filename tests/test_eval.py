@@ -6,7 +6,7 @@ from graphcorpus.config import PipelineConfig
 from graphcorpus.errors import RecordError
 from graphcorpus.evaluate import evaluate, format_report, run_eval
 from graphcorpus.generate import generate_corpus, generate_task
-from graphcorpus.sampler import Cache, StubBackend, get_profile
+from graphcorpus.sampler import Cache, StubBackend
 from graphcorpus.transcripts import make_transcript
 
 from oracles import CountingBackend
@@ -82,23 +82,21 @@ def test_evaluate_empty_inputs():
 
 def test_run_eval_with_stub_ground_truth(corpus):
     backend = StubBackend(corpus, error_rate=0.0, seed=1)
-    report = run_eval(corpus, backend, profile=get_profile("eval"),
-                      jobs=STAGE.jobs, cache=None, max_requests=None)
+    report = run_eval(corpus, backend, jobs=STAGE.jobs, cache=None,
+                      max_requests=None)
     assert report["overall"] == 1.0
     assert all(row["accuracy"] == 1.0 for row in report["tasks"].values())
 
 
 def test_run_eval_cached_equals_uncached(tmp_path, corpus):
     backend = CountingBackend(StubBackend(corpus, error_rate=0.5, seed=3))
-    uncached = run_eval(corpus, backend, profile=get_profile("eval"),
-                        jobs=STAGE.jobs, cache=None, max_requests=None)
+    uncached = run_eval(corpus, backend, jobs=STAGE.jobs, cache=None,
+                        max_requests=None)
     cache = Cache(str(tmp_path / "c.jsonl"))
-    assert run_eval(corpus, backend, profile=get_profile("eval"),
-                    jobs=STAGE.jobs, cache=cache,
+    assert run_eval(corpus, backend, jobs=STAGE.jobs, cache=cache,
                     max_requests=None) == uncached   # fills it
     sent = backend.requests
-    assert run_eval(corpus, backend, profile=get_profile("eval"),
-                    jobs=STAGE.jobs, cache=cache,
+    assert run_eval(corpus, backend, jobs=STAGE.jobs, cache=cache,
                     max_requests=None) == uncached   # replays it
     assert backend.requests == sent
 
@@ -106,8 +104,8 @@ def test_run_eval_cached_equals_uncached(tmp_path, corpus):
 def test_run_eval_flipped_binary_is_zero():
     problems = generate_task("cycle", 6, seed=8, split="flip", seen=set())
     backend = StubBackend(problems, error_rate=1.0, seed=2)
-    report = run_eval(problems, backend, profile=get_profile("eval"),
-                      jobs=STAGE.jobs, cache=None, max_requests=None)
+    report = run_eval(problems, backend, jobs=STAGE.jobs, cache=None,
+                      max_requests=None)
     assert report["tasks"]["cycle"]["accuracy"] == 0.0
 
 

@@ -275,14 +275,14 @@ def test_check_witness_cycle_and_connect():
 def test_check_witness_bipartite():
     g = Graph(4, True, [(0, 2), (1, 2), (1, 3)])
     p = _problem("bipartite", g)
-    assert check_witness(p, Answer("yes_no", True, witness=([0, 1], [2, 3])))
+    assert check_witness(p, Answer("yes_no", True, witness=[[0, 1], [2, 3]]))
     # overlapping or incomplete sides are rejected
     assert not check_witness(p, Answer("yes_no", True,
-                                       witness=([0, 1, 2], [2, 3])))
-    assert not check_witness(p, Answer("yes_no", True, witness=([0], [2, 3])))
+                                       witness=[[0, 1, 2], [2, 3]]))
+    assert not check_witness(p, Answer("yes_no", True, witness=[[0], [2, 3]]))
     # an intra-side edge is rejected
     assert not check_witness(p, Answer("yes_no", True,
-                                       witness=([0, 2], [1, 3])))
+                                       witness=[[0, 2], [1, 3]]))
 
 
 def test_check_witness_triangle_and_flow():
@@ -302,9 +302,16 @@ def test_check_witness_subgraph_requires_injective_map():
     host = Graph(3, True, [(0, 1), (1, 2)])
     pattern = Graph(2, True, [(0, 1)])
     p = _problem("subgraph", host, {"pattern": pattern})
-    assert check_witness(p, Answer("yes_no", True, witness={0: 1, 1: 2}))
-    assert not check_witness(p, Answer("yes_no", True, witness={0: 1, 1: 1}))
-    assert not check_witness(p, Answer("yes_no", True, witness={0: 2, 1: 0}))
+    assert check_witness(p, Answer("yes_no", True, witness=[[0, 1], [1, 2]]))
+    assert not check_witness(p, Answer("yes_no", True,
+                                       witness=[[0, 1], [1, 1]]))
+    assert not check_witness(p, Answer("yes_no", True,
+                                       witness=[[0, 2], [1, 0]]))
+    # malformed: a 3-element pair, the map as a dict, a pattern node twice
+    # (its other pairs a valid embedding), a pattern node missing
+    for bad in ([[0, 1, 2], [1, 2]], {0: 1, 1: 2}, [[0, 1], [1, 2], [1, 2]],
+                [[0, 1]]):
+        assert not check_witness(p, Answer("yes_no", True, witness=bad)), bad
 
 
 def test_check_witness_bipartite_odd_cycle_ignores_direction():
