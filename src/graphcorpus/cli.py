@@ -47,7 +47,7 @@ def _make_backend(cfg: PipelineConfig, problems):
     if cfg.backend == "http":
         if not cfg.base_url or not cfg.model:
             raise InvalidSpecError("http backend needs --base-url and --model")
-        key = cfg.api_key or os.environ.get("GRAPHCORPUS_API_KEY")
+        key = os.environ.get("GRAPHCORPUS_API_KEY")
         return HttpBackend(cfg.base_url, cfg.model, api_key=key)
     raise InvalidSpecError(f"unknown backend: {cfg.backend}")
 
@@ -89,7 +89,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    profile = get_profile(cfg.profile or "initial")
+    profile = get_profile(cfg.profile)
     cot = profile.prompt == "cot"
     if args.shots is not None and not cot:
         raise InvalidSpecError(f"--shots sets CoT prompts; the {profile.name} "
@@ -208,7 +208,6 @@ def _add_backend(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-requests", type=int, default=None)
     sub.add_argument("--base-url", default=None)
     sub.add_argument("--model", default=None)
-    sub.add_argument("--api-key", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,11 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_backend(p)
     p.add_argument("--profile", default=None,
-                   help="initial (default), augment, dpo or eval")
+                   help="initial, augment, dpo or eval")
     p.add_argument("--problems", required=True)
     p.add_argument("--shots", type=int, default=None,
-                   help="worked examples per CoT prompt (default 2; a config "
-                        "file's shots too); refused under dpo and eval")
+                   help="worked examples per CoT prompt; refused under dpo "
+                        "and eval")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_annotate)
 

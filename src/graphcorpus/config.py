@@ -1,8 +1,10 @@
 """Pipeline configuration.
 
 A config is a flat JSON object; every key matches a PipelineConfig field.
-Command line flags override file values, which override the defaults here.
-The generation limits below are constants, not config keys.
+Command line flags override file values, which override the defaults here,
+and a stage reads each field with no fallback of its own. The generation
+limits below are constants, not config keys, and the API key is neither:
+the http backend reads it from $GRAPHCORPUS_API_KEY alone.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ class PipelineConfig(NamedTuple):
     cap: int = 5
     beta: float = 0.1
     jobs: int = 1
-    profile: str | None = None
+    profile: str = "initial"
     backend: str = "stub"
     stub_error_rate: float = 0.0
     base_url: str | None = None
     model: str | None = None
-    api_key: str | None = None
     max_requests: int | None = None
     cache: str | None = None
     rejection_attempts = REJECTION_ATTEMPTS   # not annotated: not a key

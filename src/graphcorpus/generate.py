@@ -277,7 +277,8 @@ def generate_task(task: str, count: int, *, seed: int, split: str,
                 continue
             seen.add(key)
             built = Problem(
-                id=f"{task}-{split}-{slot}", task=task, graph=graph,
+                id=f"{task}-{split}-{slot}", task=task,
+                graph=type(graph)(*graph),    # no views the solvers cached
                 query=query, answer=answer,
                 tier={"n": graph.num_nodes, "p": tier.p,
                       "difficulty": info.difficulty},

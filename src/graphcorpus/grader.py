@@ -1,14 +1,15 @@
 """Answer extraction, grading, and the advisory step audit.
 
 Extraction reads the text after the LAST "###" marker, falling back to the
-last "The answer is" clause. Grading compares against the stored ground
-truth. `check_witness` is the one home of every path, order and weight
-rule, one `_RULES` row per task: the check, the witness an answer line can
-claim, the reason a failed claim reports. Grading sends it order-free
-answers (topological sorts), so any valid order counts and not just the
-solver's, and every claimed witness. The step audit, `audit_steps`, runs
-apart from grading: it flags claimed edges or nodes that do not exist in
-the graph and never changes a verdict.
+last "The answer is" clause; a numeric answer is never an integer that
+names a node ("from node 2 to node 5 is 7" reads 7). Grading compares
+against the stored ground truth. `check_witness` is the one home of every
+path, order and weight rule, one `_RULES` row per task: the check, the
+witness an answer line can claim, the reason a failed claim reports.
+Grading sends it order-free answers (topological sorts), so any valid
+order counts and not just the solver's, and every claimed witness. The
+step audit, `audit_steps`, runs apart from grading: it flags claimed edges
+or nodes that do not exist in the graph and never changes a verdict.
 """
 
 from __future__ import annotations
@@ -42,6 +43,14 @@ _INT = re.compile(r"-?\d+")
 _BRACKET_SEQ = re.compile(r"\[\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\]")
 _BARE_SEQ = re.compile(r"(-?\d+(?:\s*,\s*-?\d+)+)")
 _ANSWER_IS = re.compile(r"the answer is", re.IGNORECASE)
+_SENTENCE = re.compile(r"[^.\n]+(?:\.|\n|$)")
+# integers that name nodes: "node 2", "nodes 1, 3 and 4", "from 2 to 5",
+# "between 2 and 5", an arrow chain, a bracketed list
+_NODE_NAMES = re.compile(
+    r"\bnode\s+-?\d+|\bnodes\s+-?\d+(?:\s*(?:,|and|,\s*and)\s*-?\d+)*"
+    r"|\bfrom\s+-?\d+\s+to\s+-?\d+|\bbetween\s+-?\d+\s+and\s+-?\d+"
+    r"|-?\d+(?:\s*->\s*-?\d+)+|\[[^\]]*\]", re.IGNORECASE)
+_EQUALS = re.compile(r"\bis\b|=|:", re.IGNORECASE)
 
 
 def _tail(text: str) -> str | None:
@@ -67,6 +76,20 @@ def _parse_sequence(tail: str, least: int = 1) -> list[int] | None:
     return seq if len(seq) >= least else None
 
 
+def _numeric(tail: str) -> int | None:
+    """The answer of a numeric tail: in its first sentence with an integer
+    that names no node, the first such integer after the sentence's last
+    "is", "=" or ":", else its first."""
+    for sentence in _SENTENCE.finditer(tail):
+        text = _NODE_NAMES.sub(lambda m: " " * len(m[0]), sentence[0])
+        found = list(_INT.finditer(text))
+        if found:
+            marks = [m.end() for m in _EQUALS.finditer(text)]
+            after = [m for m in found if marks and m.start() >= marks[-1]]
+            return int((after or found)[0][0])
+    return None
+
+
 def extract_answer(text: str, task: str) -> Answer | ExtractionFailure:
     """Pull the final answer for the task out of a reasoning text."""
     info = get_task(task)
@@ -80,11 +103,11 @@ def extract_answer(text: str, task: str) -> Answer | ExtractionFailure:
         value = m.group(1).lower() == "yes"
         return Answer("yes_no", value, witness=_RULES[task].claim(tail, m, value))
     if info.answer_kind == "numeric":
-        m = _INT.search(tail)
-        if m is None:
+        value = _numeric(tail)
+        if value is None:
             return ExtractionFailure("no integer after the answer marker")
-        value = int(m.group(0))
-        return Answer("numeric", value, witness=_RULES[task].claim(tail, m, value))
+        return Answer("numeric", value,
+                      witness=_RULES[task].claim(tail, None, value))
     seq = _parse_sequence(tail)
     if seq is None:
         return ExtractionFailure("no node sequence after the answer marker")
@@ -253,7 +276,6 @@ def grade(problem: Problem, extracted: Answer | ExtractionFailure) -> Verdict:
 # Step audit
 # ---------------------------------------------------------------------------
 
-_SENTENCE = re.compile(r"[^.\n]+(?:\.|\n|$)")
 _CLAIM_TUPLE = re.compile(r"\(\s*(\d+)\s*(->|,)\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)")
 _CLAIM_CHAIN = re.compile(r"\[\s*\d+(?:\s*->\s*\d+)+\s*\]")
 _CLAIM_PROSE = re.compile(r"node (\d+) is connected to node (\d+)", re.IGNORECASE)

@@ -7,12 +7,13 @@ BackendError for any other; `HttpBackend` sends one request per call to an
 OpenAI-compatible chat endpoint through the standard library's
 `urllib.request`. Each backend names itself in `identity` and keeps no
 count of its requests; a caller that wants one wraps the backend. The
-stage passes every setting. `sample` keeps at most `jobs` requests in
-flight: `jobs` worker threads and the calling thread pull prompts from one
-queue, each holding one of `jobs` request slots only while a request is
-out, not in a back-off before a retry, and none sent after the first
-error. `sample` sizes every reply to the profile's n and keeps an
-append-only JSONL cache so no prompt is paid for twice.
+stage passes every setting, and the API key it reads from the environment.
+`sample` keeps at most `jobs` requests in flight: `jobs` worker threads
+and the calling thread pull prompts from one queue, each holding one of
+`jobs` request slots only while a request is out, not in a back-off before
+a retry, and none sent after the first error. `sample` sizes every reply
+to the profile's n and keeps an append-only JSONL cache, written in prompt
+order, so no prompt is paid for twice.
 """
 
 from __future__ import annotations
@@ -189,13 +190,13 @@ class Cache:
     was cut short by a killed process: loading drops it with a warning and
     truncates the file back to the last newline, so the next put starts a
     fresh line. Any other line that breaks `corpus.parse_line`'s rules for
-    stage files, or holds no key or texts, raises CacheError.
+    stage files, or holds no key or texts, raises CacheError. Puts take no
+    lock: `sample` makes them one at a time.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._store: dict[tuple, list[str]] = {}
-        self._lock = threading.Lock()
         try:
             fh = open(path, "rb")
         except FileNotFoundError:
@@ -247,10 +248,9 @@ class Cache:
         key = self._key(sha, profile, backend)
         line = json.dumps(dict(zip(_KEY_FIELDS, key), texts=texts),
                           ensure_ascii=False)
-        with self._lock:
-            self._store[key] = texts
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+        self._store[key] = texts
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
 
 
 def sample(prompts: list[str], profile: SampleProfile, backend, *,
@@ -272,6 +272,13 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
     one more runner than slots pulls prompts, so the next prompt is asked
     while one waits out a back-off. No request starts after the first error
     (or Ctrl-C), which is raised here once the requests in flight end.
+
+    Cache lines are written in prompt order: a finished prompt's line is
+    held until every earlier miss is written. Once the runners end, the
+    lines still held (past a prompt that failed or was never asked) are
+    written too, so a failure loses no completion that was paid for. A kill
+    loses the held lines: a prompt in its back-offs holds back every later
+    line for up to 7.5 s (BACKOFF * (2 ** MAX_RETRIES - 1)).
     """
     if profile.n < 1:
         raise InvalidSpecError("profile.n must be at least 1")
@@ -294,9 +301,17 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
             f"batch needs {len(misses)} requests but only {max_requests} allowed")
 
     slots = threading.Semaphore(jobs)      # one per request in flight
-    todo = iter(misses)
+    todo = iter(range(len(misses)))        # ranks in misses
     take = threading.Lock()
     failed: list[BaseException] = []
+    held: dict[int, list[str]] = {}        # rank -> texts not yet written
+    written = 0                            # every lower rank is written
+    order = threading.Lock()
+
+    def put(k: int) -> None:
+        texts = held.pop(k)
+        if len(texts) == profile.n:         # a short reply is asked again
+            cache.put(shas[misses[k]], profile, texts, backend.identity)
 
     def ask(i: int) -> list[str] | None:
         """The texts of prompts[i], or None once a runner has failed; a
@@ -317,15 +332,20 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
             time.sleep(BACKOFF * 2 ** attempt)  # the slot is free meanwhile
 
     def run() -> None:
+        nonlocal written
         try:
             while True:
                 with take:
-                    i = next(todo, None)
-                if i is None or (texts := ask(i)) is None:
+                    k = next(todo, None)
+                if k is None or (texts := ask(misses[k])) is None:
                     return
-                if cache is not None and len(texts) == profile.n:
-                    cache.put(shas[i], profile, texts, backend.identity)
-                results[i] = texts + [""] * (profile.n - len(texts))
+                results[misses[k]] = texts + [""] * (profile.n - len(texts))
+                if cache is not None:
+                    with order:
+                        held[k] = texts
+                        while written in held:
+                            put(written)
+                            written += 1
         except BaseException as exc:    # Ctrl-C in a back-off, a failed put
             failed.append(exc)
 
@@ -337,6 +357,9 @@ def sample(prompts: list[str], profile: SampleProfile, backend, *,
     run()
     for w in workers:
         w.join()
+    if cache is not None:   # past a failed prompt: lines that were paid for
+        for k in sorted(held):
+            put(k)
     if failed:
         raise failed[0]
     return results

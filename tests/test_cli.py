@@ -97,6 +97,7 @@ def test_annotate_stub(problems_file, tmp_path, capsys):
     assert rc == 0
     rows = read_jsonl(str(out), PATHS_SCHEMA)
     assert len(rows) == 8
+    assert STAGE.profile == "initial"         # the config holds the default
     assert all(len(r["texts"]) == 3 for r in rows)   # initial profile
     assert all(r["prompt_sha"] for r in rows)
     assert f"wrote 24 paths for 8 problems to {out}" in capsys.readouterr().out
@@ -676,9 +677,10 @@ def test_empty_task_list_exits_two(tmp_path, capsys, source):
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     # the generation limits are constants of config.py, not config keys,
-    # and evaluate samples once, so repeats is no key either
+    # evaluate samples once, so repeats is no key either, and a config file
+    # gets shared, so the API key comes from the environment alone
     for key in ("bogus", "token_budget", "max_attempts", "rejection_attempts",
-                "hamilton_budget", "hamilton_dp_limit", "repeats"):
+                "hamilton_budget", "hamilton_dp_limit", "repeats", "api_key"):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 1}))
         rc = main(["generate", "--config", str(cfg),
@@ -858,6 +860,19 @@ def test_shots_under_an_instruction_profile_exits_two(
         "profile sends instruction prompts" in err), err
     assert sum(b.requests for b in backends) == 0
     assert not cache.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["annotate", "evaluate"])
+def test_the_api_key_is_no_flag(problems_file, tmp_path, capsys, stage):
+    # a process's command line is public on the machine: the key comes
+    # from $GRAPHCORPUS_API_KEY alone
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([stage, "--problems", str(problems_file), "--backend", "stub",
+              "--api-key", "sekrit", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --api-key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("profile", ["augment", "initial", "eval"])

@@ -123,6 +123,14 @@ def test_generated_problems_are_well_formed(task):
         assert p.seed is not None and p.answer is not None
 
 
+def test_generated_problems_carry_no_solver_views():
+    # a problem outlives its generation: the edge pairs, weight map and
+    # adjacency the solvers cached on its graph would ride along in memory
+    problems = generate_corpus(TASK_ORDER, 4, seed=3, split="test",
+                               dedupe_keys=set())
+    assert [p.id for p in problems if vars(p.graph)] == []
+
+
 def _assert_stored_answers_true(task, problems):
     rng = random.Random(0)
     for p in problems:

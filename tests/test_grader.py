@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from graphcorpus.generate import generate_task
@@ -61,6 +63,30 @@ def test_extract_shortest_witness():
     assert ans.value == 4 and ans.witness == [3, 4, 1]
     plain = extract_answer("the path is [0,1] ... ### 8.", "shortest")
     assert plain.value == 8 and plain.witness is None
+
+
+def _labelled_paragraphs(path):
+    """(task, label, text) of each "== task label" block in a golden file."""
+    blocks = path.read_text(encoding="utf-8").split("\n== ")[1:]
+    return [(*block.split("\n", 1)[0].split(), block.split("\n", 1)[1])
+            for block in blocks]
+
+
+def test_numeric_extraction_reads_the_answer_of_model_style_paragraphs():
+    # a restated query names nodes ("from node 2 to node 5 is 7"): the
+    # answer is the integer no node name holds
+    cases = _labelled_paragraphs(
+        Path(__file__).parent / "golden" / "numeric_answers.txt")
+    assert len(cases) >= 20
+    assert {task for task, _, _ in cases} == {"shortest", "triangle", "flow"}
+    wrong = []
+    for task, label, text in cases:
+        got = extract_answer(text, task)
+        read = ("failure" if isinstance(got, ExtractionFailure)
+                else str(got.value))
+        if read != label:
+            wrong.append((task, label, read, text))
+    assert wrong == []
 
 
 @pytest.mark.parametrize("text,task,fragment", [

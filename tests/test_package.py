@@ -5,7 +5,8 @@ method, cached view or field of a class, that no module of
 `src/graphcorpus/` uses is test-only code and belongs under `tests/`. So
 is a parameter default that every caller in `src/` overrides (the stage's
 settings live in `PipelineConfig`, so a copy in a function serves only
-tests) and an attribute stored on `self` that nothing in `src/` reads.
+tests) and an attribute stored on `self` that nothing in `src/` reads
+through `self` or through a name bound to an object of its class.
 The benchmark under `perfbench/` imports names from the package and reads
 fields of `PipelineConfig()`; a rename that breaks it must fail here, not
 only when the benchmark runs.
@@ -155,17 +156,69 @@ def test_every_parameter_default_is_used_by_some_call_in_src():
     assert unused == []
 
 
-def test_every_attribute_stored_on_self_in_src_is_read_in_src():
-    stored, read = set(), set()
-    for tree in _trees(SRC).values():
+# attributes read off an object of any class that has them, with the reason
+DUCK_TYPED = {
+    "identity": "sample keys the cache on backend.identity, whichever "
+                "backend it is given",
+}
+
+
+def _unread_self_attributes(trees) -> list[str]:
+    """Class.attribute for each attribute stored on self that no code reads
+    through self in the same class, or through a name bound to a call of
+    that class (`tfidf = TfidfModel(...)`), and that is not duck-typed."""
+    def called(node):
+        func = getattr(node, "func", None)
+        return getattr(func, "id", None) or getattr(func, "attr", None)
+
+    bound: dict[str, set[str]] = {}    # name -> classes a call bound it to
+    for tree in trees.values():
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Assign) and called(node.value):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound.setdefault(target.id, set()).add(
+                            called(node.value))
+    stored, read = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)):
                 continue
             if isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif isinstance(node.value, ast.Name) and node.value.id == "self":
-                stored.add(node.attr)
-    assert sorted(stored - read) == []
+                read |= {(cls, node.attr)
+                         for cls in bound.get(node.value.id, ())}
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"):
+                    (read if isinstance(node.ctx, ast.Load) else stored).add(
+                        (cls.name, node.attr))
+    return [f"{cls}.{attr}" for cls, attr in sorted(stored - read)
+            if attr not in DUCK_TYPED]
+
+
+def test_every_attribute_stored_on_self_in_src_is_read_in_src():
+    assert _unread_self_attributes(_trees(SRC)) == []
+
+
+def test_an_attribute_read_only_off_another_object_counts_as_unread():
+    # BackendError.status was read only by tests; HttpBackend.generate's
+    # resp.status read a reply's, not the error's
+    source = """
+class BackendError(Exception):
+    def __init__(self, message, status):
+        super().__init__(message)
+        self.status = status
+
+def generate(resp):
+    return resp.status
+"""
+    trees = {"sampler.py": ast.parse(source)}
+    assert _unread_self_attributes(trees) == ["BackendError.status"]
+    trees["cli.py"] = ast.parse("err = BackendError('m', 401)\nerr.status\n")
+    assert _unread_self_attributes(trees) == []
 
 
 def _package_imports() -> list[tuple[str, str, str]]:

@@ -730,6 +730,53 @@ def test_a_back_off_lends_its_slot_to_the_next_prompt(server, monkeypatch):
     assert out == [["for a"], ["for b"]]
 
 
+def _cached_shas(path):
+    return [json.loads(line)["prompt_sha"]
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_cache_lines_are_written_in_prompt_order(server, tmp_path,
+                                                 monkeypatch):
+    # p0 waits out a back-off after its 503 while the others are answered;
+    # their lines wait for p0's, so two runs write the same file
+    base, handler = server
+    refused = set()
+
+    def reply(prompt):
+        if prompt == "p0" and prompt not in refused:
+            refused.add(prompt)
+            return 503, {}
+        return 200, _choices("re " + prompt)
+
+    handler.reply = reply
+    monkeypatch.setattr(sampler, "BACKOFF", 0.2)
+    prompts = [f"p{i}" for i in range(6)]
+    path = tmp_path / "cache.jsonl"
+    out = sample(prompts, get_profile("eval"), HttpBackend(base, "m",
+                                                           api_key=None),
+                 jobs=2, cache=Cache(str(path)), max_requests=None)
+    assert out == [["re " + p] for p in prompts]
+    assert len(handler.seen) == 7
+    assert _cached_shas(path) == [prompt_sha(p) for p in prompts]
+
+
+def test_a_failure_still_writes_the_lines_held_behind_it(tmp_path):
+    # p0 fails after the others are answered: their lines, held for p0's,
+    # were paid for, so they are written before the error is raised
+    class Fatal(_Flaky):
+        def generate(self, prompt, profile):
+            if prompt == "p0":
+                threading.Event().wait(0.2)
+                raise BackendError("bad key")
+            return super().generate(prompt, profile)
+
+    path = tmp_path / "cache.jsonl"
+    with pytest.raises(BackendError, match="bad key"):
+        sample(["p0", "p1", "p2", "p3"], get_profile("eval"), Fatal(fails=0),
+               jobs=2, cache=Cache(str(path)), max_requests=None)
+    assert _cached_shas(path) == [prompt_sha(p) for p in ("p1", "p2", "p3")]
+
+
 def test_requests_in_flight_never_exceed_jobs(server, monkeypatch):
     base, handler = server
     prompts = [f"prompt {i}" for i in range(40)]
@@ -807,7 +854,7 @@ def test_http_transport_failure_is_a_retried_connection_error(monkeypatch,
 
 
 def test_http_rejects_an_api_key_that_is_no_header_value(server, tmp_path,
-                                                         capsys):
+                                                         capsys, monkeypatch):
     # found at construction, not after every retry and its back-off
     for key in ("sekrit\n", "sek rit", "\tsekrit", "sekr\u00eft", "k\x7f"):
         with pytest.raises(InvalidSpecError) as err:
@@ -819,12 +866,30 @@ def test_http_rejects_an_api_key_that_is_no_header_value(server, tmp_path,
                  "--split", "test", "--out", str(problems)]) == 0
     out = tmp_path / "paths.jsonl"
     capsys.readouterr()
+    monkeypatch.setenv("GRAPHCORPUS_API_KEY", "sekrit\n")
     rc = main(["annotate", "--problems", str(problems), "--backend", "http",
-               "--base-url", base, "--model", "m", "--api-key", "k\n",
-               "--out", str(out)])
+               "--base-url", base, "--model", "m", "--out", str(out)])
     assert rc == 2
-    assert "API key" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "API key" in err and "sekrit" not in err
     assert handler.seen == [] and not out.exists()
+
+
+def test_the_stages_send_the_api_key_from_the_environment(server, tmp_path,
+                                                          monkeypatch):
+    base, handler = server
+    handler.reply = lambda prompt: (200, _choices("a", "b", "c"))
+    problems = tmp_path / "problems.jsonl"
+    assert main(["generate", "--tasks", "cycle", "--count", "1", "--seed", "3",
+                 "--split", "test", "--out", str(problems)]) == 0
+    monkeypatch.setenv("GRAPHCORPUS_API_KEY", "sekrit")
+    http = ["--problems", str(problems), "--backend", "http", "--base-url",
+            base, "--model", "m"]
+    assert main(["annotate", *http, "--out", str(tmp_path / "paths")]) == 0
+    assert main(["evaluate", *http, "--out", str(tmp_path / "report")]) == 0
+    monkeypatch.delenv("GRAPHCORPUS_API_KEY")
+    assert main(["evaluate", *http, "--out", str(tmp_path / "report")]) == 0
+    assert [auth for auth, _ in handler.seen] == ["Bearer sekrit"] * 2 + [None]
 
 
 @pytest.mark.parametrize("failure", [(200, _choices("cut"), 10), (None, {})],
